@@ -24,6 +24,7 @@ import (
 	"mstx/internal/params"
 	"mstx/internal/soc"
 	"mstx/internal/tolerance"
+	"mstx/internal/translate"
 )
 
 // BenchmarkFig1Spectra regenerates Figure 1: output spectra of the
@@ -684,4 +685,28 @@ func BenchmarkSpectralCampaignSeed(b *testing.B) {
 	b.StopTimer()
 	faults := float64(dt.Universe.Size()) * float64(b.N)
 	b.ReportMetric(faults/b.Elapsed().Seconds(), "faults/s")
+}
+
+// BenchmarkReferralMC1M measures one cold-mix-sized translate job's
+// engine work: the LPF cut-off referral-error Monte Carlo at 1,000,000
+// draws on the default spec. The per-draw kernel is allocation-free,
+// so allocs/op counts only the engine's per-lane state. Reported
+// metric: draws per second.
+func BenchmarkReferralMC1M(b *testing.B) {
+	spec, err := experiments.BuildDefaultSpec()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const draws = 1000000
+	for i := 0; i < b.N; i++ {
+		est, err := translate.EstimateReferralError(context.Background(), spec,
+			params.LPFCutoff, params.Adaptive, translate.MCConfig{Samples: draws, Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if est.Samples != draws {
+			b.Fatalf("ran %d draws, want %d", est.Samples, draws)
+		}
+	}
+	b.ReportMetric(draws*float64(b.N)/b.Elapsed().Seconds(), "draws/s")
 }

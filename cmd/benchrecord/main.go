@@ -5,7 +5,11 @@
 // exits non-zero on a regression — >15% ns/op growth (tunable with
 // -max-ns-regress) or allocs/op growth beyond -max-allocs-regress
 // percent (default 0: exact) on a benchmark present in both — without
-// appending, which makes it the perf gate in scripts/check.sh.
+// appending, which makes it the perf gate in scripts/check.sh. Each
+// new entry carries an environment stamp (goos, goarch, cpu and
+// GOMAXPROCS) read from the same go test output; -compare does not
+// read the stamps, so entries recorded before stamps existed compare
+// as before.
 //
 // Usage:
 //
@@ -40,10 +44,22 @@ type BenchResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
+// Env is the environment stamp of a run, taken from the go test
+// output itself: the goos/goarch/cpu header lines and the -N
+// GOMAXPROCS suffix of the benchmark names (no suffix at all means
+// GOMAXPROCS 1). Entries recorded before stamps existed have none.
+type Env struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+}
+
 // Entry is one recorded run of a benchmark suite.
 type Entry struct {
 	SHA        string                 `json:"sha"`
 	Date       string                 `json:"date"`
+	Env        *Env                   `json:"env,omitempty"`
 	Benchmarks map[string]BenchResult `json:"benchmarks"`
 }
 
@@ -71,7 +87,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	benches, err := parseBench(stdin)
+	benches, env, err := parseBench(stdin)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchrecord: %v\n", err)
 		return 2
@@ -107,7 +123,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 
-	trajectory = append(trajectory, Entry{SHA: *sha, Date: *date, Benchmarks: benches})
+	trajectory = append(trajectory, Entry{SHA: *sha, Date: *date, Env: &env, Benchmarks: benches})
 	if err := writeTrajectory(*out, trajectory); err != nil {
 		fmt.Fprintf(stderr, "benchrecord: %v\n", err)
 		return 2
@@ -116,27 +132,47 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parseBench extracts benchmark result lines from go test output.
-// Lines look like
+// parseBench extracts benchmark result lines from go test output,
+// plus the run's environment stamp. Lines look like
 //
 //	BenchmarkWelchScratch-8   50   234807 ns/op   97 B/op   0 allocs/op
 //
 // with the B/op and allocs/op columns present only under -benchmem.
 // The -N GOMAXPROCS suffix is stripped so recorded names are stable
-// across machines.
-func parseBench(r io.Reader) (map[string]BenchResult, error) {
+// across machines, and kept in the stamp. Output that mixes
+// environments (two packages' headers disagreeing, or two different
+// -N suffixes) is rejected: one entry has one stamp.
+func parseBench(r io.Reader) (map[string]BenchResult, Env, error) {
 	benches := make(map[string]BenchResult)
+	var env Env
+	headers := false
+	header := map[string]*string{"goos:": &env.GOOS, "goarch:": &env.GOARCH, "cpu:": &env.CPU}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		fields := strings.Fields(line)
+		if len(fields) > 1 {
+			if dst, ok := header[fields[0]]; ok {
+				v := strings.TrimSpace(strings.TrimPrefix(line, fields[0]))
+				if *dst != "" && *dst != v {
+					return nil, Env{}, fmt.Errorf("mixed environments in input: %s %q and %q", fields[0], *dst, v)
+				}
+				*dst, headers = v, true
+				continue
+			}
+		}
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			if procs, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
+				if env.GOMAXPROCS != 0 && env.GOMAXPROCS != procs {
+					return nil, Env{}, fmt.Errorf("mixed environments in input: GOMAXPROCS %d and %d", env.GOMAXPROCS, procs)
+				}
+				env.GOMAXPROCS = procs
 			}
 		}
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
@@ -162,14 +198,18 @@ func parseBench(r io.Reader) (map[string]BenchResult, error) {
 			continue
 		}
 		if _, dup := benches[name]; dup {
-			return nil, fmt.Errorf("duplicate benchmark %q in input (mixed runs?)", name)
+			return nil, Env{}, fmt.Errorf("duplicate benchmark %q in input (mixed runs?)", name)
 		}
 		benches[name] = res
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, Env{}, err
 	}
-	return benches, nil
+	if env.GOMAXPROCS == 0 && headers && len(benches) > 0 {
+		// go test names a GOMAXPROCS=1 benchmark without a suffix.
+		env.GOMAXPROCS = 1
+	}
+	return benches, env, nil
 }
 
 // compareRuns returns one human-readable line per regression of cur

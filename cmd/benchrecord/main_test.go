@@ -21,7 +21,7 @@ ok  	mstx/internal/dsp	0.099s
 `
 
 func TestParseBench(t *testing.T) {
-	benches, err := parseBench(strings.NewReader(sampleRun))
+	benches, _, err := parseBench(strings.NewReader(sampleRun))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestParseBench(t *testing.T) {
 }
 
 func TestParseBenchWithoutBenchmem(t *testing.T) {
-	benches, err := parseBench(strings.NewReader("BenchmarkX-4   100   500 ns/op\n"))
+	benches, _, err := parseBench(strings.NewReader("BenchmarkX-4   100   500 ns/op\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestParseBenchWithoutBenchmem(t *testing.T) {
 
 func TestParseBenchRejectsDuplicates(t *testing.T) {
 	in := "BenchmarkX-4 100 500 ns/op\nBenchmarkX-4 100 510 ns/op\n"
-	if _, err := parseBench(strings.NewReader(in)); err == nil {
+	if _, _, err := parseBench(strings.NewReader(in)); err == nil {
 		t.Fatal("duplicate benchmark accepted")
 	}
 }
@@ -290,5 +290,70 @@ func TestEchoOnlyDoesNotWrite(t *testing.T) {
 	}
 	if _, err := os.Stat(file); !os.IsNotExist(err) {
 		t.Error("-n wrote the trajectory file")
+	}
+}
+
+func TestParseBenchEnvStamp(t *testing.T) {
+	_, env, err := parseBench(strings.NewReader(sampleRun))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Env{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz", GOMAXPROCS: 8}
+	if env != want {
+		t.Errorf("env = %+v, want %+v", env, want)
+	}
+	// go test prints no suffix at GOMAXPROCS 1.
+	single := "goos: linux\ngoarch: amd64\nBenchmarkX   100   500 ns/op\n"
+	if _, env, err := parseBench(strings.NewReader(single)); err != nil || env.GOMAXPROCS != 1 {
+		t.Errorf("unsuffixed run: env %+v, err %v; want GOMAXPROCS 1", env, err)
+	}
+	// Two packages from the same run share one stamp.
+	twoPkgs := sampleRun + strings.Replace(strings.Replace(sampleRun, "Benchmark", "BenchmarkOther", -1),
+		"pkg: mstx/internal/dsp", "pkg: mstx", 1)
+	if _, env, err := parseBench(strings.NewReader(twoPkgs)); err != nil || env != want {
+		t.Errorf("two packages: env %+v, err %v", env, err)
+	}
+}
+
+func TestParseBenchRejectsMixedEnvironments(t *testing.T) {
+	for name, in := range map[string]string{
+		"cpu":        "cpu: A\nBenchmarkX-2 100 500 ns/op\ncpu: B\nBenchmarkY-2 100 500 ns/op\n",
+		"gomaxprocs": "BenchmarkX-2 100 500 ns/op\nBenchmarkY-4 100 500 ns/op\n",
+	} {
+		if _, _, err := parseBench(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: mixed environments accepted", name)
+		}
+	}
+}
+
+// TestRecordStampsEnvAndComparesOldEntries pins that new entries carry
+// the stamp while a stampless baseline (recorded before stamps
+// existed) still gates the run exactly as before.
+func TestRecordStampsEnvAndComparesOldEntries(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "BENCH_test.json")
+	old := `[{"sha": "old", "date": "d", "benchmarks": {"BenchmarkPowerSpectrumScratch1024": {"iterations": 50, "ns_per_op": 7000, "b_per_op": 0, "allocs_per_op": 0}}}]`
+	if err := os.WriteFile(file, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := record(t, file, sampleRun, "-sha", "new", "-compare"); code != 1 ||
+		!strings.Contains(stderr, "BenchmarkPowerSpectrumScratch1024") {
+		t.Fatalf("2x slower than a stampless baseline: exit %d, stderr %s", code, stderr)
+	}
+	if code, _, stderr := record(t, file, sampleRun, "-sha", "new"); code != 0 {
+		t.Fatalf("record exited %d: %s", code, stderr)
+	}
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trajectory []Entry
+	if err := json.Unmarshal(data, &trajectory); err != nil {
+		t.Fatal(err)
+	}
+	if len(trajectory) != 2 || trajectory[0].Env != nil {
+		t.Fatalf("stampless entry rewritten or run not appended: %+v", trajectory)
+	}
+	if e := trajectory[1].Env; e == nil || e.GOMAXPROCS != 8 || e.CPU == "" {
+		t.Errorf("new entry stamp = %+v", e)
 	}
 }

@@ -124,9 +124,15 @@ func (a *ADC) inlLSB(u float64) float64 {
 // applying gain error, offset, INL bow, frozen DNL perturbations,
 // input noise (when rng non-nil), and saturation.
 func (a *ADC) Convert(x []float64, rng *rand.Rand) []int64 {
+	return a.ConvertInto(make([]int64, len(x)), x, rng)
+}
+
+// ConvertInto is Convert writing len(x) codes into dst and returning
+// them.
+func (a *ADC) ConvertInto(dst []int64, x []float64, rng *rand.Rand) []int64 {
 	lsb := a.LSB()
 	minC, maxC := a.CodeRange()
-	out := make([]int64, len(x))
+	out := dst[:len(x)]
 	for i, v := range x {
 		val := v * (1 + a.GainErrRel) / lsb // in LSB units
 		if rng != nil && a.Spec.NoiseRMSLSB > 0 {

@@ -87,9 +87,15 @@ func (a *Amplifier) nonlinearity() Nonlinearity {
 // Process implements Block: y = NL(x + n_in) + offset, with the
 // input-referred noise drawn over the simulation Nyquist bandwidth.
 func (a *Amplifier) Process(x []float64, fs float64, rng *rand.Rand) []float64 {
+	return a.ProcessInto(make([]float64, len(x)), x, fs, rng)
+}
+
+// ProcessInto is Process writing into dst (len(x) samples; dst may be
+// x itself) and returning it.
+func (a *Amplifier) ProcessInto(dst, x []float64, fs float64, rng *rand.Rand) []float64 {
 	nl := a.nonlinearity()
 	nIn := NoiseRMSFromNF(a.NFDB, fs/2)
-	out := make([]float64, len(x))
+	out := dst[:len(x)]
 	for i, v := range x {
 		if rng != nil && nIn > 0 {
 			v += rng.NormFloat64() * nIn

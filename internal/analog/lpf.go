@@ -94,18 +94,29 @@ func (l *LowPass) biquad(fs float64) (b0, b1, b2, a1, a2 float64) {
 // by the pass-band gain, plus clock feed-through, output noise, and
 // DC offset.
 func (l *LowPass) Process(x []float64, fs float64, rng *rand.Rand) []float64 {
+	return l.ProcessInto(make([]float64, len(x)), x, fs, rng, nil)
+}
+
+// ProcessInto is Process writing into dst (len(x) samples; dst may be
+// x itself) and returning it. The clock feed-through cosines depend
+// only on Spec.ClockHz, fs and len(x); clk keeps them across calls (a
+// nil clk fills a new table).
+func (l *LowPass) ProcessInto(dst, x []float64, fs float64, rng *rand.Rand, clk *msignal.CosTable) []float64 {
 	b0, b1, b2, a1, a2 := l.biquad(fs)
 	g := l.Gain()
-	out := make([]float64, len(x))
+	out := dst[:len(x)]
+	var spur []float64
+	if l.Spec.ClockSpurV > 0 {
+		spur = l.clockCarrier(clk, len(x), fs)
+	}
 	var x1, x2, y1, y2 float64
-	wClk := 2 * math.Pi * l.Spec.ClockHz / fs
 	for i, v := range x {
 		y := b0*v + b1*x1 + b2*x2 - a1*y1 - a2*y2
 		x2, x1 = x1, v
 		y2, y1 = y1, y
 		o := g*y + l.OffsetV
 		if l.Spec.ClockSpurV > 0 {
-			o += l.Spec.ClockSpurV * math.Cos(wClk*float64(i))
+			o += l.Spec.ClockSpurV * spur[i]
 		}
 		if rng != nil && l.Spec.OutputNoiseRMS > 0 {
 			o += rng.NormFloat64() * l.Spec.OutputNoiseRMS
@@ -113,6 +124,22 @@ func (l *LowPass) Process(x []float64, fs float64, rng *rand.Rand) []float64 {
 		out[i] = o
 	}
 	return out
+}
+
+// clockCarrier returns the SC clock's per-sample cosines, cached in clk
+// under (ClockHz, fs, n).
+func (l *LowPass) clockCarrier(clk *msignal.CosTable, n int, fs float64) []float64 {
+	if clk == nil {
+		clk = new(msignal.CosTable)
+	}
+	c, hit := clk.Lookup(l.Spec.ClockHz, 0, fs, n)
+	if !hit {
+		wClk := 2 * math.Pi * l.Spec.ClockHz / fs
+		for i := range c {
+			c[i] = math.Cos(wClk * float64(i))
+		}
+	}
+	return c
 }
 
 // ResponseMag returns the instance's analog-prototype magnitude

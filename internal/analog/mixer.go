@@ -45,7 +45,10 @@ func (o *Oscillator) Name() string { return o.Spec.Name }
 // Phases returns the LO phase trajectory θ[i] for n samples at rate
 // fs, including random-walk phase noise drawn from rng.
 func (o *Oscillator) Phases(n int, fs float64, rng *rand.Rand) []float64 {
-	th := make([]float64, n)
+	return o.phasesInto(make([]float64, n), fs, rng)
+}
+
+func (o *Oscillator) phasesInto(th []float64, fs float64, rng *rand.Rand) []float64 {
 	var jitter float64
 	w := 2 * math.Pi * o.FreqHz / fs
 	for i := range th {
@@ -55,6 +58,31 @@ func (o *Oscillator) Phases(n int, fs float64, rng *rand.Rand) []float64 {
 		th[i] = w*float64(i) + jitter
 	}
 	return th
+}
+
+// carrier returns cos θ[i] for n samples at rate fs, drawing phase
+// noise from rng exactly as Phases does. Without a draw (nil rng or a
+// noiseless LO) the cosines depend only on FreqHz, fs and n, and tab
+// keeps them across calls; a jittered carrier is filled fresh into
+// tab's buffer every call. A nil tab fills a new buffer.
+func (o *Oscillator) carrier(tab *msignal.CosTable, n int, fs float64, rng *rand.Rand) []float64 {
+	if tab == nil {
+		tab = new(msignal.CosTable)
+	}
+	var c []float64
+	if jitter := rng != nil && o.Spec.PhaseNoiseRadPerSample > 0; jitter {
+		c = tab.Reset(n)
+	} else {
+		var hit bool
+		if c, hit = tab.Lookup(o.FreqHz, 0, fs, n); hit {
+			return c
+		}
+	}
+	o.phasesInto(c, fs, rng)
+	for i, th := range c {
+		c[i] = math.Cos(th)
+	}
+	return c
 }
 
 // FrequencyError returns the actual-minus-nominal LO frequency, Hz —
@@ -146,18 +174,26 @@ func (m *Mixer) loLeakAmp() float64 {
 // f_RF produces conversion-gain·A at |f_RF − f_LO|, and LO leakage
 // plus NF noise are added.
 func (m *Mixer) Process(x []float64, fs float64, rng *rand.Rand) []float64 {
+	return m.ProcessInto(make([]float64, len(x)), x, fs, rng, nil)
+}
+
+// ProcessInto is Process writing into dst (len(x) samples; dst may be
+// x itself) and returning it. A reused lo table keeps the LO carrier
+// cosines across captures whenever no phase noise is drawn (nil rng or
+// a noiseless LO); a nil lo fills a new table.
+func (m *Mixer) ProcessInto(dst, x []float64, fs float64, rng *rand.Rand, lo *msignal.CosTable) []float64 {
 	nl := NewNonlinearity(1, m.IIP3DBm, m.P1dBDBm) // unit-gain front nonlinearity
 	g := m.ConvGain()
 	nIn := NoiseRMSFromNF(m.NFDB, fs/2)
 	leak := m.loLeakAmp()
-	th := m.LO.Phases(len(x), fs, rng)
-	out := make([]float64, len(x))
+	c := m.LO.carrier(lo, len(x), fs, rng)
+	out := dst[:len(x)]
 	for i, v := range x {
 		if rng != nil && nIn > 0 {
 			v += rng.NormFloat64() * nIn
 		}
 		rf := nl.Apply(v)
-		out[i] = 2*g*rf*math.Cos(th[i]) + leak*math.Cos(th[i])
+		out[i] = 2*g*rf*c[i] + leak*c[i]
 	}
 	return out
 }

@@ -83,7 +83,13 @@ func FrequencyResponseMag(coeffs []float64, f float64) float64 {
 // This is the behavioural digital-filter model used by the path
 // simulator when gate-level detail is not needed.
 func FilterFloat(coeffs []float64, xs []float64) []float64 {
-	out := make([]float64, len(xs))
+	return FilterFloatInto(make([]float64, len(xs)), coeffs, xs)
+}
+
+// FilterFloatInto is FilterFloat writing len(xs) outputs into dst,
+// which must not overlap xs, and returning them.
+func FilterFloatInto(dst, coeffs, xs []float64) []float64 {
+	out := dst[:len(xs)]
 	for n := range xs {
 		var acc float64
 		for i, c := range coeffs {

@@ -278,21 +278,100 @@ func rss(a, b float64) float64 {
 // physically present at the node the attributes describe.
 func (s Signal) Render(n int, fs float64, rng *rand.Rand) []float64 {
 	out := make([]float64, n)
-	for i := range out {
-		t := float64(i) / fs
-		v := s.DC
-		for _, tone := range s.Tones {
-			v += tone.Amp * math.Cos(2*math.Pi*tone.Freq*t+tone.Phase)
-		}
-		for _, sp := range s.Spurs {
-			v += sp.Amp * math.Cos(2*math.Pi*sp.Freq*t+sp.Phase)
-		}
-		if rng != nil && s.NoiseRMS > 0 {
-			v += rng.NormFloat64() * s.NoiseRMS
-		}
-		out[i] = v
-	}
+	s.RenderInto(out, fs, rng, nil)
 	return out
+}
+
+// RenderInto is Render writing len(dst) samples into dst. Component j
+// of the signal (the tones in order, then the spurs) takes its cosines
+// from table j of c, so a capture sweep that re-renders the same tones
+// evaluates each cosine once; a nil c uses fresh tables. Each sample
+// is accumulated in Render's order — DC, tones, spurs, noise — so the
+// result is bit-identical to Render, and rng is drawn the same way.
+func (s Signal) RenderInto(dst []float64, fs float64, rng *rand.Rand, c *Carriers) {
+	if c == nil {
+		c = new(Carriers)
+	}
+	for i := range dst {
+		dst[i] = s.DC
+	}
+	j := 0
+	for _, comp := range [2][]Tone{s.Tones, s.Spurs} {
+		for _, tone := range comp {
+			tab := c.table(j, tone, fs, len(dst))
+			for i := range dst {
+				dst[i] += tone.Amp * tab[i]
+			}
+			j++
+		}
+	}
+	if rng != nil && s.NoiseRMS > 0 {
+		for i := range dst {
+			dst[i] += rng.NormFloat64() * s.NoiseRMS
+		}
+	}
+}
+
+// CosTable caches one carrier's per-sample cosines under the exact
+// inputs that produced them: two carrier parameters (a frequency and
+// a phase, or a frequency and zero), the sample rate and the length,
+// compared bit for bit. The zero value is an empty table.
+type CosTable struct {
+	key  [3]uint64
+	ok   bool
+	vals []float64
+}
+
+// Lookup returns a length-n buffer and whether it already holds the
+// samples for (a, b, fs). On a miss the table records the new key and
+// the caller must fill the buffer before the next Lookup.
+func (t *CosTable) Lookup(a, b, fs float64, n int) ([]float64, bool) {
+	key := [3]uint64{math.Float64bits(a), math.Float64bits(b), math.Float64bits(fs)}
+	if t.ok && t.key == key && len(t.vals) == n {
+		return t.vals, true
+	}
+	t.key, t.ok = key, true
+	return t.resize(n), false
+}
+
+// Reset forgets the cached key and returns a length-n buffer for a
+// one-off fill that no key describes (an LO carrier with drawn phase
+// noise), so the next Lookup refills.
+func (t *CosTable) Reset(n int) []float64 {
+	t.ok = false
+	return t.resize(n)
+}
+
+func (t *CosTable) resize(n int) []float64 {
+	if cap(t.vals) < n {
+		t.vals = make([]float64, n)
+	}
+	t.vals = t.vals[:n]
+	return t.vals
+}
+
+// Carriers is RenderInto's tone-table cache: one CosTable per signal
+// component position. It is not safe for concurrent use — keep one per
+// goroutine. The zero value is ready to use.
+type Carriers struct {
+	tabs []CosTable
+}
+
+// table returns the cosines of component j, filling its table on a
+// key miss. The fill expression fixes every rendered bit (the goldens
+// depend on it), so it must not be rewritten, e.g. as a recurrence.
+func (c *Carriers) table(j int, tone Tone, fs float64, n int) []float64 {
+	for len(c.tabs) <= j {
+		c.tabs = append(c.tabs, CosTable{})
+	}
+	tab, hit := c.tabs[j].Lookup(tone.Freq, tone.Phase, fs, n)
+	if !hit {
+		for i := range tab {
+			t := float64(i) / fs
+			tab[i] = math.Cos(2*math.Pi*tone.Freq*t + tone.Phase)
+		}
+	}
+	return tab
 }
 
 // Frequencies returns the deliberate tone frequencies in ascending

@@ -127,18 +127,33 @@ func (c Config) validate() error {
 	return nil
 }
 
-// captureSpectrum runs the path and returns the spectrum of the
-// settled filter-output window.
-func captureSpectrum(p *path.Path, stim msignal.Signal, cfg Config, rng *rand.Rand) (*dsp.Spectrum, []float64, error) {
+// sweep is the capture state one Measure* call reuses across the
+// captures of its sweep: the path scratch (carrier tables and stage
+// buffers) and the spectrum scratch. It is never shared between calls,
+// so a Path stays safe for concurrent measurement.
+type sweep struct {
+	path path.Scratch
+	spec *dsp.SpectrumScratch
+}
+
+// capture runs the path and returns the spectrum of the settled
+// filter-output window. The spectrum and the record alias the sweep
+// and are valid only until its next capture.
+func (sw *sweep) capture(p *path.Path, stim msignal.Signal, cfg Config, rng *rand.Rand) (*dsp.Spectrum, []float64, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	cap, err := p.Run(stim, cfg.N+cfg.Settle, rng)
+	cap, err := p.RunScratch(stim, cfg.N+cfg.Settle, rng, &sw.path)
 	if err != nil {
 		return nil, nil, err
 	}
 	rec := cap.FilterOut[cfg.Settle:]
-	s, err := dsp.PowerSpectrum(rec, p.Spec.ADCRate, dsp.Rectangular)
+	if sw.spec == nil || sw.spec.Len() != len(rec) {
+		if sw.spec, err = dsp.NewSpectrumScratch(len(rec), dsp.Rectangular); err != nil {
+			return nil, nil, err
+		}
+	}
+	s, err := sw.spec.PowerSpectrum(rec, p.Spec.ADCRate)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -171,10 +186,15 @@ func rfFor(p *path.Path, fIF float64) float64 {
 // a deep-pass-band tone (translation by composition). The digital
 // filter response is divided out exactly.
 func MeasurePathGain(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
+	return new(sweep).pathGain(p, cfg, rng)
+}
+
+// pathGain is MeasurePathGain on the caller's sweep.
+func (sw *sweep) pathGain(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
 	fIF := ifBin(p, cfg, 200e3)
 	amp := 0.004
 	stim := msignal.NewTone(rfFor(p, fIF), amp)
-	s, _, err := captureSpectrum(p, stim, cfg, rng)
+	s, _, err := sw.capture(p, stim, cfg, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -195,7 +215,7 @@ func MeasurePathGain(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
 // plus ADC offset; amplifier offset is rejected by the mixer) at the
 // primary output with a zero input.
 func MeasureDCOffset(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
-	_, rec, err := captureSpectrum(p, msignal.Signal{}, cfg, rng)
+	_, rec, err := new(sweep).capture(p, msignal.Signal{}, cfg, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -245,6 +265,7 @@ func MeasureMixerIIP3(p *path.Path, method Method, st IIP3Stimulus, cfg Config, 
 		return Result{Kind: MixerIIP3, Target: p.Mixer.Name(), Method: method,
 			Measured: measured, True: truth, Unit: "dBm"}, nil
 	}
+	sw := new(sweep)
 	f1 := ifBin(p, cfg, st.F1IF)
 	f2 := ifBin(p, cfg, st.F2IF)
 	fim := 2*f1 - f2
@@ -258,7 +279,7 @@ func MeasureMixerIIP3(p *path.Path, method Method, st IIP3Stimulus, cfg Config, 
 		return Result{}, err
 	}
 	// Retag the stimulus tones at RF (StimulusFor keeps frequencies).
-	s, _, err := captureSpectrum(p, stim, cfg, rng)
+	s, _, err := sw.capture(p, stim, cfg, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -284,7 +305,7 @@ func MeasureMixerIIP3(p *path.Path, method Method, st IIP3Stimulus, cfg Config, 
 		gB := p.Spec.LPF.GainDB.Nominal
 		measured = base - (p.Spec.Mixer.ConvGainDB.Nominal + gB)
 	case Adaptive:
-		gPath, err := MeasurePathGain(p, cfg, rng)
+		gPath, err := sw.pathGain(p, cfg, rng)
 		if err != nil {
 			return Result{}, err
 		}
@@ -344,11 +365,12 @@ func MeasureMixerP1dB(p *path.Path, method Method, cfg Config, rng *rand.Rand) (
 		return Result{Kind: MixerP1dB, Target: p.Mixer.Name(), Method: method,
 			Measured: m, True: truth, Unit: "dBm"}, nil
 	}
+	sw := new(sweep)
 	fIF := ifBin(p, cfg, 900e3)
 	fRF := rfFor(p, fIF)
 	gd := digitalGain(p, fIF)
 	gainAt := func(amp float64) (float64, error) {
-		s, _, err := captureSpectrum(p, msignal.NewTone(fRF, amp), cfg, rng)
+		s, _, err := sw.capture(p, msignal.NewTone(fRF, amp), cfg, rng)
 		if err != nil {
 			return 0, err
 		}
@@ -395,7 +417,7 @@ func MeasureMixerP1dB(p *path.Path, method Method, cfg Config, rng *rand.Rand) (
 	case NominalGains:
 		gAdB = p.Spec.Amp.GainDB.Nominal
 	case Adaptive:
-		gPath, err := MeasurePathGain(p, cfg, rng)
+		gPath, err := sw.pathGain(p, cfg, rng)
 		if err != nil {
 			return Result{}, err
 		}
@@ -408,19 +430,30 @@ func MeasureMixerP1dB(p *path.Path, method Method, cfg Config, rng *rand.Rand) (
 		Measured: measured, True: truth, Unit: "dBm"}, nil
 }
 
+// projN is the length of trueMixerP1dB's fundamental projection and
+// projCos its cosine table, cos(2π·i/projN): the same for every device
+// and every amplitude of the search, so it is evaluated once.
+const projN = 1024
+
+var projCos = func() (c [projN]float64) {
+	for i := range c {
+		th := 2 * math.Pi * float64(i) / projN
+		c[i] = math.Cos(th)
+	}
+	return c
+}()
+
 // trueMixerP1dB numerically finds the instance mixer's true input
 // 1 dB compression amplitude from its own nonlinearity (cubic + clip).
 func trueMixerP1dB(p *path.Path) float64 {
 	nl := analog.NewNonlinearity(1, p.Mixer.IIP3DBm, p.Mixer.P1dBDBm)
 	gain := func(a float64) float64 {
 		// Fundamental amplitude of NL(a·cos) via 1024-point projection.
-		const n = 1024
 		var acc float64
-		for i := 0; i < n; i++ {
-			th := 2 * math.Pi * float64(i) / n
-			acc += nl.Apply(a*math.Cos(th)) * math.Cos(th)
+		for _, c := range projCos {
+			acc += nl.Apply(a*c) * c
 		}
-		return 2 * acc / n / a
+		return 2 * acc / projN / a
 	}
 	small := gain(1e-4)
 	lo, hi := 1e-4, 0.0
@@ -460,10 +493,11 @@ func fullAccessMixerP1dB(p *path.Path) (float64, error) {
 // reference, so block gains cancel and only the corner remains. The
 // digital filter response is divided out exactly.
 func MeasureLPFCutoff(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
+	sw := new(sweep)
 	amp := 0.004
 	ref := ifBin(p, cfg, 200e3)
 	measure := func(fIF float64) (float64, error) {
-		s, _, err := captureSpectrum(p, msignal.NewTone(rfFor(p, fIF), amp), cfg, rng)
+		s, _, err := sw.capture(p, msignal.NewTone(rfFor(p, fIF), amp), cfg, rng)
 		if err != nil {
 			return 0, err
 		}
@@ -529,7 +563,7 @@ func MeasureLPFCutoff(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) 
 func MeasureLOFreqError(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
 	fIF := ifBin(p, cfg, 1.0e6)
 	stim := msignal.NewTone(rfFor(p, fIF), 0.004)
-	s, _, err := captureSpectrum(p, stim, cfg, rng)
+	s, _, err := new(sweep).capture(p, stim, cfg, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -566,8 +600,9 @@ func MeasureStopbandGain(p *path.Path, cfg Config, rng *rand.Rand) (Result, erro
 		return Result{}, fmt.Errorf("params: stop-band probe %g beyond Nyquist: %w", fStop, ErrUntranslatable)
 	}
 	const amp = 0.02
+	sw := new(sweep)
 	measure := func(f float64) (float64, error) {
-		s, _, err := captureSpectrum(p, msignal.NewTone(rfFor(p, f), amp), cfg, rng)
+		s, _, err := sw.capture(p, msignal.NewTone(rfFor(p, f), amp), cfg, rng)
 		if err != nil {
 			return 0, err
 		}
@@ -685,14 +720,15 @@ func MeasureDynamicRange(p *path.Path, cfg Config, rng *rand.Rand) (Result, erro
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	small, err := MeasureGainAtAmplitude(p, 0.002, cfg, rng)
+	sw := new(sweep)
+	small, err := sw.gainAtAmplitude(p, 0.002, cfg, rng)
 	if err != nil {
 		return Result{}, err
 	}
 	// Upper edge: 1 dB compression via geometric bisection.
 	lo, hi := 0.002, 0.0
 	for a := 0.004; a < 1.0; a *= 1.4 {
-		g, err := MeasureGainAtAmplitude(p, a, cfg, rng)
+		g, err := sw.gainAtAmplitude(p, a, cfg, rng)
 		if err != nil {
 			return Result{}, err
 		}
@@ -707,7 +743,7 @@ func MeasureDynamicRange(p *path.Path, cfg Config, rng *rand.Rand) (Result, erro
 	}
 	for i := 0; i < 8; i++ {
 		mid := math.Sqrt(lo * hi)
-		g, err := MeasureGainAtAmplitude(p, mid, cfg, rng)
+		g, err := sw.gainAtAmplitude(p, mid, cfg, rng)
 		if err != nil {
 			return Result{}, err
 		}
@@ -721,7 +757,7 @@ func MeasureDynamicRange(p *path.Path, cfg Config, rng *rand.Rand) (Result, erro
 	// Lower edge: SINAD = 6 dB.
 	lo, hi = 0.0, 0.002
 	for a := 0.001; a > 1e-7; a /= 2 {
-		s, err := MeasureSNRAtAmplitude(p, a, cfg, rng)
+		s, err := sw.snrAtAmplitude(p, a, cfg, rng)
 		if err != nil {
 			return Result{}, err
 		}
@@ -736,7 +772,7 @@ func MeasureDynamicRange(p *path.Path, cfg Config, rng *rand.Rand) (Result, erro
 	}
 	for i := 0; i < 6; i++ {
 		mid := math.Sqrt(lo * hi)
-		s, err := MeasureSNRAtAmplitude(p, mid, cfg, rng)
+		s, err := sw.snrAtAmplitude(p, mid, cfg, rng)
 		if err != nil {
 			return Result{}, err
 		}
@@ -814,8 +850,13 @@ func MeasureLOIsolation(p *path.Path, cfg Config, rng *rand.Rand) (Result, error
 // boundary check); the LPF roll-off at the IF cancels in the
 // difference.
 func MeasureGainAtAmplitude(p *path.Path, piAmp float64, cfg Config, rng *rand.Rand) (float64, error) {
+	return new(sweep).gainAtAmplitude(p, piAmp, cfg, rng)
+}
+
+// gainAtAmplitude is MeasureGainAtAmplitude on the caller's sweep.
+func (sw *sweep) gainAtAmplitude(p *path.Path, piAmp float64, cfg Config, rng *rand.Rand) (float64, error) {
 	fIF := ifBin(p, cfg, 900e3)
-	s, _, err := captureSpectrum(p, msignal.NewTone(rfFor(p, fIF), piAmp), cfg, rng)
+	s, _, err := sw.capture(p, msignal.NewTone(rfFor(p, fIF), piAmp), cfg, rng)
 	if err != nil {
 		return 0, err
 	}
@@ -853,8 +894,13 @@ func MeasureLOFreqErrorFit(p *path.Path, cfg Config, rng *rand.Rand) (Result, er
 // negative gain error shows up as SNR loss, at maximum amplitude a
 // positive gain error shows up as saturation distortion.
 func MeasureSNRAtAmplitude(p *path.Path, piAmp float64, cfg Config, rng *rand.Rand) (float64, error) {
+	return new(sweep).snrAtAmplitude(p, piAmp, cfg, rng)
+}
+
+// snrAtAmplitude is MeasureSNRAtAmplitude on the caller's sweep.
+func (sw *sweep) snrAtAmplitude(p *path.Path, piAmp float64, cfg Config, rng *rand.Rand) (float64, error) {
 	fIF := ifBin(p, cfg, 900e3)
-	s, _, err := captureSpectrum(p, msignal.NewTone(rfFor(p, fIF), piAmp), cfg, rng)
+	s, _, err := sw.capture(p, msignal.NewTone(rfFor(p, fIF), piAmp), cfg, rng)
 	if err != nil {
 		return 0, err
 	}

@@ -169,18 +169,58 @@ type Capture struct {
 // pushes it through the analog chain at SimRate, converts, and applies
 // the behavioural digital filter. n is the number of ADC-rate output
 // samples. rng supplies every noise source; nil gives the
-// deterministic response.
+// deterministic response. The returned slices are freshly allocated.
 func (p *Path) Run(stim msignal.Signal, n int, rng *rand.Rand) (*Capture, error) {
+	c, err := p.RunScratch(stim, n, rng, new(Scratch))
+	if err != nil {
+		return nil, err
+	}
+	out := *c
+	return &out, nil
+}
+
+// Scratch is the reusable state of repeated captures: the carrier
+// cosine tables (stimulus tones, the LO of a capture without phase-noise
+// draws, the SC clock spur), each keyed on the exact inputs that
+// produced it, and the stage buffers. A capture sweep on one device
+// keeps one Scratch so each cosine is evaluated once, not once per
+// capture. A Scratch is not safe for concurrent use — keep one per
+// goroutine; the Path itself stays shareable. The zero value is ready
+// to use.
+type Scratch struct {
+	tones   msignal.Carriers
+	lo, clk msignal.CosTable
+	sim     []float64 // SimRate record, processed stage by stage in place
+	held    []float64 // ADC-rate input, then its codes in volts
+	codes   []int64
+	out     []float64
+	cap     Capture
+}
+
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// RunScratch is Run reusing sc's tables and buffers. Every sample is
+// bit-identical to Run's. The returned Capture and its slices alias sc
+// and stay valid only until the next RunScratch with sc.
+func (p *Path) RunScratch(stim msignal.Signal, n int, rng *rand.Rand, sc *Scratch) (*Capture, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("path: capture length %d must be positive", n)
 	}
 	decim := p.Decim()
-	nSim := n * decim
-	x := stim.Render(nSim, p.Spec.SimRate, rng)
-	a := p.Amp.Process(x, p.Spec.SimRate, rng)
-	m := p.Mixer.Process(a, p.Spec.SimRate, rng)
-	f := p.LPF.Process(m, p.Spec.SimRate, rng)
-	held := make([]float64, n)
+	fs := p.Spec.SimRate
+	sc.sim = grow(sc.sim, n*decim)
+	f := sc.sim
+	stim.RenderInto(f, fs, rng, &sc.tones)
+	p.Amp.ProcessInto(f, f, fs, rng)
+	p.Mixer.ProcessInto(f, f, fs, rng, &sc.lo)
+	p.LPF.ProcessInto(f, f, fs, rng, &sc.clk)
+	sc.held = grow(sc.held, n)
+	held := sc.held
 	if p.Spec.UseSigmaDelta {
 		// Oversampled single-bit modulation at SimRate with sinc¹
 		// decimation down to ADCRate.
@@ -196,14 +236,15 @@ func (p *Path) Run(stim msignal.Signal, n int, rng *rand.Rand) (*Capture, error)
 			held[i] = f[i*decim]
 		}
 	}
-	codes := p.ADC.Convert(held, rng)
+	sc.codes = p.ADC.ConvertInto(grow(sc.codes, n), held, rng)
 	lsb := p.ADC.LSB()
-	volts := make([]float64, n)
-	for i, c := range codes {
+	volts := held
+	for i, c := range sc.codes {
 		volts[i] = float64(c) * lsb
 	}
-	out := digital.FilterFloat(p.Spec.FilterCoeffs, volts)
-	return &Capture{ADCIn: f, Codes: codes, FilterOut: out}, nil
+	sc.out = digital.FilterFloatInto(grow(sc.out, n), p.Spec.FilterCoeffs, volts)
+	sc.cap = Capture{ADCIn: f, Codes: sc.codes, FilterOut: sc.out}
+	return &sc.cap, nil
 }
 
 // Propagate walks the stimulus attribute model from the primary input

@@ -380,8 +380,11 @@ func (t *campaignTask) report(rep *fault.Report, stats *campaign.Stats, partial 
 	var b strings.Builder
 	fmt.Fprintf(&b, "spectral campaign: %d patterns, %d faults, %d detected (%.1f%% coverage)\n",
 		t.spec.Patterns, len(rep.Results), rep.Detected(), rep.Coverage())
-	fmt.Fprintf(&b, "engine: %d lanes zero-diff screened, %d memoized, %d spectra computed\n",
-		stats.Screened, stats.Memoized, stats.Spectra)
+	// The memoized/spectra split stays out of the text (it is in the
+	// JSON fields): it depends on detect-worker scheduling and on the
+	// memo table a resumed retry rebuilds, and the text must be a
+	// function of the spec alone.
+	fmt.Fprintf(&b, "engine: %d lanes zero-diff screened\n", stats.Screened)
 	if stats.Quarantined > 0 {
 		fmt.Fprintf(&b, "PARTIAL: %d faults quarantined (no verdict)\n", stats.Quarantined)
 	}

@@ -57,7 +57,7 @@ type Draw struct {
 
 // sampleDraw realizes one Draw from the spec's tolerances. The draw
 // order is fixed — it is part of the substream contract.
-func sampleDraw(sp path.Spec, rng *rand.Rand) Draw {
+func sampleDraw(sp *path.Spec, rng *rand.Rand) Draw {
 	return Draw{
 		EpsAmpDB:   rng.NormFloat64() * sp.Amp.GainDB.Sigma,
 		EpsMixDB:   rng.NormFloat64() * sp.Mixer.ConvGainDB.Sigma,
@@ -87,48 +87,58 @@ func DeviceDraw(device *path.Path) Draw {
 // toleranced gains and recovered through the gains the method assumes
 // (nominals, or the measured path gain for Adaptive), so each term is
 // a gain deviation the recovery cannot see. Units: dB for IIP3 and
-// P1dB, Hz (about the nominal corner) for LPFCutoff.
-func referralTerms(sp path.Spec, param params.Kind, method params.Method, d Draw) ([]float64, error) {
+// P1dB, Hz (about the nominal corner) for LPFCutoff. The terms are
+// terms[:n]; a fixed array keeps the per-draw kernel allocation-free.
+func referralTerms(sp *path.Spec, param params.Kind, method params.Method, d *Draw) (terms [3]float64, n int, err error) {
 	switch param {
 	case params.MixerIIP3:
 		if method == params.Adaptive {
 			// Path gain measured: only the amp's share of the referral
 			// and the capture noise survive the round trip.
-			return []float64{d.EpsAmpDB, d.EpsCapDB}, nil
+			return [3]float64{d.EpsAmpDB, d.EpsCapDB}, 2, nil
 		}
 		// Nominal gains: the mixer and filter deviations between the
 		// mixer output and the observation point go unobserved.
-		return []float64{d.EpsMixDB, d.EpsLPFDB}, nil
+		return [3]float64{d.EpsMixDB, d.EpsLPFDB}, 2, nil
 	case params.MixerP1dB:
 		if method == params.Adaptive {
-			return []float64{d.EpsMixDB, d.EpsLPFDB, d.EpsCapDB}, nil
+			return [3]float64{d.EpsMixDB, d.EpsLPFDB, d.EpsCapDB}, 3, nil
 		}
 		// Nominal amp gain refers the PI drive level to the mixer.
-		return []float64{d.EpsAmpDB}, nil
+		return [3]float64{d.EpsAmpDB}, 1, nil
 	case params.LPFCutoff:
 		fc := sp.LPF.CutoffHz.Nominal
-		return []float64{
+		return [3]float64{
 			fc * (d.EpsCapDB - d.EpsCap2DB) / cutoffSlopeDBPerRel,
 			fc * d.GridFrac,
 			fc * d.RippleFrac,
-		}, nil
+		}, 3, nil
 	default:
-		return nil, fmt.Errorf("translate: %q is not a propagation-referral parameter", param)
+		return terms, 0, fmt.Errorf("translate: %q is not a propagation-referral parameter", param)
 	}
+}
+
+// referralSum is the one referral kernel: the sum of the realization's
+// terms in order, of their magnitudes when abs is set.
+func referralSum(sp *path.Spec, param params.Kind, method params.Method, d *Draw, abs bool) (float64, error) {
+	terms, n, err := referralTerms(sp, param, method, d)
+	if err != nil {
+		return 0, err
+	}
+	var s float64
+	for _, t := range terms[:n] {
+		if abs {
+			t = math.Abs(t)
+		}
+		s += t
+	}
+	return s, nil
 }
 
 // ReferralError is the signed forward-and-back referral error of one
 // realization (the sum of the unobserved terms).
 func ReferralError(sp path.Spec, param params.Kind, method params.Method, d Draw) (float64, error) {
-	terms, err := referralTerms(sp, param, method, d)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, t := range terms {
-		s += t
-	}
-	return s, nil
+	return referralSum(&sp, param, method, &d, false)
 }
 
 // ReferralBound is the per-realization worst-case budget of the same
@@ -137,15 +147,7 @@ func ReferralError(sp path.Spec, param params.Kind, method params.Method, d Draw
 // Draw; the round-trip property tests pin that no error term is
 // missing from the budget.
 func ReferralBound(sp path.Spec, param params.Kind, method params.Method, d Draw) (float64, error) {
-	terms, err := referralTerms(sp, param, method, d)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, t := range terms {
-		s += math.Abs(t)
-	}
-	return s, nil
+	return referralSum(&sp, param, method, &d, true)
 }
 
 // AnalyticReferralSigma is the planner's closed-form RSS budget for
@@ -245,7 +247,8 @@ func EstimateReferralError(ctx context.Context, sp path.Spec, param params.Kind,
 		}
 		p := refPartial{Hist: h}
 		for i := 0; i < count; i++ {
-			e, err := ReferralError(sp, param, method, sampleDraw(sp, rng))
+			d := sampleDraw(&sp, rng)
+			e, err := referralSum(&sp, param, method, &d, false)
 			if err != nil {
 				return refPartial{}, err
 			}

@@ -37,7 +37,7 @@ func propagationCombos() []struct {
 func TestReferralErrorWithinBound(t *testing.T) {
 	sp := buildPath(t).Spec
 	for seed := int64(0); seed < 200; seed++ {
-		d := sampleDraw(sp, rand.New(rand.NewSource(seed)))
+		d := sampleDraw(&sp, rand.New(rand.NewSource(seed)))
 		for _, c := range propagationCombos() {
 			e, err := ReferralError(sp, c.param, c.method, d)
 			if err != nil {
@@ -57,7 +57,7 @@ func TestReferralErrorWithinBound(t *testing.T) {
 
 func TestReferralErrorRejectsNonPropagationParams(t *testing.T) {
 	sp := buildPath(t).Spec
-	d := sampleDraw(sp, rand.New(rand.NewSource(1)))
+	d := sampleDraw(&sp, rand.New(rand.NewSource(1)))
 	for _, p := range []params.Kind{params.PathGain, params.ADCINL} {
 		if _, err := ReferralError(sp, p, params.Adaptive, d); err == nil {
 			t.Errorf("%s accepted as propagation referral", p)
@@ -228,4 +228,23 @@ func TestCaptureRepeatabilityConstantShared(t *testing.T) {
 		}
 	}
 	t.Fatal("no path-gain test in default plan")
+}
+
+// TestReferralKernelAllocFree pins the per-draw cost of the referral
+// Monte Carlo: drawing a realization and summing its terms allocates
+// nothing, for every parameter/method.
+func TestReferralKernelAllocFree(t *testing.T) {
+	sp := buildPath(t).Spec
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range propagationCombos() {
+		allocs := testing.AllocsPerRun(100, func() {
+			d := sampleDraw(&sp, rng)
+			if _, err := referralSum(&sp, c.param, c.method, &d, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s/%s: %.1f allocs per draw, want 0", c.param, c.method, allocs)
+		}
+	}
 }

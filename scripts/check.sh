@@ -1,9 +1,10 @@
 #!/bin/sh
 # Pre-merge gate: vet, build, race-enabled tests, bench smokes, and
-# the recorded perf trajectory — the dsp scratch pairs and the
-# spectral-campaign pair are benchmarked, gated against the last entry
-# of BENCH_dsp.json / BENCH_campaign.json (cmd/benchrecord), and
-# appended on success.
+# the recorded perf trajectory — the dsp scratch pairs, the
+# spectral-campaign pair and the E6 simulation benchmarks are
+# benchmarked, gated against the last entry of BENCH_dsp.json /
+# BENCH_campaign.json / BENCH_e6.json (cmd/benchrecord), and appended
+# on success.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -209,6 +210,23 @@ go test -run '^$' -bench 'BenchmarkSOCSchedule' -benchmem -benchtime 3x \
     . >"$tmp/bench_soc.txt"
 go run ./cmd/benchrecord -out BENCH_soc.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 25 <"$tmp/bench_soc.txt"
+
+echo "== bench record + regression gate (E6 device-lane simulation) =="
+# The E6 study's hot path, recorded to BENCH_e6.json: BenchmarkTable2
+# (the whole study at bench size), BenchmarkPathCapture (one warmed
+# P1dB sweep capture on reused carrier tables and buffers — zero
+# allocs) and BenchmarkReferralMC1M (one cold translate job's 1M-draw
+# referral Monte Carlo, allocation-free per draw). The engine runs on
+# a goroutine pool, so the Table2 and referral alloc counts move by
+# about 1% with goroutine reuse; this gate takes 2% alloc slack,
+# which still leaves the zero-alloc PathCapture count exact and catches
+# any per-draw or per-capture allocation.
+go test -run '^$' -bench 'BenchmarkTable2$|BenchmarkReferralMC1M' -benchmem -benchtime 1s \
+    . >"$tmp/bench_e6.txt"
+go test -run '^$' -bench 'BenchmarkPathCapture' -benchmem -benchtime 1s \
+    ./internal/params >>"$tmp/bench_e6.txt"
+go run ./cmd/benchrecord -out BENCH_e6.json -sha "$sha" -date "$now" \
+    -compare -max-ns-regress 25 -max-allocs-regress 2 <"$tmp/bench_e6.txt"
 
 echo "== bench record + regression gate (mstxvet catalog) =="
 # The vet-runtime budget: the full analyzer catalog (CFG + call graph
