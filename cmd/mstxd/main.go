@@ -289,7 +289,7 @@ func runClient(addr, spec, tenant string, wait, events bool, timeout time.Durati
 		case server.StateDeadline:
 			// The job's own wall budget expired server-side. A salvaged
 			// partial result is still a (partial) result.
-			msg := snap.State
+			msg := snap.State.String()
 			if snap.Error != nil {
 				msg = fmt.Sprintf("%s (%s: %s)", snap.State, snap.Error.Type, snap.Error.Message)
 			}
@@ -300,7 +300,7 @@ func runClient(addr, spec, tenant string, wait, events bool, timeout time.Durati
 			}
 			return 1
 		case server.StateFailed, server.StateCanceled:
-			msg := snap.State
+			msg := snap.State.String()
 			if snap.Error != nil {
 				msg = fmt.Sprintf("%s (%s: %s)", snap.State, snap.Error.Type, snap.Error.Message)
 			}

@@ -19,10 +19,6 @@
 //   - obsnil: obs calls on possibly-nil registries stay on the
 //     nil-safe fast path, and metric name literals are globally
 //     consistent (one kind, one geometry, one owning package).
-//   - retryckpt: every task adapter (run(ctx, taskEnv) method) threads
-//     env.ckpt into its engine call, so the supervision layer's
-//     automatic retries resume from the job checkpoint instead of
-//     recomputing completed rounds.
 //   - lockorder: a consistent global mutex acquisition order and no
 //     lock held across a blocking operation, proven over the
 //     per-function CFG (cfg.go), the module call graph (callgraph.go)
@@ -30,9 +26,11 @@
 //   - leakjoin: every goroutine spawned in the engine/server packages
 //     reaches a join point (WaitGroup.Wait, channel drain, ctx-cancel
 //     select) on all CFG paths.
-//   - errclass: values stored into the server's terminal state/errType
-//     fields derive from the State*/ErrType* classification constants,
-//     traced by reaching-definitions dataflow.
+//
+// An invariant the compiler or a test can hold is left to them: the
+// server's job state and error class are defined types rather than
+// strings policed here, and a server test checks that every job kind
+// writes engine checkpoints.
 //
 // The cmd/mstxvet driver runs the catalog over ./... with vet-style
 // file:line diagnostics; scripts/check.sh gates merges on a clean run.
@@ -98,10 +96,8 @@ func Catalog() []*Analyzer {
 		newDeterminism(),
 		newFailpointreg(),
 		newObsnil(),
-		newRetryckpt(),
 		newLockorder(),
 		newLeakjoin(),
-		newErrclass(),
 	}
 }
 

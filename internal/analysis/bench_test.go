@@ -3,8 +3,8 @@ package analysis
 import "testing"
 
 // BenchmarkMstxvet is the vet-runtime budget: the full catalog — with
-// the CFG, call-graph and dataflow layer behind lockorder, leakjoin
-// and errclass — over two real packages. scripts/check.sh runs the
+// the CFG, call-graph and dataflow layer behind lockorder and
+// leakjoin — over two real packages. scripts/check.sh runs the
 // catalog on every merge, so its cost is recorded and gated alongside
 // the engine benchmarks (BENCH_mstxvet.json).
 func BenchmarkMstxvet(b *testing.B) {

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the intraprocedural control-flow layer the dataflow
-// analyzers (lockorder, leakjoin, errclass) are built on: a per-function
+// analyzers (lockorder, leakjoin) are built on: a per-function
 // CFG over go/ast with basic blocks and branch/loop/select/defer edges.
 //
 // Blocks hold *leaf* nodes in execution order: plain statements,

@@ -192,9 +192,9 @@ func f(ch chan int, xs []int) {
 	}
 }
 
-// TestFlowMayAndMust: after an if/else where only one branch gens the
-// fact, a may-analysis sees it set and a must-analysis sees it clear.
-func TestFlowMayAndMust(t *testing.T) {
+// TestFlowMay: after an if/else where only one branch gens the fact,
+// the union merge sees it set.
+func TestFlowMay(t *testing.T) {
 	src := `package p
 
 func gen()   {}
@@ -222,15 +222,6 @@ func f(ok bool) {
 	}
 	if !facts.Has(0) {
 		t.Error("may-analysis lost the fact from the taken branch")
-	}
-
-	must := &Flow{CFG: cfg, NumFacts: 1, Must: true, Transfer: transfer}
-	facts, ok = must.At(at, must.Solve())
-	if !ok {
-		t.Fatal("after() not found in CFG")
-	}
-	if facts.Has(0) {
-		t.Error("must-analysis kept a fact only one branch establishes")
 	}
 }
 

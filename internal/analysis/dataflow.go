@@ -4,9 +4,8 @@ import "go/ast"
 
 // A forward gen/kill dataflow solver over a CFG: facts are bit indices
 // assigned by the client, Transfer mutates the fact set node by node,
-// and Solve iterates blocks to fixpoint. Merge is union for
-// may-analyses (lockorder's held set, reaching definitions) or
-// intersection for must-analyses.
+// and Solve iterates blocks to fixpoint. Merge is union: a fact holds
+// at a node when it holds on some path there (lockorder's held set).
 
 // BitSet is a small fixed-capacity bit vector.
 type BitSet struct {
@@ -26,17 +25,9 @@ func (s *BitSet) Clone() *BitSet {
 	return &BitSet{words: w, n: s.n}
 }
 
-func (s *BitSet) CopyFrom(o *BitSet) { copy(s.words, o.words) }
-
 func (s *BitSet) UnionWith(o *BitSet) {
 	for i := range s.words {
 		s.words[i] |= o.words[i]
-	}
-}
-
-func (s *BitSet) IntersectWith(o *BitSet) {
-	for i := range s.words {
-		s.words[i] &= o.words[i]
 	}
 }
 
@@ -47,24 +38,6 @@ func (s *BitSet) Equal(o *BitSet) bool {
 		}
 	}
 	return true
-}
-
-func (s *BitSet) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *BitSet) fill() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	if r := s.n % 64; r != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= (1 << uint(r)) - 1
-	}
 }
 
 // Bits returns the set indices in ascending order.
@@ -82,13 +55,8 @@ func (s *BitSet) Bits() []int {
 type Flow struct {
 	CFG      *CFG
 	NumFacts int
-	// Must selects intersection merge (all-paths facts); the default is
-	// union (any-path facts).
-	Must bool
 	// Transfer applies one leaf node's effect to the fact set.
 	Transfer func(n ast.Node, facts *BitSet)
-	// Entry, when non-nil, seeds the facts at function entry.
-	Entry *BitSet
 }
 
 // Solve iterates to fixpoint and returns the facts at each block's
@@ -97,19 +65,8 @@ func (f *Flow) Solve() map[*Block]*BitSet {
 	in := map[*Block]*BitSet{}
 	out := map[*Block]*BitSet{}
 	for _, b := range f.CFG.Blocks {
-		ib, ob := newBitSet(f.NumFacts), newBitSet(f.NumFacts)
-		if f.Must {
-			// Unvisited blocks must not poison an intersection merge.
-			ib.fill()
-			ob.fill()
-		}
-		in[b], out[b] = ib, ob
+		in[b], out[b] = newBitSet(f.NumFacts), newBitSet(f.NumFacts)
 	}
-	entry := newBitSet(f.NumFacts)
-	if f.Entry != nil {
-		entry.CopyFrom(f.Entry)
-	}
-	in[f.CFG.Entry] = entry
 
 	work := make([]*Block, len(f.CFG.Blocks))
 	copy(work, f.CFG.Blocks)
@@ -121,15 +78,8 @@ func (f *Flow) Solve() map[*Block]*BitSet {
 
 		if b != f.CFG.Entry && len(b.Preds) > 0 {
 			merged := newBitSet(f.NumFacts)
-			if f.Must {
-				merged.fill()
-			}
 			for _, p := range b.Preds {
-				if f.Must {
-					merged.IntersectWith(out[p])
-				} else {
-					merged.UnionWith(out[p])
-				}
+				merged.UnionWith(out[p])
 			}
 			in[b] = merged
 		}

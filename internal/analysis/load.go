@@ -156,8 +156,10 @@ func Load(cfg Config) (*Program, error) {
 }
 
 // ExpandDirs resolves "./..."-style patterns into the list of package
-// directories under base (skipping testdata, vendor and dot/underscore
-// directories), plus plain directory arguments verbatim.
+// directories under base (skipping testdata, vendor, dot/underscore
+// directories and, as go list does, nested modules: any directory
+// below the start with its own go.mod), plus plain directory arguments
+// verbatim.
 func ExpandDirs(base string, patterns []string) ([]string, error) {
 	var dirs []string
 	seen := map[string]bool{}
@@ -182,7 +184,8 @@ func ExpandDirs(base string, patterns []string) ([]string, error) {
 			}
 			name := d.Name()
 			if p != start && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+				hasGoMod(p)) {
 				return filepath.SkipDir
 			}
 			if hasGoFiles(p) {
@@ -200,6 +203,11 @@ func ExpandDirs(base string, patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+func hasGoMod(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
 }
 
 func hasGoFiles(dir string) bool {

@@ -88,7 +88,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, errType, msg string) {
+func writeError(w http.ResponseWriter, status int, errType ErrType, msg string) {
 	writeJSON(w, status, map[string]*ErrorBody{
 		"error": {Type: errType, Message: msg},
 	})
@@ -175,7 +175,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, v.Error.Type, v.Error.Message)
 	default:
 		writeError(w, http.StatusNotFound, ErrTypeNotFound,
-			"job "+j.ID+" is "+v.State+"; no result yet")
+			"job "+j.ID+" is "+v.State.String()+"; no result yet")
 	}
 }
 
@@ -220,9 +220,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var lastCounters map[string]int64
 	poll := func() bool {
 		v := s.Snapshot(j)
-		if v.State != lastState {
-			lastState = v.State
-			emit("state", map[string]string{"id": j.ID, "state": v.State})
+		if st := v.State.String(); st != lastState {
+			lastState = st
+			emit("state", map[string]string{"id": j.ID, "state": st})
 		}
 		spans := j.Events().Spans()
 		for _, rec := range newSpans(lastSpans, spans) {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -160,5 +162,111 @@ func TestResumeServesTerminalJobs(t *testing.T) {
 	}
 	if srvB.Registry().Counters()["server_cache_misses_total"] != 0 {
 		t.Fatal("restarted server recomputed a ledgered identity")
+	}
+}
+
+// TestResumeValidatesLedger: resume is the one place a ledger string
+// becomes a State or ErrType. A hand-written, CRC-valid ledger with a
+// name outside the tables, or a done/partial record without the result
+// /result would serve, resumes as failed/engine with a message naming
+// the bad value — never as a job that is stuck non-terminal or that
+// panics the result handler.
+func TestResumeValidatesLedger(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		state, errType string
+		wantState      State
+		wantType       ErrType
+		wantMsg        string
+	}{
+		{"unknown state", "bogus", "", StateFailed, ErrTypeEngine, `"bogus"`},
+		{"unknown error type", "failed", "oops", StateFailed, ErrTypeEngine, `"oops"`},
+		{"done without result", "done", "", StateFailed, ErrTypeEngine, "done job has no result"},
+		{"partial without result", "partial", "", StateFailed, ErrTypeEngine, "partial job has no result"},
+		{"deadline without result", "deadline_exceeded", "deadline", StateDeadline, ErrTypeDeadline, "budget"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ledger := &resilient.Checkpointer{Dir: dir}
+			st := ledgerState{NextID: 1, Jobs: []ledgerRecord{{
+				ID: "j1", Tenant: "t", Spec: quickTranslate(),
+				State: tc.state, ErrType: tc.errType, ErrMsg: "wall budget spent",
+			}}}
+			if err := ledger.Save(ledgerName, ledgerVersion, &st); err != nil {
+				t.Fatal(err)
+			}
+			_, ts := newTestService(t, Config{Workers: 1, CheckpointDir: dir, Resume: true})
+
+			snap := getJob(t, ts, "j1")
+			if snap.State != tc.wantState || snap.Error == nil || snap.Error.Type != tc.wantType ||
+				!strings.Contains(snap.Error.Message, tc.wantMsg) {
+				t.Fatalf("resumed as %s %+v; want %s/%s naming %s", snap.State, snap.Error, tc.wantState, tc.wantType, tc.wantMsg)
+			}
+			resp, err := http.Get(ts.URL + "/v1/jobs/j1/result")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusConflict {
+				t.Errorf("/result status %d, want 409", resp.StatusCode)
+			}
+			if eb := errorBody(t, resp); eb.Type != tc.wantType {
+				t.Errorf("/result error type %s, want %s", eb.Type, tc.wantType)
+			}
+			resp, err = http.Get(ts.URL + "/v1/jobs/j1/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(body), "event: done\n") {
+				t.Errorf("event stream closed without a done event:\n%s", body)
+			}
+		})
+	}
+}
+
+// TestEveryKindCheckpoints: each job kind's adapter hands the job's
+// checkpointer to its engine, and the engine writes to it, so a retry
+// or a Resume restart continues the job instead of recomputing it. An
+// adapter that drops env.ckpt, or an engine that never saves, leaves
+// job_<id>/ without a checkpoint.
+func TestEveryKindCheckpoints(t *testing.T) {
+	specs := map[string]Spec{
+		"campaign":  {Kind: "campaign", Patterns: 64},
+		"mc":        {Kind: "mc", Devices: 2, CaptureN: 64, MCSamples: 1000},
+		"translate": quickTranslate(),
+		"soc":       quickSOC(),
+	}
+	for _, kind := range jobKinds {
+		t.Run(kind, func(t *testing.T) {
+			spec, ok := specs[kind]
+			if !ok {
+				t.Fatalf("no test spec for job kind %s", kind)
+			}
+			dir := t.TempDir()
+			srv, err := New(Config{Workers: 1, CheckpointDir: dir, CheckpointEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			j, err := srv.Submit("ckpt", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+			if snap := srv.Snapshot(j); snap.State != StateDone {
+				t.Fatalf("job ended %s %+v", snap.State, snap.Error)
+			}
+			ckpts, err := filepath.Glob(filepath.Join(dir, "job_"+j.ID, "*.ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ckpts) == 0 {
+				t.Fatalf("%s job wrote no engine checkpoint under job_%s/", kind, j.ID)
+			}
+		})
 	}
 }

@@ -25,32 +25,115 @@ import (
 	"mstx/internal/resilient"
 )
 
-// Job states. queued and running are live (a queued job may be
-// waiting in the fair queue or backing off before a retry); the rest
-// are terminal — see terminal() in supervise.go, the one place that
-// enumerates them.
+// State is a job's lifecycle state. queued and running are live (a
+// queued job may be waiting in the fair queue or backing off before a
+// retry); the rest are terminal — see terminal() in supervise.go, the
+// one place that enumerates them. Its wire form, in JSON views and in
+// the ledger, is its name in stateNames.
+type State uint8
+
 const (
-	StateQueued   = "queued"
-	StateRunning  = "running"
-	StateDone     = "done"
-	StatePartial  = "partial" // finished with quarantined work
-	StateFailed   = "failed"
-	StateCanceled = "canceled"
-	StateDeadline = "deadline_exceeded" // wall budget expired (partial result salvaged when the engine had one)
+	StateQueued State = iota
+	StateRunning
+	StateDone
+	StatePartial // finished with quarantined work
+	StateFailed
+	StateCanceled
+	StateDeadline // wall budget expired (partial result salvaged when the engine had one)
 )
 
-// Error types carried in typed error bodies and job views.
+var stateNames = [...]string{
+	StateQueued:   "queued",
+	StateRunning:  "running",
+	StateDone:     "done",
+	StatePartial:  "partial",
+	StateFailed:   "failed",
+	StateCanceled: "canceled",
+	StateDeadline: "deadline_exceeded",
+}
+
+func (s State) String() string { return enumString(stateNames[:], int(s), "State") }
+
+// MarshalText writes the state's wire name.
+func (s State) MarshalText() ([]byte, error) { return enumMarshal(stateNames[:], int(s), "state") }
+
+// UnmarshalText accepts only a wire name from stateNames.
+func (s *State) UnmarshalText(b []byte) error {
+	i, err := enumParse(stateNames[:], string(b), "state")
+	if err == nil {
+		*s = State(i)
+	}
+	return err
+}
+
+// ErrType classifies a job failure in typed error bodies and job
+// views. The zero value means no error; its wire name is "".
+type ErrType uint8
+
 const (
-	ErrTypeBadRequest  = "bad_request"
-	ErrTypeNotFound    = "not_found"
-	ErrTypeQueueFull   = "queue_full"
-	ErrTypeCanceled    = "canceled"
-	ErrTypeDeadline    = "deadline"
-	ErrTypePanic       = "panic"
-	ErrTypeEngine      = "engine"
-	ErrTypeShutdown    = "shutdown"
-	ErrTypeBreakerOpen = "breaker_open"
+	errTypeNone ErrType = iota
+	ErrTypeBadRequest
+	ErrTypeNotFound
+	ErrTypeQueueFull
+	ErrTypeCanceled
+	ErrTypeDeadline
+	ErrTypePanic
+	ErrTypeEngine
+	ErrTypeShutdown
+	ErrTypeBreakerOpen
 )
+
+var errTypeNames = [...]string{
+	errTypeNone:        "",
+	ErrTypeBadRequest:  "bad_request",
+	ErrTypeNotFound:    "not_found",
+	ErrTypeQueueFull:   "queue_full",
+	ErrTypeCanceled:    "canceled",
+	ErrTypeDeadline:    "deadline",
+	ErrTypePanic:       "panic",
+	ErrTypeEngine:      "engine",
+	ErrTypeShutdown:    "shutdown",
+	ErrTypeBreakerOpen: "breaker_open",
+}
+
+func (e ErrType) String() string { return enumString(errTypeNames[:], int(e), "ErrType") }
+
+// MarshalText writes the error type's wire name.
+func (e ErrType) MarshalText() ([]byte, error) {
+	return enumMarshal(errTypeNames[:], int(e), "error type")
+}
+
+// UnmarshalText accepts only a wire name from errTypeNames.
+func (e *ErrType) UnmarshalText(b []byte) error {
+	i, err := enumParse(errTypeNames[:], string(b), "error type")
+	if err == nil {
+		*e = ErrType(i)
+	}
+	return err
+}
+
+func enumString(names []string, i int, typ string) string {
+	if i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("%s(%d)", typ, i)
+}
+
+func enumMarshal(names []string, i int, what string) ([]byte, error) {
+	if i >= len(names) {
+		return nil, fmt.Errorf("server: invalid job %s %d", what, i)
+	}
+	return []byte(names[i]), nil
+}
+
+func enumParse(names []string, name, what string) (int, error) {
+	for i, n := range names {
+		if n == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown job %s %q", what, name)
+}
 
 // ErrQueueFull is returned by Submit when admission control rejects
 // the job; the HTTP layer maps it to 429 with Retry-After.
@@ -210,8 +293,8 @@ type Job struct {
 	Tenant string
 	Spec   Spec
 
-	state    string
-	errType  string
+	state    State
+	errType  ErrType
 	errMsg   string
 	result   *Result
 	identity uint64
@@ -285,7 +368,9 @@ const ledgerName = "mstxd_jobs"
 const ledgerVersion = 1
 
 // ledgerRecord is one job's durable state; Result rides along for
-// terminal jobs so a restarted server can still serve them.
+// terminal jobs so a restarted server can still serve them. State and
+// ErrType hold wire names, not enum values, so the ledger format does
+// not depend on constant order; restore parses them back.
 type ledgerRecord struct {
 	ID       string
 	Tenant   string
@@ -381,8 +466,6 @@ func (s *Server) resume() error {
 			ID:       rec.ID,
 			Tenant:   rec.Tenant,
 			Spec:     rec.Spec,
-			state:    rec.State, //mstxvet:ignore errclass ledger round-trip: values were classified before persisting (trust boundary)
-			errType:  rec.ErrType,
 			errMsg:   rec.ErrMsg,
 			result:   rec.Result,
 			cacheHit: rec.CacheHit,
@@ -390,13 +473,17 @@ func (s *Server) resume() error {
 			reg:      obs.NewWithRing(s.cfg.JobRing),
 			done:     make(chan struct{}),
 		}
+		if err := rec.restore(j); err != nil {
+			j.state, j.errType, j.errMsg = StateFailed, ErrTypeEngine, fmt.Sprintf("resume: %v", err)
+			j.result = nil
+		}
 		if id, err := strconv.ParseUint(rec.Identity, 16, 64); err == nil && rec.Identity != "" {
 			j.identity, j.hasIdent = id, true
-			if rec.Result != nil && !rec.Result.Partial && rec.State == StateDone {
-				s.cache.succeed(id, rec.Result)
+			if j.state == StateDone && !j.result.Partial {
+				s.cache.succeed(id, j.result)
 			}
 		}
-		switch rec.State {
+		switch j.state {
 		case StateQueued, StateRunning:
 			// A job caught mid-flight by the crash: rebuild its task
 			// and run it again. Its engine checkpoints under
@@ -424,6 +511,23 @@ func (s *Server) resume() error {
 	s.gQueued.Set(float64(s.q.queued))
 	//mstxvet:ignore lockorder resume snapshot is saved under s.mu by design so no transition can interleave
 	s.saveLedgerLocked()
+	return nil
+}
+
+// restore parses the record's state and error type into j — the one
+// place a ledger string becomes a State or ErrType. It rejects names
+// outside the tables and a done or partial record without the result
+// /result would serve.
+func (rec *ledgerRecord) restore(j *Job) error {
+	if err := j.state.UnmarshalText([]byte(rec.State)); err != nil {
+		return err
+	}
+	if err := j.errType.UnmarshalText([]byte(rec.ErrType)); err != nil {
+		return err
+	}
+	if (j.state == StateDone || j.state == StatePartial) && rec.Result == nil {
+		return fmt.Errorf("%s job has no result", j.state)
+	}
 	return nil
 }
 
@@ -712,7 +816,7 @@ func (s *Server) finishInterrupted(j *Job, ctx context.Context, err error, res *
 // policy (or the job's deadline budget) is exhausted. The retry keeps
 // the job's StateQueued outside the fair queue while its backoff timer
 // runs; requeueRetry puts it back when the timer fires.
-func (s *Server) failOrRetry(j *Job, errType, errMsg string) {
+func (s *Server) failOrRetry(j *Job, errType ErrType, errMsg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if terminal(j.state) {
@@ -771,11 +875,11 @@ func (s *Server) finishResult(j *Job, res *Result) {
 	}
 	s.mu.Lock()
 	j.result = res
-	s.finishLocked(j, state, "", "")
+	s.finishLocked(j, state, errTypeNone, "")
 	s.mu.Unlock()
 }
 
-func (s *Server) finish(j *Job, state, errType, errMsg string) {
+func (s *Server) finish(j *Job, state State, errType ErrType, errMsg string) {
 	s.mu.Lock()
 	s.finishLocked(j, state, errType, errMsg)
 	s.mu.Unlock()
@@ -784,7 +888,7 @@ func (s *Server) finish(j *Job, state, errType, errMsg string) {
 // finishLocked moves j to a terminal state, bumps metrics, folds the
 // job's counters into the server registry (so /metrics aggregates
 // engine work across jobs), persists the ledger and releases waiters.
-func (s *Server) finishLocked(j *Job, state, errType, errMsg string) {
+func (s *Server) finishLocked(j *Job, state State, errType ErrType, errMsg string) {
 	if terminal(j.state) {
 		return
 	}
@@ -824,8 +928,8 @@ func (s *Server) saveLedgerLocked() {
 			ID:       j.ID,
 			Tenant:   j.Tenant,
 			Spec:     j.Spec,
-			State:    j.state,
-			ErrType:  j.errType,
+			State:    j.state.String(),
+			ErrType:  j.errType.String(),
 			ErrMsg:   j.errMsg,
 			Attempts: j.attempts,
 		}
@@ -846,7 +950,7 @@ type Snapshot struct {
 	ID       string     `json:"id"`
 	Tenant   string     `json:"tenant"`
 	Kind     string     `json:"kind"`
-	State    string     `json:"state"`
+	State    State      `json:"state"`
 	Identity string     `json:"identity,omitempty"`
 	CacheHit bool       `json:"cache_hit,omitempty"`
 	Attempts int        `json:"attempts,omitempty"`
@@ -857,8 +961,8 @@ type Snapshot struct {
 // ErrorBody is the typed error payload used in job views and HTTP
 // error responses.
 type ErrorBody struct {
-	Type    string `json:"type"`
-	Message string `json:"message"`
+	Type    ErrType `json:"type"`
+	Message string  `json:"message"`
 }
 
 // Snapshot returns j's current public view.
@@ -877,7 +981,7 @@ func (s *Server) Snapshot(j *Job) Snapshot {
 	if j.hasIdent {
 		v.Identity = fmt.Sprintf("%016x", j.identity)
 	}
-	if j.errType != "" {
+	if j.errType != errTypeNone {
 		v.Error = &ErrorBody{Type: j.errType, Message: j.errMsg}
 	}
 	return v

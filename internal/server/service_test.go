@@ -120,7 +120,7 @@ func errorBody(t *testing.T, resp *http.Response) ErrorBody {
 	if err := json.NewDecoder(resp.Body).Decode(&wrap); err != nil {
 		t.Fatalf("decode error body: %v", err)
 	}
-	if wrap.Error.Type == "" {
+	if wrap.Error.Type == errTypeNone {
 		t.Fatal("error body has no type")
 	}
 	return wrap.Error

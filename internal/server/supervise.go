@@ -15,7 +15,7 @@ import (
 // enumeration of "is this job finished" in the package (scheduler,
 // HTTP result/SSE handlers, ledger resume) goes through this, so a new
 // terminal state like deadline_exceeded cannot be half-plumbed.
-func terminal(state string) bool {
+func terminal(state State) bool {
 	switch state {
 	case StateDone, StatePartial, StateFailed, StateCanceled, StateDeadline:
 		return true
@@ -29,7 +29,7 @@ func terminal(state string) bool {
 // fault, a wedged batch), and the job's own checkpoint makes the retry
 // a resume rather than a recompute. Client cancels, deadline expiry
 // and bad requests are not the engine's fault and never retry.
-func retryable(errType string) bool {
+func retryable(errType ErrType) bool {
 	return errType == ErrTypeEngine || errType == ErrTypePanic
 }
 
