@@ -540,9 +540,9 @@ func benchDigitalTest(b *testing.B, patterns int) *core.DigitalTest {
 }
 
 // BenchmarkSpectralCampaign measures the pooled campaign engine on the
-// default E8 universe: pipelined 63-lane record generation feeding
-// spectral-detection workers with reusable FFT scratch and the
-// zero-diff screen (compare with BenchmarkSpectralCampaignSeed).
+// default E8 universe: one worker pool, each worker generating a
+// 63-lane batch and detecting it on its own reusable FFT scratch, with
+// the zero-diff screen (compare with BenchmarkSpectralCampaignSeed).
 // Reported metrics: faults simulated per second and the fraction of
 // lanes the screen resolved without a transform.
 func BenchmarkSpectralCampaign(b *testing.B) {
@@ -671,9 +671,8 @@ func BenchmarkMCObsOn(b *testing.B) {
 }
 
 // BenchmarkSpectralCampaignSeed is the seed path of the same campaign:
-// fault.SimulateRecords with the detector invoked inline, paying a
-// window-table and FFT-buffer allocation per fault and transforming
-// every lane.
+// fault.Simulate with the detector invoked inline, full-netlist
+// record generation, and a transform for every lane.
 func BenchmarkSpectralCampaignSeed(b *testing.B) {
 	dt := benchDigitalTest(b, 1024)
 	b.ResetTimer()

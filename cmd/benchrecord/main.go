@@ -7,9 +7,12 @@
 // percent (default 0: exact) on a benchmark present in both — without
 // appending, which makes it the perf gate in scripts/check.sh. Each
 // new entry carries an environment stamp (goos, goarch, cpu and
-// GOMAXPROCS) read from the same go test output; -compare does not
-// read the stamps, so entries recorded before stamps existed compare
-// as before.
+// GOMAXPROCS) read from the same go test output, and -compare gates
+// against the last entry whose stamp equals the run's. A trajectory
+// with entries but none from this environment (stampless entries
+// included) fails -compare with a message naming both environments
+// rather than comparing numbers across hosts; record a first entry
+// here without -compare to start gating.
 //
 // Usage:
 //
@@ -70,7 +73,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		out      = fs.String("out", "", "trajectory JSON file to append to (required)")
 		sha      = fs.String("sha", "", "commit SHA to record")
 		date     = fs.String("date", "", "UTC timestamp to record (RFC 3339)")
-		compare  = fs.Bool("compare", false, "gate against the last recorded entry before appending")
+		compare  = fs.Bool("compare", false, "gate against the last entry from this environment before appending")
 		maxNs    = fs.Float64("max-ns-regress", 15, "allowed ns/op growth vs baseline, percent")
 		maxAlloc = fs.Float64("max-allocs-regress", 0, "allowed allocs/op growth vs baseline, percent (0 = exact)")
 		echoOnly = fs.Bool("n", false, "parse and print, do not write the trajectory file")
@@ -110,7 +113,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *compare && len(trajectory) > 0 {
-		baseline := trajectory[len(trajectory)-1]
+		baseline, ok := lastFrom(trajectory, env)
+		if !ok {
+			fmt.Fprintf(stderr, "benchrecord: %s has no entry from this environment (%s); the last entry's environment: %s\n",
+				*out, &env, trajectory[len(trajectory)-1].Env)
+			fmt.Fprintf(stderr, "benchrecord: not comparing %s across environments; record a baseline here without -compare\n",
+				strings.Join(sortedKeys(benches), ", "))
+			return 1
+		}
 		regressions := compareRuns(baseline.Benchmarks, benches, *maxNs, *maxAlloc)
 		if len(regressions) > 0 {
 			fmt.Fprintf(stderr, "benchrecord: %d regression(s) vs %s (%s):\n",
@@ -130,6 +140,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "recorded %d benchmarks to %s (%d entries)\n", len(benches), *out, len(trajectory))
 	return 0
+}
+
+// String names the environment for gate messages.
+func (e *Env) String() string {
+	if e == nil {
+		return "none (a stampless entry)"
+	}
+	return fmt.Sprintf("%s/%s, cpu %q, GOMAXPROCS %d", e.GOOS, e.GOARCH, e.CPU, e.GOMAXPROCS)
+}
+
+// lastFrom returns the last entry recorded in environment env.
+func lastFrom(trajectory []Entry, env Env) (Entry, bool) {
+	for i := len(trajectory) - 1; i >= 0; i-- {
+		if e := trajectory[i].Env; e != nil && *e == env {
+			return trajectory[i], true
+		}
+	}
+	return Entry{}, false
 }
 
 // parseBench extracts benchmark result lines from go test output,

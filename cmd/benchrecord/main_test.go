@@ -328,7 +328,7 @@ func TestParseBenchRejectsMixedEnvironments(t *testing.T) {
 
 // TestRecordStampsEnvAndComparesOldEntries pins that new entries carry
 // the stamp while a stampless baseline (recorded before stamps
-// existed) still gates the run exactly as before.
+// existed) fails -compare, naming the benchmarks it would not gate.
 func TestRecordStampsEnvAndComparesOldEntries(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "BENCH_test.json")
 	old := `[{"sha": "old", "date": "d", "benchmarks": {"BenchmarkPowerSpectrumScratch1024": {"iterations": 50, "ns_per_op": 7000, "b_per_op": 0, "allocs_per_op": 0}}}]`
@@ -355,5 +355,75 @@ func TestRecordStampsEnvAndComparesOldEntries(t *testing.T) {
 	}
 	if e := trajectory[1].Env; e == nil || e.GOMAXPROCS != 8 || e.CPU == "" {
 		t.Errorf("new entry stamp = %+v", e)
+	}
+}
+
+// TestCompareRefusesStamplessBaseline: with only a stampless entry,
+// -compare refuses even a run that is faster than it, names both
+// environments, and records nothing; once a stamped entry exists the
+// same environment gates again.
+func TestCompareRefusesStamplessBaseline(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "BENCH_test.json")
+	old := `[{"sha": "old", "date": "d", "benchmarks": {"BenchmarkPowerSpectrumScratch1024": {"iterations": 50, "ns_per_op": 70000, "b_per_op": 0, "allocs_per_op": 0}}}]`
+	if err := os.WriteFile(file, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := record(t, file, sampleRun, "-sha", "fast", "-compare")
+	if code != 1 || !strings.Contains(stderr, "GOMAXPROCS 8") || !strings.Contains(stderr, "stampless") {
+		t.Fatalf("stampless baseline: exit %d, stderr %s; want a refusal naming both environments", code, stderr)
+	}
+	if code, _, stderr := record(t, file, sampleRun, "-sha", "here"); code != 0 {
+		t.Fatalf("record exited %d: %s", code, stderr)
+	}
+	slow := strings.Replace(sampleRun, "50\t     14874 ns/op", "50\t     29748 ns/op", 1)
+	if code, _, stderr := record(t, file, slow, "-sha", "slow", "-compare"); code != 1 ||
+		!strings.Contains(stderr, "ns/op") {
+		t.Fatalf("2x slowdown after a stamped entry: exit %d, stderr %s", code, stderr)
+	}
+}
+
+// TestCompareUsesLastEntryFromSameEnvironment: the gate compares
+// against the last entry whose stamp equals the run's, skipping later
+// entries from other hosts, and refuses when no entry matches.
+func TestCompareUsesLastEntryFromSameEnvironment(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "BENCH_test.json")
+	if code, _, stderr := record(t, file, sampleRun, "-sha", "here"); code != 0 {
+		t.Fatalf("baseline record exited %d: %s", code, stderr)
+	}
+	// A later entry from a 2-CPU host, 3x slower across the board.
+	other := strings.ReplaceAll(sampleRun, "-8 ", "-2 ")
+	other = strings.Replace(other, "cpu: Intel(R) Xeon(R) Processor @ 2.10GHz", "cpu: Other CPU", 1)
+	other = strings.Replace(other, "50\t     14874 ns/op", "50\t     44622 ns/op", 1)
+	if code, _, stderr := record(t, file, other, "-sha", "there"); code != 0 {
+		t.Fatalf("second-host record exited %d: %s", code, stderr)
+	}
+	// Back on the first host, the run matches its own baseline: no
+	// regression, even though it is 3x faster than the last entry.
+	if code, _, stderr := record(t, file, sampleRun, "-sha", "here2", "-compare"); code != 0 {
+		t.Fatalf("same-environment compare exited %d: %s", code, stderr)
+	}
+	// The 2-CPU host's slowdown is judged against its own entry.
+	slower := strings.Replace(other, "50\t     44622 ns/op", "50\t     89244 ns/op", 1)
+	if code, _, stderr := record(t, file, slower, "-sha", "there2", "-compare"); code != 1 ||
+		!strings.Contains(stderr, "44622") {
+		t.Fatalf("second-host slowdown: exit %d, stderr %s; want a gate against its own entry", code, stderr)
+	}
+	// A third host has no entry: refuse, naming its environment and
+	// the last entry's (here2, GOMAXPROCS 8).
+	third := strings.ReplaceAll(sampleRun, "-8 ", "-4 ")
+	code, _, stderr := record(t, file, third, "-sha", "third", "-compare")
+	if code != 1 || !strings.Contains(stderr, "GOMAXPROCS 4") || !strings.Contains(stderr, "GOMAXPROCS 8") {
+		t.Fatalf("unknown environment: exit %d, stderr %s; want a refusal naming both", code, stderr)
+	}
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trajectory []Entry
+	if err := json.Unmarshal(data, &trajectory); err != nil {
+		t.Fatal(err)
+	}
+	if len(trajectory) != 3 || trajectory[2].SHA != "here2" {
+		t.Fatalf("%d entries, want here, there, here2 (refused runs must not record)", len(trajectory))
 	}
 }

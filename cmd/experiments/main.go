@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		obsOut    = fs.String("obs-out", "", "write the -metrics/-trace reports to this file instead of stderr")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /trace and /debug/pprof on this address")
 		ckptDir   = fs.String("checkpoint", "", "checkpoint directory: snapshot E5/E6/E8 engine progress for -resume")
-		ckptEvery = fs.Int("checkpoint-every", 1, "snapshot every n engine rounds/batches")
+		ckptEvery = fs.Int("checkpoint-every", 1, "snapshot every n merged engine lanes (MC lanes, fault batches)")
 		resume    = fs.Bool("resume", false, "resume from the -checkpoint directory instead of restarting")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	)

@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noise      = fs.Float64("noise", 1.5, "input noise sigma (codes) for the spectral floor calibration")
 		seed       = fs.Int64("seed", 1, "seed for the spectral calibration capture")
 		ckptDir    = fs.String("checkpoint", "", "checkpoint directory: snapshot campaign progress for -resume")
-		ckptEvery  = fs.Int("checkpoint-every", 1, "snapshot every n completed batches")
+		ckptEvery  = fs.Int("checkpoint-every", 1, "snapshot every n merged batches")
 		resume     = fs.Bool("resume", false, "resume from the -checkpoint directory instead of restarting")
 		timeout    = fs.Duration("timeout", 0, "abort the run after this long (0 = no limit); partial results are reported")
 	)

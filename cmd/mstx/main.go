@@ -29,9 +29,9 @@
 // The resilience flags bound and snapshot the Monte-Carlo work:
 // -timeout cancels the run's engines at lane granularity after the
 // given duration, -checkpoint makes them snapshot their merged state
-// at round barriers into the given directory, and -resume restores
-// those snapshots so a killed run continues where it stopped with a
-// bit-identical final result.
+// every -checkpoint-every merged lanes into the given directory, and
+// -resume restores those snapshots so a killed run continues where it
+// stopped with a bit-identical final result.
 package main
 
 import (
@@ -74,8 +74,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mcSamples = fs.Int("mc-samples", 200000, "Monte-Carlo sample budget per estimate")
 		mcCI      = fs.Float64("mc-ci", 0.005, "95% CI half-width early-stop target for -mc-losses (0 = spend the full budget)")
 		workers   = fs.Int("workers", 0, "Monte-Carlo worker fan-out (0 = GOMAXPROCS; results identical for any value)")
-		ckptDir   = fs.String("checkpoint", "", "snapshot the Monte-Carlo engines' merged state into this directory at round barriers")
-		ckptEvery = fs.Int("checkpoint-every", 1, "save a snapshot every N engine rounds")
+		ckptDir   = fs.String("checkpoint", "", "snapshot the Monte-Carlo engines' merged state into this directory")
+		ckptEvery = fs.Int("checkpoint-every", 1, "save a snapshot every N merged engine lanes")
 		resume    = fs.Bool("resume", false, "resume from snapshots in the -checkpoint directory")
 		timeout   = fs.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
 		metrics   = fs.Bool("metrics", false, "print a Prometheus-format metrics report after the run")

@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		maxTenant = fs.Int("max-queued-tenant", 16, "per-tenant queued-job bound")
 		weights   = fs.String("weights", "", "per-tenant scheduling weights, e.g. prod=3,batch=1")
 		ckptDir   = fs.String("checkpoint", "", "durability directory for the job ledger and engine snapshots")
-		ckptEvery = fs.Int("checkpoint-every", 0, "engine snapshot cadence in engine units (<=1 every unit)")
+		ckptEvery = fs.Int("checkpoint-every", 0, "engine snapshot cadence in merged engine lanes (<=1 every lane)")
 		resume    = fs.Bool("resume", false, "replay the ledger in -checkpoint on startup")
 
 		retryMax   = fs.Int("retry-max", 2, "automatic retries per job for retryable engine failures (0 disables)")

@@ -16,9 +16,8 @@ import (
 //     spawn to return (deferred Wait counts), in the spawning function;
 //   - for a WaitGroup struct field: a Wait anywhere in the package
 //     (start/stop split across methods);
-//   - for a local WaitGroup: a Wait inside the task closure of another
-//     spawn that is itself joined (the closer-chain idiom), or the
-//     group escaping by address into a callee;
+//   - for a local WaitGroup: the group escaping by address into a
+//     callee;
 //   - a goroutine body bounded by a ctx-cancel select (a case receiving
 //     from ctx.Done());
 //   - a result-channel drain: the body sends on a channel the spawner
@@ -42,8 +41,7 @@ type spawnSite struct {
 	pos    token.Pos
 	wg     types.Object // the associated WaitGroup, or nil
 	task   *ast.FuncLit // the spawned closure, when visible
-	joined bool
-	reason string // failure detail when not joined
+	reason string       // failure detail when not joined
 }
 
 func (lj *leakjoin) run(prog *Program, pkg *Package, report Reporter) {
@@ -136,23 +134,8 @@ func (lj *leakjoin) run(prog *Program, pkg *Package, report Reporter) {
 		})
 	}
 
-	// Resolve joins to fixpoint (closure-chain joins depend on other
-	// spawns being joined).
-	for changed := true; changed; {
-		changed = false
-		for _, s := range spawns {
-			if s.joined {
-				continue
-			}
-			if lj.resolve(prog, pkg, s, cfgs, waitsByUnit, pkgWaited, spawns) {
-				s.joined = true
-				changed = true
-			}
-		}
-	}
-
 	for _, s := range spawns {
-		if s.joined {
+		if lj.resolve(pkg, s, cfgs, waitsByUnit, pkgWaited) {
 			continue
 		}
 		if s.reason != "" {
@@ -163,9 +146,9 @@ func (lj *leakjoin) run(prog *Program, pkg *Package, report Reporter) {
 	}
 }
 
-func (lj *leakjoin) resolve(prog *Program, pkg *Package, s *spawnSite,
+func (lj *leakjoin) resolve(pkg *Package, s *spawnSite,
 	cfgs map[ast.Node]*CFG, waitsByUnit map[ast.Node]map[types.Object]bool,
-	pkgWaited map[types.Object]bool, spawns []*spawnSite) bool {
+	pkgWaited map[types.Object]bool) bool {
 	info := pkg.Info
 	cfg := cfgs[s.unit]
 
@@ -209,16 +192,6 @@ func (lj *leakjoin) resolve(prog *Program, pkg *Package, s *spawnSite,
 			}
 			s.reason = "WaitGroup field " + s.wg.Name() + " for this spawn is never waited anywhere in the package"
 			return false
-		}
-		// A local WaitGroup waited inside the task closure of another,
-		// itself-joined spawn (the closer-chain idiom).
-		for _, t := range spawns {
-			if t == s || !t.joined || t.task == nil {
-				continue
-			}
-			if cfgs[t.task] != nil && waitsByUnit[t.task][s.wg] {
-				return true
-			}
 		}
 		// The group escaping by address into a callee: assume the
 		// callee joins it.

@@ -1,9 +1,10 @@
-// Package campaign is the pooled spectral fault-campaign engine: it
-// pipelines 63-lane gate-level record generation into a bounded pool
-// of spectral-detection workers, each owning a reusable FFT scratch
-// (window table, complex work buffer, float conversion buffer) keyed
-// off the shared dsp plan cache, so the per-fault hot path allocates
-// nothing.
+// Package campaign is the pooled spectral fault-campaign engine: one
+// bounded worker pool (mcengine.Execute, one 63-fault batch per lane)
+// in which each worker generates a batch's gate-level records and then
+// detects them with its own reusable FFT scratch (window table,
+// complex work buffer, float conversion buffer) keyed off the shared
+// dsp plan cache, so the per-fault hot path allocates nothing. Batch
+// results merge into the report in batch order.
 //
 // The engine also applies a zero-diff screen: a faulty record that is
 // identical to the good record has an identical spectrum, so its
@@ -39,7 +40,6 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -48,14 +48,15 @@ import (
 
 	"mstx/internal/digital"
 	"mstx/internal/fault"
+	"mstx/internal/mcengine"
 	"mstx/internal/obs"
 	"mstx/internal/resilient"
 	"mstx/internal/spectest"
 )
 
 // Failpoint sites for the deterministic fault-injection harness: one
-// per pipeline stage, fired once per batch. Disabled (nil registry)
-// they cost one atomic load.
+// per batch stage (record generation, detection), fired once per
+// batch. Disabled (nil registry) they cost one atomic load.
 var (
 	fpSimBatch = resilient.Site("campaign.sim_batch")
 	fpDetBatch = resilient.Site("campaign.detect_batch")
@@ -65,18 +66,16 @@ var (
 // with lane 0 reserved for the good machine.
 const lanesPerBatch = 63
 
-// Options configures the engine's pipeline shape.
+// Options configures the engine.
 type Options struct {
-	// SimWorkers bounds the concurrent 63-lane simulator passes.
-	// Defaults to GOMAXPROCS.
+	// SimWorkers is ignored.
+	//
+	// Deprecated: the campaign runs one pool of DetectWorkers, each
+	// worker simulating and then detecting its batch.
 	SimWorkers int
-	// DetectWorkers bounds the spectral-detection pool (one FFT
-	// scratch per worker). Defaults to GOMAXPROCS.
+	// DetectWorkers bounds the campaign pool (one FFT scratch per
+	// worker). Defaults to GOMAXPROCS.
 	DetectWorkers int
-	// Queue is the number of simulated batches allowed in flight
-	// between the two stages; it bounds the records held in memory.
-	// Defaults to DetectWorkers.
-	Queue int
 	// DisableScreen turns the zero-diff screen off (every lane pays
 	// its FFT); the screen is on by default and changes no verdict.
 	DisableScreen bool
@@ -95,8 +94,8 @@ type Options struct {
 	// Without it the recovered panic aborts the run as an ordinary
 	// error — the process never crashes either way.
 	Quarantine bool
-	// Checkpoint, when enabled, snapshots the batch ledger every
-	// Checkpoint.Every batch completions so a killed campaign resumes
+	// Checkpoint, when enabled, snapshots the merged batch prefix every
+	// Checkpoint.Every merged batches so a killed campaign resumes
 	// instead of restarting. The resumed Report is bit-identical; the
 	// Memoized/Spectra split in Stats may shift (the memo table is
 	// rebuilt on resume).
@@ -133,24 +132,19 @@ type Stats struct {
 	Quarantined int
 }
 
-// campCkptVersion guards the campCkpt layout.
-const campCkptVersion = 1
-
-// campCkpt is the batch-ledger snapshot of a campaign run: which
-// batches completed, every completed batch's results, the engine
-// counters those batches contributed, and the campaign identity the
-// ledger is only valid for. Spectra excludes the good-record verdict
+// runTotal is the merged prefix of a campaign: the report's results
+// and the engine counters the merged batches contributed. It is what a
+// checkpoint saves. Spectra excludes the good-record verdict
 // (recomputed on every run, including resumes).
-type campCkpt struct {
-	NF          int
-	Patterns    int
-	StimHash    uint64
-	Done        []bool
-	Results     []fault.Result
-	Screened    int64
-	Memoized    int64
-	Spectra     int64
-	Quarantined int64
+type runTotal struct {
+	Results                                  []fault.Result
+	Screened, Memoized, Spectra, Quarantined int
+}
+
+// batchResult is one detected batch, waiting for its in-order merge.
+type batchResult struct {
+	results                     []fault.Result
+	screened, memoized, spectra int
 }
 
 // Engine runs spectral stuck-at campaigns for one universe/detector
@@ -171,25 +165,10 @@ func New(u *fault.Universe, det *spectest.Detector, opts Options) (*Engine, erro
 	if det == nil {
 		return nil, fmt.Errorf("campaign: nil detector")
 	}
-	if opts.SimWorkers <= 0 {
-		opts.SimWorkers = runtime.GOMAXPROCS(0)
-	}
 	if opts.DetectWorkers <= 0 {
 		opts.DetectWorkers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Queue <= 0 {
-		opts.Queue = opts.DetectWorkers
-	}
 	return &Engine{U: u, Det: det, Opts: opts}, nil
-}
-
-// job is one simulated batch handed from the record-generation stage
-// to the detection pool.
-type job struct {
-	batch int
-	lo    int
-	good  []int64
-	lanes [][]int64
 }
 
 // Run executes the spectral campaign over one period of the (coherent)
@@ -199,9 +178,9 @@ type job struct {
 // first error in batch order is returned.
 //
 // Cancellation and deadlines on ctx are honored at batch granularity:
-// an interrupted run drains its pipeline, returns the partial Report
-// (completed batches carry verdicts; the rest keep the fault identity
-// with FirstDiff -1) and an error satisfying errors.Is against
+// an interrupted run returns the partial Report (the merged prefix of
+// batches carries verdicts; the rest keep the fault identity with
+// FirstDiff -1) and an error satisfying errors.Is against
 // resilient.ErrCanceled or resilient.ErrDeadline.
 func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, error) {
 	if ctx == nil {
@@ -211,21 +190,8 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		return nil, nil, fmt.Errorf("campaign: empty input record")
 	}
 	nf := len(e.U.Faults)
-	results := make([]fault.Result, nf)
-	// Prefill the fault identity so partial (canceled) and quarantined
-	// entries still say which fault they cover.
-	for i, f := range e.U.Faults {
-		results[i] = fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net), FirstDiff: -1}
-	}
 	nBatches := (nf + lanesPerBatch - 1) / lanesPerBatch
 	stats := &Stats{Faults: nf, Batches: nBatches}
-
-	// cctx is the internal drain signal: the first stage error (or the
-	// caller's own cancellation) stops sim workers from claiming new
-	// batches and unblocks any worker parked on the bounded jobs send,
-	// so the pipeline never leaks goroutines on early error.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	// Observability: resolve every handle once per run, preferring a
 	// registry carried by ctx (a job server records each job into its
@@ -236,11 +202,11 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	// engine.
 	reg := obs.For(ctx)
 	var (
-		runCtx      context.Context
+		runCtx      = ctx
 		runSp       *obs.SpanHandle
 		verdictHist *obs.Histogram
 		genCounter  *obs.Counter
-		busyNanos   int64
+		busyNanos   atomic.Int64
 	)
 	if reg != nil {
 		runCtx, runSp = reg.Span(ctx, "campaign.run")
@@ -289,368 +255,159 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	}
 	stats.Spectra++
 
-	var (
-		screened    int64
-		memoized    int64
-		spectra     int64
-		quarantined int64
-		failed      int32 // fast-fail flag; completion still drains cleanly
-	)
-	simErrs := make([]error, nBatches)
-	detErrs := make([]error, nBatches)
-	jobs := make(chan job, e.Opts.Queue)
-
-	// Checkpoint ledger: completed batches' results and counter
-	// contributions are copied into mutex-guarded shadow state at
-	// completion, so a snapshot never reads lanes another worker is
-	// still writing.
-	ckName := e.Opts.CheckpointName
-	if ckName == "" {
-		ckName = "campaign"
-	}
-	stimHash := HashRecord(xs)
-	var (
-		ledgerMu   sync.Mutex
-		done       []bool
-		ledger     []fault.Result
-		sinceSave  int
-		doneAtLoad []bool
-		ckptErr    error
-	)
-	if e.Opts.Checkpoint.Enabled() {
-		done = make([]bool, nBatches)
-		ledger = make([]fault.Result, nf)
-		copy(ledger, results)
-		var st campCkpt
-		loaded, err := e.Opts.Checkpoint.Load(ckName, campCkptVersion, &st)
-		if err != nil {
-			return nil, nil, err
-		}
-		if loaded {
-			if st.NF != nf || st.Patterns != len(xs) || st.StimHash != stimHash {
-				return nil, nil, fmt.Errorf(
-					"campaign: checkpoint %q is from a different campaign (nf=%d patterns=%d, want nf=%d patterns=%d)",
-					ckName, st.NF, st.Patterns, nf, len(xs))
-			}
-			copy(results, st.Results)
-			copy(ledger, st.Results)
-			copy(done, st.Done)
-			doneAtLoad = append([]bool(nil), st.Done...)
-			screened, memoized = st.Screened, st.Memoized
-			spectra, quarantined = st.Spectra, st.Quarantined
-		}
-	}
-	saveLedgerLocked := func() error {
-		return e.Opts.Checkpoint.Save(ckName, campCkptVersion, campCkpt{
-			NF: nf, Patterns: len(xs), StimHash: stimHash,
-			Done:        append([]bool(nil), done...),
-			Results:     append([]fault.Result(nil), ledger...),
-			Screened:    atomic.LoadInt64(&screened),
-			Memoized:    atomic.LoadInt64(&memoized),
-			Spectra:     atomic.LoadInt64(&spectra),
-			Quarantined: atomic.LoadInt64(&quarantined),
-		})
-	}
-	// commitBatch publishes one completed batch: its counter deltas go
-	// into the run totals and — when checkpointing — its lanes go into
-	// the ledger under the same lock that snapshots, so a saved state
-	// never counts a batch it doesn't mark done.
-	commitBatch := func(b, lo, hi int, scr, mem, spec, quar int64) {
-		if !e.Opts.Checkpoint.Enabled() {
-			atomic.AddInt64(&screened, scr)
-			atomic.AddInt64(&memoized, mem)
-			atomic.AddInt64(&spectra, spec)
-			atomic.AddInt64(&quarantined, quar)
-			return
-		}
-		ledgerMu.Lock()
-		defer ledgerMu.Unlock()
-		atomic.AddInt64(&screened, scr)
-		atomic.AddInt64(&memoized, mem)
-		atomic.AddInt64(&spectra, spec)
-		atomic.AddInt64(&quarantined, quar)
-		copy(ledger[lo:hi], results[lo:hi])
-		done[b] = true
-		sinceSave++
-		if sinceSave >= e.Opts.Checkpoint.Interval() {
-			sinceSave = 0
-			//mstxvet:ignore lockorder deliberate snapshot under the ledger lock: the save must serialize with batch commits
-			if err := saveLedgerLocked(); err != nil && ckptErr == nil {
-				ckptErr = err
-				atomic.StoreInt32(&failed, 1)
-				cancel()
-			}
-		}
-	}
-	// quarantineBatch isolates a panicked batch: its lanes revert to
-	// the bare fault identity (the panic may have left them
-	// half-written) and the campaign continues.
-	quarantineBatch := func(b, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f := e.U.Faults[i]
-			results[i] = fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net), FirstDiff: -1, Quarantined: true}
-		}
-		commitBatch(b, lo, hi, 0, 0, 0, int64(hi-lo))
-	}
-	// Panic safety net for the pool goroutines themselves: a panic
-	// outside the per-batch resilient.Call (engine bookkeeping, not
-	// batch work) is recovered, recorded, and aborts the run instead
-	// of crashing the process.
-	var (
-		poolOnce sync.Once
-		poolErr  error
-	)
-	onPool := func(err error) {
-		poolOnce.Do(func() { poolErr = err })
-		atomic.StoreInt32(&failed, 1)
-		cancel()
-	}
-
-	var (
-		pipeSp    *obs.SpanHandle
-		pipeStart time.Time
-	)
-	if reg != nil {
-		_, pipeSp = reg.Span(runCtx, "campaign.pipeline")
-		pipeStart = time.Now()
-	}
-
-	// Stage 1: bounded record-generation pool. Batches are claimed
-	// from an atomic counter so at most SimWorkers goroutines exist.
-	var simWG sync.WaitGroup
-	simWorkers := e.Opts.SimWorkers
-	if simWorkers > nBatches {
-		simWorkers = nBatches
-	}
-	nextBatch := int64(-1)
-	for w := 0; w < simWorkers; w++ {
-		resilient.Go(&simWG, "campaign.sim_worker", func() error {
-			for {
-				b := int(atomic.AddInt64(&nextBatch, 1))
-				if b >= nBatches {
-					return nil
-				}
-				if atomic.LoadInt32(&failed) != 0 || cctx.Err() != nil {
-					return nil
-				}
-				if doneAtLoad != nil && doneAtLoad[b] {
-					continue // restored from the checkpoint ledger
-				}
-				lo := b * lanesPerBatch
-				hi := lo + lanesPerBatch
-				if hi > nf {
-					hi = nf
-				}
-				var lanes [][]int64
-				genErr := resilient.Call(fpSimBatch, func() error {
-					if err := resilient.Fire(fpSimBatch); err != nil {
-						return err
-					}
-					var err error
-					if useDiff {
-						lanes, err = fault.RecordsFromBaseline(e.U, base, e.U.Faults[lo:hi])
-					} else {
-						_, lanes, err = fault.Records(e.U, xs, e.U.Faults[lo:hi])
-					}
-					return err
-				})
-				if genErr != nil {
-					var pe *resilient.PanicError
-					if e.Opts.Quarantine && errors.As(genErr, &pe) {
-						quarantineBatch(b, lo, hi)
-						continue
-					}
-					simErrs[b] = genErr
-					atomic.StoreInt32(&failed, 1)
-					cancel()
-					continue
-				}
-				genCounter.Add(int64(len(lanes)))
-				// The bounded send must also watch the drain signal, or
-				// a full queue would park this worker forever once the
-				// detection pool stops consuming after an error.
-				select {
-				case jobs <- job{batch: b, lo: lo, good: good, lanes: lanes}:
-				case <-cctx.Done():
-					return nil
-				}
-			}
-		}, onPool)
-	}
-	// The closer must run unconditionally — even after cancellation —
-	// or the detection pool would park forever on a never-closed jobs
-	// channel; it is the one goroutine here that ignores ctx on purpose.
-	var closerWG sync.WaitGroup
-	//mstxvet:ignore ctxflow closer must outlive cancellation to close the jobs channel
-	resilient.Go(&closerWG, "campaign.jobs_closer", func() error {
-		simWG.Wait()
-		close(jobs)
-		return nil
-	}, nil)
-
-	// Stage 2: detection pool. Each worker owns one scratch; lanes
-	// whose record matches the good record take the screened verdict
-	// without transforming, and byte-identical records share one
-	// memoized verdict.
+	// One pool: each worker simulates a batch, then detects it with its
+	// own scratch (created on the worker's first batch). Lanes whose
+	// record matches the good record take the screened verdict without
+	// transforming, and byte-identical records share one memoized
+	// verdict.
+	workers := min(max(e.Opts.DetectWorkers, 1), nBatches)
+	scratch := make([]*spectest.Scratch, workers)
 	var memo *memoTable
 	if !e.Opts.DisableMemo {
 		memo = newMemoTable()
 	}
-	var detWG sync.WaitGroup
-	for w := 0; w < e.Opts.DetectWorkers; w++ {
-		resilient.Go(&detWG, "campaign.detect_worker", func() error {
-			var sc *spectest.Scratch
-			process := func(j job) {
-				if atomic.LoadInt32(&failed) != 0 || cctx.Err() != nil {
-					return
-				}
-				if sc == nil {
-					var err error
-					if sc, err = e.Det.NewScratch(); err != nil {
-						detErrs[j.batch] = err
-						atomic.StoreInt32(&failed, 1)
-						cancel()
-						return
-					}
-				}
-				var bScreened, bMemoized, bSpectra int64
-				detErr := resilient.Call(fpDetBatch, func() error {
-					if err := resilient.Fire(fpDetBatch); err != nil {
-						return err
-					}
-					for i, rec := range j.lanes {
-						f := e.U.Faults[j.lo+i]
-						res := fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net)}
-						res.FirstDiff, res.MaxAbsDiff = fault.DiffStats(j.good, rec)
-						if !e.Opts.DisableScreen && res.MaxAbsDiff == 0 {
-							res.Detected = goodDetected
-							bScreened++
-							results[j.lo+i] = res
-							continue
-						}
-						var h uint64
-						if memo != nil {
-							h = HashRecord(rec)
-							if d, ok := memo.lookup(h, rec); ok {
-								res.Detected = d
-								bMemoized++
-								results[j.lo+i] = res
-								continue
-							}
-						}
-						var t0 time.Time
-						if verdictHist != nil {
-							t0 = time.Now()
-						}
-						det, err := e.Det.DetectRecord(rec, sc)
-						if verdictHist != nil {
-							verdictHist.Observe(time.Since(t0).Seconds())
-						}
-						if err != nil {
-							return err
-						}
-						if memo != nil {
-							memo.insert(h, rec, det)
-						}
-						res.Detected = det
-						bSpectra++
-						results[j.lo+i] = res
-					}
-					return nil
-				})
-				if detErr != nil {
-					var pe *resilient.PanicError
-					if e.Opts.Quarantine && errors.As(detErr, &pe) {
-						quarantineBatch(j.batch, j.lo, j.lo+len(j.lanes))
-						return
-					}
-					detErrs[j.batch] = detErr
-					atomic.StoreInt32(&failed, 1)
-					cancel()
-					return
-				}
-				commitBatch(j.batch, j.lo, j.lo+len(j.lanes), bScreened, bMemoized, bSpectra, 0)
+	detect := func(sc *spectest.Scratch, lo int, lanes [][]int64) (batchResult, error) {
+		if err := resilient.Fire(fpDetBatch); err != nil {
+			return batchResult{}, err
+		}
+		out := batchResult{results: make([]fault.Result, len(lanes))}
+		for i, rec := range lanes {
+			f := e.U.Faults[lo+i]
+			res := &out.results[i]
+			*res = fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net)}
+			res.FirstDiff, res.MaxAbsDiff = fault.DiffStats(good, rec)
+			if !e.Opts.DisableScreen && res.MaxAbsDiff == 0 {
+				res.Detected = goodDetected
+				out.screened++
+				continue
 			}
-			for j := range jobs {
-				if reg != nil {
-					t := time.Now()
-					process(j)
-					atomic.AddInt64(&busyNanos, int64(time.Since(t)))
-				} else {
-					process(j)
+			var h uint64
+			if memo != nil {
+				h = HashRecord(rec)
+				if d, ok := memo.lookup(h, rec); ok {
+					res.Detected = d
+					out.memoized++
+					continue
 				}
 			}
-			return nil
-		}, onPool)
-	}
-	detWG.Wait()
-	// The detection pool only exits once jobs is closed, so the closer
-	// (and transitively every sim worker) is already past its final
-	// send; this join is what lets a caller prove quiescence.
-	closerWG.Wait()
-	pipeSp.End()
-
-	if ckptErr != nil {
-		return nil, nil, ckptErr
-	}
-	for b := 0; b < nBatches; b++ {
-		if simErrs[b] != nil {
-			return nil, nil, simErrs[b]
-		}
-		if detErrs[b] != nil {
-			return nil, nil, detErrs[b]
-		}
-	}
-	if poolErr != nil {
-		return nil, nil, fmt.Errorf("campaign: worker pool: %w", poolErr)
-	}
-	stats.Screened = int(screened)
-	stats.Memoized = int(memoized)
-	stats.Spectra += int(spectra)
-	stats.Quarantined = int(quarantined)
-	if err := resilient.CtxErr(ctx); err != nil {
-		// Interrupted: persist the ledger so a later resume continues
-		// from here, then hand back the partial report.
-		if e.Opts.Checkpoint.Enabled() {
-			ledgerMu.Lock()
-			saveErr := saveLedgerLocked()
-			ledgerMu.Unlock()
-			if saveErr != nil {
-				return nil, nil, saveErr
+			var t0 time.Time
+			if verdictHist != nil {
+				t0 = time.Now()
 			}
+			det, err := e.Det.DetectRecord(rec, sc)
+			if verdictHist != nil {
+				verdictHist.Observe(time.Since(t0).Seconds())
+			}
+			if err != nil {
+				return batchResult{}, err
+			}
+			if memo != nil {
+				memo.insert(h, rec, det)
+			}
+			res.Detected = det
+			out.spectra++
 		}
-		return &fault.Report{Results: results, Patterns: len(xs)}, stats, err
+		return out, nil
 	}
-	if e.Opts.Checkpoint.Enabled() {
-		ledgerMu.Lock()
-		err := saveLedgerLocked()
-		ledgerMu.Unlock()
-		if err != nil {
-			return nil, nil, err
+	plan := mcengine.Plan[runTotal, batchResult]{
+		Span: "campaign.pipeline", N: nf, BatchSize: lanesPerBatch, Workers: workers,
+		Checkpoint: e.Opts.Checkpoint, CheckpointName: e.Opts.CheckpointName,
+		Ident: fmt.Sprintf("patterns=%d stim=%016x", len(xs), HashRecord(xs)),
+		Kernel: func(w, lane, count int) (batchResult, error) {
+			lo := lane * lanesPerBatch
+			if err := resilient.Fire(fpSimBatch); err != nil {
+				return batchResult{}, err
+			}
+			var (
+				lanes [][]int64
+				err   error
+			)
+			if useDiff {
+				lanes, err = fault.RecordsFromBaseline(e.U, base, e.U.Faults[lo:lo+count])
+			} else {
+				_, lanes, err = fault.Records(e.U, xs, e.U.Faults[lo:lo+count])
+			}
+			if err != nil {
+				return batchResult{}, err
+			}
+			genCounter.Add(int64(len(lanes)))
+			if scratch[w] == nil {
+				if scratch[w], err = e.Det.NewScratch(); err != nil {
+					return batchResult{}, err
+				}
+			}
+			if reg != nil {
+				t := time.Now()
+				out, err := detect(scratch[w], lo, lanes)
+				busyNanos.Add(int64(time.Since(t)))
+				return out, err
+			}
+			return detect(scratch[w], lo, lanes)
+		},
+		Merge: func(t runTotal, lane int, b batchResult) runTotal {
+			copy(t.Results[lane*lanesPerBatch:], b.results)
+			t.Screened += b.screened
+			t.Memoized += b.memoized
+			t.Spectra += b.spectra
+			return t
+		},
+	}
+	if plan.CheckpointName == "" {
+		plan.CheckpointName = "campaign"
+	}
+	if e.Opts.Quarantine {
+		// A quarantined batch keeps its faults' bare identity, marked.
+		plan.Quarantine = func(t runTotal, lane, count int, _ error) runTotal {
+			for i := lane * lanesPerBatch; i < lane*lanesPerBatch+count; i++ {
+				t.Results[i].Quarantined = true
+			}
+			t.Quarantined += count
+			return t
 		}
+	}
+	// Prefill the fault identity so partial (canceled) and quarantined
+	// entries still say which fault they cover.
+	total := runTotal{Results: make([]fault.Result, nf)}
+	for i, f := range e.U.Faults {
+		total.Results[i] = fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net), FirstDiff: -1}
+	}
+	var pipeStart time.Time
+	if reg != nil {
+		pipeStart = time.Now()
+	}
+	total, _, err = mcengine.Execute(runCtx, plan, total)
+	if err != nil && !resilient.Interrupted(err) {
+		return nil, nil, err
+	}
+	stats.Screened = total.Screened
+	stats.Memoized = total.Memoized
+	stats.Spectra += total.Spectra
+	stats.Quarantined = total.Quarantined
+	rep := &fault.Report{Results: total.Results, Patterns: len(xs)}
+	if err != nil {
+		return rep, stats, err
 	}
 	if reg != nil {
 		reg.Counter("campaign_runs_total").Inc()
 		reg.Counter("campaign_faults_total").Add(int64(nf))
 		reg.Counter("campaign_batches_total").Add(int64(nBatches))
-		reg.Counter("campaign_screened_total").Add(screened)
-		if quarantined > 0 {
-			reg.Counter("campaign_quarantined_total").Add(quarantined)
+		reg.Counter("campaign_screened_total").Add(int64(total.Screened))
+		if total.Quarantined > 0 {
+			reg.Counter("campaign_quarantined_total").Add(int64(total.Quarantined))
 		}
-		reg.Counter("campaign_memo_hits_total").Add(memoized)
+		reg.Counter("campaign_memo_hits_total").Add(int64(total.Memoized))
 		if memo != nil {
 			// A miss is a lane that paid its own transform while the
 			// memo was on — exactly the spectra computed in the pool.
-			reg.Counter("campaign_memo_misses_total").Add(spectra)
+			reg.Counter("campaign_memo_misses_total").Add(int64(total.Spectra))
 		}
 		reg.Counter("campaign_spectra_total").Add(int64(stats.Spectra))
-		if wall := time.Since(pipeStart).Seconds(); wall > 0 {
-			busy := float64(atomic.LoadInt64(&busyNanos)) / 1e9
-			reg.Gauge("campaign_fft_worker_utilization").
-				Set(busy / (wall * float64(e.Opts.DetectWorkers)))
+		if wall := time.Since(pipeStart).Seconds(); wall > 0 && workers > 0 {
+			busy := float64(busyNanos.Load()) / 1e9
+			reg.Gauge("campaign_fft_worker_utilization").Set(busy / (wall * float64(workers)))
 		}
 	}
-	return &fault.Report{Results: results, Patterns: len(xs)}, stats, nil
+	return rep, stats, nil
 }
 
 // memoTable memoizes detection verdicts by record content. Hash

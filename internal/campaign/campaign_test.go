@@ -137,7 +137,7 @@ func TestEngineMatchesBatchSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := fault.SimulateRecords(context.Background(), u, xs, det)
+	batch, err := fault.Simulate(context.Background(), u, xs, det)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestZeroDiffScreenSkipsFFTsAndChangesNothing(t *testing.T) {
 	if !reflect.DeepEqual(repS, repU) {
 		t.Fatal("zero-diff screen changed the report")
 	}
-	batch, err := fault.SimulateRecords(context.Background(), u, xs, det)
+	batch, err := fault.Simulate(context.Background(), u, xs, det)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Opts.SimWorkers <= 0 || eng.Opts.DetectWorkers <= 0 || eng.Opts.Queue <= 0 {
+	if eng.Opts.DetectWorkers <= 0 {
 		t.Errorf("defaults not applied: %+v", eng.Opts)
 	}
 }
@@ -231,7 +231,7 @@ func TestEngineSingleWorkerPipeline(t *testing.T) {
 	// Degenerate pool sizes must still drain the pipeline and agree
 	// with the default configuration.
 	u, det, xs := buildCampaign(t, 256, 45)
-	one, err := New(u, det, Options{SimWorkers: 1, DetectWorkers: 1, Queue: 1})
+	one, err := New(u, det, Options{DetectWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

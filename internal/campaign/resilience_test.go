@@ -22,7 +22,7 @@ func TestRunEarlyErrorNoGoroutineLeak(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		// Queue 1 and one detect worker maximizes the chance sim
 		// workers are blocked on the send when the error lands.
-		eng, err := New(u, det, Options{DetectWorkers: 1, Queue: 1})
+		eng, err := New(u, det, Options{DetectWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,8 +152,8 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 	fp.Set("campaign.detect_batch", resilient.Action{Err: boom, After: 2})
 	resilient.Install(fp)
 	eng, err := New(u, det, Options{
-		SimWorkers: 1, DetectWorkers: 1,
-		Checkpoint: &resilient.Checkpointer{Dir: dir, Every: 1}, CheckpointName: "t",
+		DetectWorkers: 1,
+		Checkpoint:    &resilient.Checkpointer{Dir: dir, Every: 1}, CheckpointName: "t",
 	})
 	if err != nil {
 		t.Fatal(err)

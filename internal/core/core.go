@@ -349,9 +349,10 @@ func (dt *DigitalTest) RunExactOpts(ctx context.Context, opts fault.SimOptions) 
 
 // RunSpectral runs the campaign with the calibrated spectral detector
 // on the realistic front-end capture — the paper's translated digital
-// test. It executes on the pooled campaign engine (pipelined 63-lane
-// record generation, per-worker FFT scratch, zero-diff screening); the
-// report is identical to the serial reference path.
+// test. It executes on the pooled campaign engine (one worker pool,
+// each worker generating a 63-lane batch and detecting it on its own
+// FFT scratch, zero-diff screening); the report is identical to the
+// serial reference path.
 func (dt *DigitalTest) RunSpectral() (*fault.Report, error) {
 	rep, _, err := dt.RunSpectralStats()
 	return rep, err
@@ -375,13 +376,13 @@ func (dt *DigitalTest) RunSpectralOpts(ctx context.Context, opts campaign.Option
 	return eng.Run(ctx, dt.RealisticCodes)
 }
 
-// RunSpectralSeed runs the same spectral campaign through the unpooled
-// seed path — fault.SimulateRecords with the detector invoked inline
-// in each simulation batch, allocating a fresh window table and FFT
-// buffer per fault. It exists as the baseline for the campaign-engine
-// benchmark pair and for equivalence testing.
+// RunSpectralSeed runs the same spectral campaign through the seed
+// path — fault.Simulate with the detector invoked inline in each
+// simulation batch, with full-netlist record generation and no screen
+// or memo. It exists as the baseline for the campaign-engine benchmark
+// pair and for equivalence testing.
 func (dt *DigitalTest) RunSpectralSeed() (*fault.Report, error) {
-	return fault.SimulateRecords(context.Background(), dt.Universe, dt.RealisticCodes, dt.Detector)
+	return fault.Simulate(context.Background(), dt.Universe, dt.RealisticCodes, dt.Detector)
 }
 
 func dspAlias(f, fs float64) float64 {

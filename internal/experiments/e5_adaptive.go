@@ -44,9 +44,9 @@ type Fig4Options struct {
 	// honored at device-lane granularity and surfaces as a typed
 	// resilient.ErrCanceled/ErrDeadline.
 	Ctx context.Context
-	// Checkpoint, when enabled, snapshots the device population at
-	// engine round barriers (name "e5_devices") so a killed study
-	// resumes bit-identically.
+	// Checkpoint, when enabled, snapshots the device population every
+	// Checkpoint.Every merged engine lanes (name "e5_devices") so a
+	// killed study resumes bit-identically.
 	Checkpoint *resilient.Checkpointer
 }
 

@@ -65,8 +65,9 @@ type Table2Options struct {
 	// resilient.ErrCanceled/ErrDeadline.
 	Ctx context.Context
 	// Checkpoint, when enabled, snapshots the device population (name
-	// "e6_devices") and each loss cross-check ("e6_loss_<param>") at
-	// engine round barriers so a killed study resumes bit-identically.
+	// "e6_devices") and each loss cross-check ("e6_loss_<param>") every
+	// Checkpoint.Every merged engine lanes so a killed study resumes
+	// bit-identically.
 	Checkpoint *resilient.Checkpointer
 }
 

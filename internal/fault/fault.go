@@ -2,18 +2,18 @@
 // gate-level FIR filters: fault-universe management, 63-fault-per-pass
 // parallel simulation over sample records, exact (output-compare)
 // detection with fault dropping, full per-fault output-record capture
-// for spectral testing, and coverage accounting.
+// for spectral testing, and coverage accounting. The batch passes run
+// on mcengine.Execute: one 63-fault batch per lane, detected with the
+// worker's own detector and copied into the report in batch order.
 package fault
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mstx/internal/digital"
+	"mstx/internal/mcengine"
 	"mstx/internal/netlist"
 	"mstx/internal/obs"
 	"mstx/internal/resilient"
@@ -22,6 +22,10 @@ import (
 // fpBatch is the failpoint evaluated before every simulation batch;
 // the chaos suite arms it to inject batch errors, panics and delays.
 var fpBatch = resilient.Site("fault.batch")
+
+// lanesPerBatch is the simulator's fault-lane capacity: 64 bit-lanes
+// with lane 0 reserved for the good machine.
+const lanesPerBatch = 63
 
 // Universe holds a fault list for a FIR circuit together with the
 // bookkeeping needed for reports.
@@ -228,88 +232,16 @@ func DiffStats(good, faulty []int64) (firstDiff int, maxAbs int64) {
 	return firstDiff, maxAbs
 }
 
-// runBatches runs fn(worker, batch) for every batch in [0, nBatches)
-// on a bounded pool of at most `workers` goroutines and returns the
-// first error in batch order. The worker index (0 ≤ worker < workers)
-// identifies the claiming goroutine so callers can hand each worker
-// exclusive scratch state. Unlike the seed implementation — which spawned
-// every batch goroutine up front and only then gated them on a
-// semaphore, and whose error channel surfaced whichever failing batch
-// lost the race — the pool never holds more than `workers` goroutines
-// alive and its error choice is deterministic.
-//
-// The pool fast-fails: after the first error no further batches start
-// (in-flight batches finish), so an erroring campaign settles its
-// goroutines promptly instead of grinding through the remaining work.
-// Cancellation is honored at batch granularity — when ctx is
-// interrupted workers stop claiming and the typed
-// resilient.ErrCanceled/ErrDeadline is returned (batch errors win).
-// Worker goroutines run under resilient.Go, so a panic escaping fn's
-// own guards degrades to a returned error, never a process crash.
-func runBatches(ctx context.Context, nBatches, workers int, fn func(worker, batch int) error) error {
-	if nBatches <= 0 {
-		return nil
-	}
-	if workers > nBatches {
-		workers = nBatches
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, nBatches)
-	next := int64(-1)
-	var (
-		failed   int32
-		wg       sync.WaitGroup
-		poolOnce sync.Once
-		poolErr  error
-	)
-	onPool := func(err error) {
-		poolOnce.Do(func() { poolErr = err })
-		atomic.StoreInt32(&failed, 1)
-	}
-	for w := 0; w < workers; w++ {
-		worker := w
-		resilient.Go(&wg, "fault.worker", func() error {
-			for {
-				b := int(atomic.AddInt64(&next, 1))
-				if b >= nBatches {
-					return nil
-				}
-				if atomic.LoadInt32(&failed) != 0 {
-					continue
-				}
-				if ctx.Err() != nil {
-					return nil
-				}
-				if err := fn(worker, b); err != nil {
-					errs[b] = err
-					atomic.StoreInt32(&failed, 1)
-				}
-			}
-		}, onPool)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if poolErr != nil {
-		return fmt.Errorf("fault: worker pool: %w", poolErr)
-	}
-	return resilient.CtxErr(ctx)
-}
-
 // SimOptions configures a resilient Simulate run. The zero value is
 // the plain campaign: no checkpointing, no quarantine, GOMAXPROCS
 // workers.
 type SimOptions struct {
 	// Workers bounds the batch pool. Defaults to GOMAXPROCS.
 	Workers int
-	// Checkpoint, when enabled, snapshots the batch ledger (which
-	// batches completed and their results) every Checkpoint.Every
-	// completions, so a killed campaign resumes instead of restarting.
+	// Checkpoint, when enabled, snapshots the merged batch prefix (the
+	// results of every batch merged so far) every Checkpoint.Every
+	// merged batches, so a killed campaign resumes instead of
+	// restarting.
 	Checkpoint *resilient.Checkpointer
 	// CheckpointName names this campaign's snapshot inside
 	// Checkpoint.Dir. Default "fault".
@@ -319,21 +251,6 @@ type SimOptions struct {
 	// Without it the recovered panic aborts the run as an ordinary
 	// error — the process never crashes either way.
 	Quarantine bool
-}
-
-// simCkptVersion guards the simCkpt layout.
-const simCkptVersion = 1
-
-// simCkpt is the batch-ledger snapshot of a Simulate run: which
-// batches completed and every completed batch's results, plus the
-// campaign identity (fault count, record length, stimulus hash) the
-// ledger is only valid for.
-type simCkpt struct {
-	NF       int
-	Patterns int
-	StimHash uint64
-	Done     []bool
-	Results  []Result
 }
 
 // recordHash is FNV-1a over the record words — the cheap identity
@@ -356,8 +273,8 @@ func recordHash(xs []int64) uint64 {
 // records are exact gate-level outputs.
 //
 // Cancellation and deadlines on ctx are honored at batch granularity:
-// an interrupted run returns the partial Report (completed batches
-// carry their verdicts; the rest keep the fault identity with
+// an interrupted run returns the partial Report (the merged prefix of
+// batches carries its verdicts; the rest keep the fault identity with
 // FirstDiff -1 and no verdict) together with a typed error satisfying
 // errors.Is(err, resilient.ErrCanceled) or resilient.ErrDeadline.
 func Simulate(ctx context.Context, u *Universe, xs []int64, det Detector) (*Report, error) {
@@ -365,10 +282,10 @@ func Simulate(ctx context.Context, u *Universe, xs []int64, det Detector) (*Repo
 }
 
 // SimulateOpts is Simulate with the resilience knobs exposed:
-// checkpoint/resume over the batch ledger and panic quarantine. The
-// Report is bit-identical to Simulate's for any worker count and any
-// kill/resume split — batch b's results depend only on (universe, xs,
-// b), never on scheduling.
+// checkpoint/resume over the merged batch prefix and panic quarantine.
+// The Report is bit-identical to Simulate's for any worker count and
+// any kill/resume split — batch b's results depend only on (universe,
+// xs, b), never on scheduling.
 func SimulateOpts(ctx context.Context, u *Universe, xs []int64, det Detector, opts SimOptions) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -379,19 +296,18 @@ func SimulateOpts(ctx context.Context, u *Universe, xs []int64, det Detector, op
 	if det == nil {
 		return nil, fmt.Errorf("fault: nil detector")
 	}
+	nf := len(u.Faults)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nf := len(u.Faults)
-	nWorkerDets := (nf + 62) / 63 // batches; runBatches clamps workers the same way
-	if nWorkerDets > workers {
-		nWorkerDets = workers
+	if nBatches := (nf + lanesPerBatch - 1) / lanesPerBatch; workers > nBatches {
+		workers = nBatches // the executor clamps its pool the same way
 	}
 	// One detector per pool worker: scratch-backed when the detector
 	// supports it (the spectral record → spectrum → screen path is then
 	// allocation-free in steady state), det itself otherwise.
-	workerDets := make([]Detector, nWorkerDets)
+	workerDets := make([]Detector, workers)
 	for w := range workerDets {
 		d, err := workerDetector(det)
 		if err != nil {
@@ -399,150 +315,56 @@ func SimulateOpts(ctx context.Context, u *Universe, xs []int64, det Detector, op
 		}
 		workerDets[w] = d
 	}
-	results := make([]Result, nf)
-	// Prefill the fault identity so partial (canceled) and quarantined
-	// entries still say WHICH fault they cover.
-	for i, f := range u.Faults {
-		results[i] = Result{Fault: f, Tap: u.FIR.TapOfNet(f.Net), FirstDiff: -1}
-	}
-	const lanesPerBatch = 63
-	nBatches := (nf + lanesPerBatch - 1) / lanesPerBatch
-	batchBounds := func(b int) (int, int) {
-		lo := b * lanesPerBatch
-		hi := lo + lanesPerBatch
-		if hi > nf {
-			hi = nf
-		}
-		return lo, hi
-	}
-
-	// Checkpoint ledger: results of completed batches are copied into
-	// a mutex-guarded shadow slice at completion, so a snapshot never
-	// reads lanes another worker is still writing.
 	ckName := opts.CheckpointName
 	if ckName == "" {
 		ckName = "fault"
 	}
-	stimHash := recordHash(xs)
-	var (
-		ledgerMu   sync.Mutex
-		done       []bool
-		ledger     []Result
-		sinceSave  int
-		doneAtLoad []bool
-	)
-	if opts.Checkpoint.Enabled() {
-		done = make([]bool, nBatches)
-		ledger = make([]Result, nf)
-		copy(ledger, results)
-		var st simCkpt
-		loaded, err := opts.Checkpoint.Load(ckName, simCkptVersion, &st)
-		if err != nil {
-			return nil, err
-		}
-		if loaded {
-			if st.NF != nf || st.Patterns != len(xs) || st.StimHash != stimHash {
-				return nil, fmt.Errorf(
-					"fault: checkpoint %q is from a different campaign (nf=%d patterns=%d, want nf=%d patterns=%d)",
-					ckName, st.NF, st.Patterns, nf, len(xs))
-			}
-			copy(results, st.Results)
-			copy(ledger, st.Results)
-			copy(done, st.Done)
-			doneAtLoad = append([]bool(nil), st.Done...)
-		}
-	}
-	saveLedgerLocked := func() error {
-		return opts.Checkpoint.Save(ckName, simCkptVersion, simCkpt{
-			NF: nf, Patterns: len(xs), StimHash: stimHash,
-			Done:    append([]bool(nil), done...),
-			Results: append([]Result(nil), ledger...),
-		})
-	}
-	completeBatch := func(b int) error {
-		if !opts.Checkpoint.Enabled() {
-			return nil
-		}
-		lo, hi := batchBounds(b)
-		ledgerMu.Lock()
-		defer ledgerMu.Unlock()
-		copy(ledger[lo:hi], results[lo:hi])
-		done[b] = true
-		sinceSave++
-		if sinceSave >= opts.Checkpoint.Interval() {
-			sinceSave = 0
-			//mstxvet:ignore lockorder deliberate snapshot under the ledger lock: the save must serialize with batch commits
-			return saveLedgerLocked()
-		}
-		return nil
-	}
-
-	// Observability: one span and three counter bumps per campaign —
-	// all no-ops when no registry is installed.
-	reg := obs.For(ctx)
-	var sp *obs.SpanHandle
-	if reg != nil {
-		_, sp = reg.Span(ctx, "fault.simulate")
-		defer sp.End()
-	}
-	var quarantined int64
-	err := runBatches(ctx, nBatches, workers, func(worker, batch int) error {
-		if doneAtLoad != nil && doneAtLoad[batch] {
-			return nil // restored from the checkpoint ledger
-		}
-		lo, hi := batchBounds(batch)
-		err := resilient.Call(fpBatch, func() error {
+	plan := mcengine.Plan[[]Result, []Result]{
+		Span: "fault.simulate", N: nf, BatchSize: lanesPerBatch, Workers: workers,
+		Checkpoint: opts.Checkpoint, CheckpointName: ckName,
+		Ident: fmt.Sprintf("patterns=%d stim=%016x", len(xs), recordHash(xs)),
+		Kernel: func(w, lane, count int) ([]Result, error) {
 			if err := resilient.Fire(fpBatch); err != nil {
-				return err
+				return nil, err
 			}
-			return simulateBatch(u, xs, workerDets[worker], results[lo:hi], u.Faults[lo:hi])
-		})
-		if err != nil {
-			var pe *resilient.PanicError
-			if !opts.Quarantine || !errors.As(err, &pe) {
-				return err
+			lo := lane * lanesPerBatch
+			out := make([]Result, count)
+			return out, simulateBatch(u, xs, workerDets[w], out, u.Faults[lo:lo+count])
+		},
+		Merge: func(results []Result, lane int, part []Result) []Result {
+			copy(results[lane*lanesPerBatch:], part)
+			return results
+		},
+	}
+	if opts.Quarantine {
+		// A quarantined batch keeps its faults' bare identity, marked.
+		plan.Quarantine = func(results []Result, lane, count int, _ error) []Result {
+			for i := lane * lanesPerBatch; i < lane*lanesPerBatch+count; i++ {
+				results[i].Quarantined = true
 			}
-			// Quarantine: reset the batch's lanes to the bare fault
-			// identity (the panic may have left them half-written) and
-			// mark them; the campaign continues.
-			for i := lo; i < hi; i++ {
-				f := u.Faults[i]
-				results[i] = Result{Fault: f, Tap: u.FIR.TapOfNet(f.Net), FirstDiff: -1, Quarantined: true}
-			}
-			atomic.AddInt64(&quarantined, int64(hi-lo))
+			return results
 		}
-		return completeBatch(batch)
-	})
+	}
+	// Prefill the fault identity so partial (canceled) and quarantined
+	// entries still say WHICH fault they cover.
+	results := make([]Result, nf)
+	for i, f := range u.Faults {
+		results[i] = Result{Fault: f, Tap: u.FIR.TapOfNet(f.Net), FirstDiff: -1}
+	}
+	results, _, err := mcengine.Execute(ctx, plan, results)
 	rep := &Report{Results: results, Patterns: len(xs)}
 	if err != nil {
 		if resilient.Interrupted(err) {
-			// Persist the ledger so a later -resume continues from here.
-			if opts.Checkpoint.Enabled() {
-				ledgerMu.Lock()
-				saveErr := saveLedgerLocked()
-				ledgerMu.Unlock()
-				if saveErr != nil {
-					return rep, saveErr
-				}
-			}
 			return rep, err
 		}
 		return nil, err
 	}
-	if opts.Checkpoint.Enabled() {
-		ledgerMu.Lock()
-		err = saveLedgerLocked()
-		ledgerMu.Unlock()
-		if err != nil {
-			return rep, err
-		}
-	}
-	if reg != nil {
+	if reg := obs.For(ctx); reg != nil {
 		reg.Counter("fault_sim_runs_total").Inc()
 		reg.Counter("fault_sim_faults_total").Add(int64(nf))
-		reg.Counter("fault_sim_batches_total").Add(int64(nBatches))
-		if q := atomic.LoadInt64(&quarantined); q > 0 {
-			reg.Counter("fault_sim_quarantined_total").Add(q)
+		reg.Counter("fault_sim_batches_total").Add(int64((nf + lanesPerBatch - 1) / lanesPerBatch))
+		if q := rep.Quarantined(); q > 0 {
+			reg.Counter("fault_sim_quarantined_total").Add(int64(q))
 		}
 	}
 	return rep, nil
@@ -580,7 +402,7 @@ func simulateBatch(u *Universe, xs []int64, det Detector, out []Result, faults [
 // Records captures the full good and per-fault output records for the
 // given faults (at most 63) in a single pass. Spectral detection needs
 // whole records to transform; callers batch larger universes
-// themselves or use SimulateRecords.
+// themselves or use Simulate.
 func Records(u *Universe, xs []int64, faults []netlist.Fault) (good []int64, faulty [][]int64, err error) {
 	if len(faults) > 63 {
 		return nil, nil, fmt.Errorf("fault: Records limited to 63 faults per pass, got %d", len(faults))
@@ -619,19 +441,6 @@ func RecordsFromBaseline(u *Universe, base *digital.Baseline, faults []netlist.F
 		return nil, err
 	}
 	return lanes[1:], nil
-}
-
-// RecordDetector is a Detector that additionally wants the record pair
-// for bookkeeping; SimulateRecords streams record pairs to it. (The
-// plain Detector interface is already record-based; this alias keeps
-// the call sites explicit.)
-type RecordDetector = Detector
-
-// SimulateRecords is Simulate, but guarantees the detector sees exact
-// full-length records (it always does; this entry point exists so
-// spectral detection campaigns read naturally at call sites).
-func SimulateRecords(ctx context.Context, u *Universe, xs []int64, det RecordDetector) (*Report, error) {
-	return Simulate(ctx, u, xs, det)
 }
 
 // SerialSimulate runs faults one at a time (one fault in all lanes per
@@ -725,18 +534,18 @@ func DetectOnly(u *Universe, xs []int64) ([]bool, error) {
 // detectOnlyOnePass is DetectOnly without the prefix screen; warmSrc
 // supplies the periodic warm-up tail (the full record).
 func detectOnlyOnePass(u *Universe, xs, warmSrc []int64) ([]bool, error) {
-	nf := len(u.Faults)
-	detected := make([]bool, nf)
-	const lanesPerBatch = 63
-	nBatches := (nf + lanesPerBatch - 1) / lanesPerBatch
-	err := runBatches(context.Background(), nBatches, runtime.GOMAXPROCS(0), func(_, batch int) error {
-		lo := batch * lanesPerBatch
-		hi := lo + lanesPerBatch
-		if hi > nf {
-			hi = nf
-		}
-		return detectBatch(u, xs, warmSrc, detected[lo:hi], u.Faults[lo:hi])
-	})
+	detected, _, err := mcengine.Execute(context.Background(), mcengine.Plan[[]bool, []bool]{
+		N: len(u.Faults), BatchSize: lanesPerBatch,
+		Kernel: func(_, lane, count int) ([]bool, error) {
+			lo := lane * lanesPerBatch
+			out := make([]bool, count)
+			return out, detectBatch(u, xs, warmSrc, out, u.Faults[lo:lo+count])
+		},
+		Merge: func(detected []bool, lane int, part []bool) []bool {
+			copy(detected[lane*lanesPerBatch:], part)
+			return detected
+		},
+	}, make([]bool, len(u.Faults)))
 	if err != nil {
 		return nil, err
 	}

@@ -3,12 +3,10 @@ package fault
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mstx/internal/digital"
 	"mstx/internal/netlist"
@@ -143,52 +141,6 @@ func TestSimulateSurfacesDetectorErrors(t *testing.T) {
 	}
 	if _, err := SerialSimulate(u, xs, errDetector{}); err == nil || !strings.Contains(err.Error(), "detector exploded") {
 		t.Errorf("SerialSimulate swallowed the detector error: %v", err)
-	}
-}
-
-func TestRunBatchesFirstErrorByBatchOrder(t *testing.T) {
-	// Several batches fail; the returned error must deterministically
-	// be the lowest-numbered one, regardless of completion order.
-	for trial := 0; trial < 25; trial++ {
-		var live int32
-		var peak int32
-		err := runBatches(context.Background(), 16, 4, func(_, b int) error {
-			n := atomic.AddInt32(&live, 1)
-			for {
-				p := atomic.LoadInt32(&peak)
-				if n <= p || atomic.CompareAndSwapInt32(&peak, p, n) {
-					break
-				}
-			}
-			defer atomic.AddInt32(&live, -1)
-			switch b {
-			case 3:
-				// Delay the earliest failure so a later one tends to
-				// land first.
-				time.Sleep(2 * time.Millisecond)
-				return fmt.Errorf("batch 3 failed")
-			case 11:
-				return fmt.Errorf("batch 11 failed")
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "batch 3 failed" {
-			t.Fatalf("trial %d: got %v, want the batch-3 error", trial, err)
-		}
-		if p := atomic.LoadInt32(&peak); p > 4 {
-			t.Fatalf("trial %d: %d batch goroutines live at once; pool must be bounded at 4", trial, p)
-		}
-	}
-	if err := runBatches(context.Background(), 0, 4, func(int, int) error { return errors.New("never") }); err != nil {
-		t.Errorf("zero batches returned %v", err)
-	}
-	// More workers than batches must not deadlock or skip work.
-	var ran int32
-	if err := runBatches(context.Background(), 3, 64, func(int, int) error { atomic.AddInt32(&ran, 1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 3 {
-		t.Errorf("ran %d batches, want 3", ran)
 	}
 }
 

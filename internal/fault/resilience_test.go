@@ -3,7 +3,6 @@ package fault
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -228,17 +227,4 @@ type countingDetector struct{ n *int }
 func (d countingDetector) Detect(good, faulty []int64) (bool, error) {
 	*d.n++
 	return ExactDetector{}.Detect(good, faulty)
-}
-
-func TestSimulateRecordsCtxPassthrough(t *testing.T) {
-	fir := smallFIR(t)
-	u := NewUniverse(fir, true)
-	xs := sineRecord(48, 25, 3)
-	rep, err := SimulateRecords(context.Background(), u, xs, ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(rep) == "" {
-		t.Fatal("empty report")
-	}
 }

@@ -7,7 +7,7 @@ import (
 
 // MeanVar is a streaming mean/variance accumulator (Welford) with an
 // exact pairwise merge (Chan, Golub & LeVeque), so lane partials can
-// be folded at the barrier without keeping samples. Merging in a fixed
+// be folded in lane order without keeping samples. Merging in a fixed
 // lane order makes the floating-point result deterministic.
 type MeanVar struct {
 	// N is the observation count.

@@ -1,40 +1,35 @@
-// Package mcengine is the sharded Monte-Carlo estimation engine: it
-// fans fixed-size sample batches ("lanes") across a bounded worker
-// pool, gives every lane its own deterministic RNG substream derived
-// from (seed, lane index), and merges the per-lane partial results at
-// round barriers in ascending lane order.
+// Package mcengine is the engines' batch executor and the sharded
+// Monte-Carlo estimator built on it.
 //
-// Because the sample stream of lane l depends only on SubstreamSeed
-// (seed, l) — never on which worker ran it or when — and because
-// partials are folded strictly in lane order, the merged result is
-// bit-identical for ANY worker count, including a plain serial loop
-// over the same lanes. That is the engine's contract: parallelism is
-// purely a scheduling concern and can never change a published number.
+// Execute is the one execution primitive: it cuts N items into lanes,
+// runs a kernel per lane on a bounded worker pool, and folds the lane
+// partials into a running total strictly in ascending lane order, each
+// as soon as every lane before it has merged (no round barriers; claims
+// stay within 2×Workers lanes of the merged prefix).
+// Because the fold order is fixed, the merged result is bit-identical
+// for ANY worker count, including one. The same primitive owns the
+// robustness contract every engine shares: early stopping on the
+// merged prefix every CheckEvery lanes, panic quarantine reported in
+// lane order, a checkpoint of the merged prefix every Checkpoint.Every
+// merged lanes (and on cancellation, early stop and completion) so a
+// killed run resumes bit-identically, cancellation at lane granularity
+// with the merged prefix returned under the typed resilient errors,
+// the first kernel error in lane order, and one caller-named span.
+// The fault, campaign and SOC engines are kernels and merges on it.
 //
-// Early stopping is confidence-interval-driven and equally
-// deterministic: lanes are grouped into rounds of CheckEvery lanes,
-// and the caller's stop predicate is consulted only at round barriers,
-// on the merged prefix of lanes. The stopping decision therefore
-// depends only on (seed, BatchSize, CheckEvery) — not on workers or
-// timing — so an early-stopped run is reproducible too.
-//
-// The engine is resilience-aware (internal/resilient): cancellation
-// and deadlines are honored at lane granularity and surface as typed
-// resilient.ErrCanceled/ErrDeadline with the merged prefix returned as
-// a partial result; a panicking kernel is recovered and either
-// quarantined (Options.OnQuarantine) or returned as an error, never
-// allowed to crash the process; and round-barrier checkpoints
-// (Options.Checkpoint) let a killed run resume bit-identically.
+// Run is Execute plus RNG: every lane draws from its own substream
+// seeded by SubstreamSeed(seed, lane), never from which worker ran it
+// or when, so a Monte-Carlo estimate — and its confidence-interval
+// early stop, which sees only the merged prefix — depends only on
+// (seed, BatchSize, CheckEvery). Parallelism is purely a scheduling
+// concern and can never change a published number.
 package mcengine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mstx/internal/obs"
@@ -59,26 +54,26 @@ type Options struct {
 	// same seed with a different BatchSize is a different experiment.
 	// Defaults to DefaultBatchSize.
 	BatchSize int
-	// CheckEvery groups lanes into early-stop rounds: the stop
-	// predicate runs after every CheckEvery lanes have been merged.
-	// Zero (or a nil stop predicate) disables early stopping and runs
-	// all lanes in a single round.
+	// CheckEvery is the early-stop cadence: the stop predicate runs
+	// each time the merged prefix reaches a multiple of CheckEvery
+	// lanes. Zero (or a nil stop predicate) disables early stopping.
 	CheckEvery int
 	// Checkpoint, when enabled, snapshots the merged prefix (total,
-	// sample count, next lane) at round barriers — every
-	// Checkpoint.Every rounds and at completion — and, with Resume set,
-	// restores it at the next Run so a killed run continues from the
-	// last barrier and produces a bit-identical final result.
+	// sample count, next lane) every Checkpoint.Every merged lanes and
+	// at completion — and, with Resume set, restores it at the next Run
+	// so a killed run continues from the last snapshot and produces a
+	// bit-identical final result.
 	Checkpoint *resilient.Checkpointer
 	// CheckpointName names this run's snapshot inside Checkpoint.Dir
 	// (several engine runs can share one directory). Default "mc".
 	CheckpointName string
 	// OnQuarantine, when non-nil, turns a panicking kernel lane into a
 	// quarantined lane: the panic is recovered, OnQuarantine receives
-	// the lane, its sample count and the *resilient.PanicError, the
-	// lane contributes nothing to the merge, and the run continues.
-	// When nil, the recovered panic is returned as an ordinary run
-	// error — the process never crashes either way.
+	// the lane, its sample count and the *resilient.PanicError (in lane
+	// order, at merge time), the lane contributes nothing to the
+	// merge, and the run continues. When nil, the recovered panic is
+	// returned as an ordinary run error — the process never crashes
+	// either way.
 	OnQuarantine func(lane, samples int, err error)
 }
 
@@ -122,29 +117,10 @@ type Kernel[P any] func(lane, count int, rng *rand.Rand) (P, error)
 // non-commutative (e.g. floating-point) merges are deterministic.
 type Merge[T, P any] func(total T, lane int, part P) T
 
-// Stop is consulted at round barriers with the merged prefix total and
-// the number of samples it covers; returning true ends the run early.
+// Stop is consulted every CheckEvery merged lanes with the merged
+// prefix total and the number of samples it covers; returning true
+// ends the run early.
 type Stop[T any] func(total T, samples int) bool
-
-// ckptVersion guards the ckptState layout; bump it when the state
-// shape changes so stale snapshots are rejected on load.
-const ckptVersion = 1
-
-// ckptState is the round-barrier snapshot of a Run: the merged prefix
-// plus the run parameters it is only valid for. Resuming replays the
-// loop from NextLane with Total/Done restored, so the remaining merges
-// happen in the same lane order with the same floating-point state —
-// the final result is bit-identical to an uninterrupted run.
-type ckptState[T any] struct {
-	N          int
-	Seed       int64
-	BatchSize  int
-	CheckEvery int
-	NextLane   int
-	Done       int
-	Total      T
-	Stopped    bool
-}
 
 // Run executes an n-sample Monte-Carlo estimation and returns the
 // merged total together with the number of samples actually processed
@@ -152,10 +128,9 @@ type ckptState[T any] struct {
 // the caller's initial accumulator value.
 //
 // Cancellation is honored at lane granularity: when ctx is canceled
-// (or its deadline expires) the engine stops claiming lanes, folds the
-// contiguous completed prefix of the in-flight round, and returns the
-// partial total and sample count together with a typed error
-// satisfying errors.Is(err, resilient.ErrCanceled) or
+// (or its deadline expires) the engine stops claiming lanes and
+// returns the merged prefix and its sample count together with a
+// typed error satisfying errors.Is(err, resilient.ErrCanceled) or
 // resilient.ErrDeadline. Kernel errors keep the original contract: a
 // zero total and the first failing lane's error, in lane order.
 func Run[T, P any](ctx context.Context, n int, seed int64, opts Options, total T, kernel Kernel[P], merge Merge[T, P], stop Stop[T]) (T, int, error) {
@@ -169,240 +144,83 @@ func Run[T, P any](ctx context.Context, n int, seed int64, opts Options, total T
 		return total, 0, fmt.Errorf("mcengine: nil kernel or merge")
 	}
 	o := opts.withDefaults()
-	lanes := Lanes(n, o.BatchSize)
-	round := o.CheckEvery
-	if round <= 0 || stop == nil {
-		round = lanes
+	name := o.CheckpointName
+	if name == "" {
+		name = "mc"
 	}
-	if o.Checkpoint.Enabled() && round >= lanes && lanes > 1 {
-		// Round barriers are also the checkpoint grain: a run without
-		// early-stop rounds would otherwise never snapshot before
-		// completion. One worker-stripe per round keeps the barriers
-		// cheap; the round size cannot change any merged value (merges
-		// stay in lane order regardless).
-		if round = o.Workers; round < 1 {
-			round = 1
-		}
-	}
-	laneCount := func(l int) int {
-		if l == lanes-1 {
-			return n - l*o.BatchSize
-		}
-		return o.BatchSize
-	}
-
-	done := 0
-
-	// Checkpoint/resume: the snapshot is only valid for the exact run
-	// parameters that shaped the lane decomposition and the barriers.
-	ckName := o.CheckpointName
-	if ckName == "" {
-		ckName = "mc"
-	}
-	startLane := 0
-	saveState := func(nextLane int, stopped bool) error {
-		return o.Checkpoint.Save(ckName, ckptVersion, ckptState[T]{
-			N: n, Seed: seed, BatchSize: o.BatchSize, CheckEvery: o.CheckEvery,
-			NextLane: nextLane, Done: done, Total: total, Stopped: stopped,
-		})
-	}
-	if o.Checkpoint.Enabled() {
-		var st ckptState[T]
-		loaded, err := o.Checkpoint.Load(ckName, ckptVersion, &st)
-		if err != nil {
-			return total, 0, err
-		}
-		if loaded {
-			if st.N != n || st.Seed != seed || st.BatchSize != o.BatchSize || st.CheckEvery != o.CheckEvery {
-				return total, 0, fmt.Errorf(
-					"mcengine: checkpoint %q is from a different run (n=%d seed=%d batch=%d check=%d, want n=%d seed=%d batch=%d check=%d)",
-					ckName, st.N, st.Seed, st.BatchSize, st.CheckEvery, n, seed, o.BatchSize, o.CheckEvery)
-			}
-			total, done, startLane = st.Total, st.Done, st.NextLane
-			if st.Stopped || startLane >= lanes {
-				return total, done, nil
-			}
-		}
-	}
-
-	// Observability: handles resolved once per run — the registry
-	// carried by ctx when there is one (per-job rings in the job
-	// server), otherwise the process default — and all nil (every use
-	// a no-op) when neither is installed. Instrumentation is
-	// read-only — it can never change the merged result, which stays
-	// bit-identical for any worker count.
+	// Instrumentation counts only what the merge and stop callbacks
+	// see; the executor serializes both, so plain ints suffice.
 	reg := obs.For(ctx)
 	var (
-		runSp       *obs.SpanHandle
-		barrierHist *obs.Histogram
-		mergeHist   *obs.Histogram
-		runStart    time.Time
-		rounds      int
-		stopped     bool
+		lanes, rounds int
+		stopped       bool
+		mergeHist     *obs.Histogram
+		start         time.Time
 	)
 	if reg != nil {
-		_, runSp = reg.Span(ctx, "mcengine.run")
-		defer runSp.End()
-		barrierHist = reg.Histogram("mc_barrier_wait_seconds", 0, 10, 64)
 		mergeHist = reg.Histogram("mc_merge_seconds", 0, 1, 64)
-		runStart = time.Now()
-		defer func() {
-			reg.Counter("mc_runs_total").Inc()
-			reg.Counter("mc_rounds_total").Add(int64(rounds))
-			reg.Counter("mc_samples_total").Add(int64(done))
-			if stopped {
-				reg.Counter("mc_early_stops_total").Inc()
-				reg.Gauge("mc_early_stop_round").Set(float64(rounds))
+		start = time.Now()
+	}
+	p := Plan[T, P]{
+		Span: "mcengine.run", N: n, BatchSize: o.BatchSize, Workers: o.Workers,
+		CheckEvery: o.CheckEvery, Checkpoint: o.Checkpoint, CheckpointName: name,
+		Ident: fmt.Sprintf("seed=%d", seed),
+		Kernel: func(_, lane, count int) (P, error) {
+			var part P
+			err := resilient.Fire(fpLane)
+			if err == nil {
+				part, err = kernel(lane, count, rand.New(rand.NewSource(SubstreamSeed(seed, lane))))
 			}
-			if wall := time.Since(runStart).Seconds(); wall > 0 {
-				reg.Gauge("mc_samples_per_sec").Set(float64(done) / wall)
+			if err != nil {
+				return part, fmt.Errorf("mcengine: lane %d: %w", lane, err)
 			}
-		}()
+			return part, nil
+		},
+		Merge: func(t T, lane int, part P) T {
+			lanes++
+			if mergeHist != nil {
+				t0 := time.Now()
+				t = merge(t, lane, part)
+				mergeHist.Observe(time.Since(t0).Seconds())
+				return t
+			}
+			return merge(t, lane, part)
+		},
+	}
+	if stop != nil {
+		p.Stop = func(t T, samples int) bool {
+			rounds++
+			stopped = stop(t, samples)
+			return stopped
+		}
+	}
+	if o.OnQuarantine != nil {
+		p.Quarantine = func(t T, lane, count int, err error) T {
+			o.OnQuarantine(lane, count, err)
+			return t
+		}
 	}
 
-	for lo := startLane; lo < lanes; lo += round {
-		hi := lo + round
-		if hi > lanes {
-			hi = lanes
+	total, done, err := Execute(ctx, p, total)
+	if !stopped {
+		rounds++ // the final (or only) stretch after the last check
+	}
+	if reg != nil {
+		reg.Counter("mc_runs_total").Inc()
+		reg.Counter("mc_rounds_total").Add(int64(rounds))
+		reg.Counter("mc_lanes_total").Add(int64(lanes))
+		reg.Counter("mc_samples_total").Add(int64(done))
+		if stopped {
+			reg.Counter("mc_early_stops_total").Inc()
+			reg.Gauge("mc_early_stop_round").Set(float64(rounds))
 		}
-		parts := make([]P, hi-lo)
-		errs := make([]error, hi-lo)
-		completed := make([]bool, hi-lo)
-		quar := make([]bool, hi-lo)
-		workers := o.Workers
-		if workers > hi-lo {
-			workers = hi - lo
-		}
-		var (
-			next     = int64(lo) - 1
-			failed   int32
-			wg       sync.WaitGroup
-			poolOnce sync.Once
-			poolErr  error
-		)
-		// A panic escaping the per-lane guard (pool bookkeeping itself)
-		// still degrades to a run error instead of crashing the process.
-		onPool := func(err error) {
-			poolOnce.Do(func() { poolErr = err })
-			atomic.StoreInt32(&failed, 1)
-		}
-		for w := 0; w < workers; w++ {
-			resilient.Go(&wg, "mcengine.worker", func() error {
-				for {
-					l := int(atomic.AddInt64(&next, 1))
-					if l >= hi {
-						return nil
-					}
-					if atomic.LoadInt32(&failed) != 0 {
-						continue
-					}
-					if ctx.Err() != nil {
-						// Stop claiming; lanes already claimed by other
-						// workers finish, and the barrier merges the
-						// contiguous completed prefix below.
-						return nil
-					}
-					err := resilient.Call(fpLane, func() error {
-						if err := resilient.Fire(fpLane); err != nil {
-							return err
-						}
-						rng := rand.New(rand.NewSource(SubstreamSeed(seed, l)))
-						p, err := kernel(l, laneCount(l), rng)
-						if err != nil {
-							return err
-						}
-						parts[l-lo] = p
-						completed[l-lo] = true
-						return nil
-					})
-					if err != nil {
-						var pe *resilient.PanicError
-						if errors.As(err, &pe) && o.OnQuarantine != nil {
-							// Quarantine: the lane contributes nothing
-							// and the run continues. OnQuarantine runs on
-							// the worker goroutine, possibly concurrently
-							// with other lanes' callbacks.
-							quar[l-lo] = true
-							o.OnQuarantine(l, laneCount(l), err)
-							continue
-						}
-						errs[l-lo] = err
-						atomic.StoreInt32(&failed, 1)
-					}
-				}
-			}, onPool)
-		}
-		var barrierStart time.Time
-		if reg != nil {
-			barrierStart = time.Now()
-		}
-		wg.Wait()
-		if reg != nil {
-			barrierHist.Observe(time.Since(barrierStart).Seconds())
-		}
-		for i, e := range errs {
-			if e != nil {
-				var zero T
-				return zero, done, fmt.Errorf("mcengine: lane %d: %w", lo+i, e)
-			}
-		}
-		if poolErr != nil {
-			var zero T
-			return zero, done, fmt.Errorf("mcengine: worker pool: %w", poolErr)
-		}
-		// When the context was interrupted mid-round, merge only the
-		// contiguous completed prefix of this round's lanes: lane-order
-		// folding keeps even a partial total deterministic for the
-		// samples it covers.
-		canceled := ctx.Err() != nil
-		var mergeStart time.Time
-		if reg != nil {
-			mergeStart = time.Now()
-		}
-		merged, prefix := 0, 0
-		for i := range parts {
-			if !completed[i] && !quar[i] {
-				break
-			}
-			prefix++
-			if quar[i] {
-				continue
-			}
-			l := lo + i
-			total = merge(total, l, parts[i])
-			done += laneCount(l)
-			merged++
-		}
-		if reg != nil {
-			mergeHist.Observe(time.Since(mergeStart).Seconds())
-			reg.Counter("mc_lanes_total").Add(int64(merged))
-		}
-		if canceled {
-			// Persist the merged prefix so a later resume continues
-			// from the interruption point instead of lane zero.
-			if o.Checkpoint.Enabled() {
-				if err := saveState(lo+prefix, false); err != nil {
-					return total, done, err
-				}
-			}
-			return total, done, resilient.CtxErr(ctx)
-		}
-		rounds++
-		if hi < lanes && stop != nil && stop(total, done) {
-			stopped = true
-			if err := saveState(hi, true); err != nil {
-				return total, done, err
-			}
-			return total, done, nil
-		}
-		if o.Checkpoint.Enabled() && hi < lanes && rounds%o.Checkpoint.Interval() == 0 {
-			if err := saveState(hi, false); err != nil {
-				return total, done, err
-			}
+		if wall := time.Since(start).Seconds(); wall > 0 {
+			reg.Gauge("mc_samples_per_sec").Set(float64(done) / wall)
 		}
 	}
-	if err := saveState(lanes, false); err != nil {
-		return total, done, err
+	if err != nil && !resilient.Interrupted(err) {
+		var zero T
+		return zero, done, err
 	}
-	return total, done, nil
+	return total, done, err
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // histStripes is the stripe count of every histogram: enough that a
-// detection pool's workers rarely collide on one stripe mutex, small
+// campaign pool's workers rarely collide on one stripe mutex, small
 // enough that the merge at snapshot time is trivial. Power of two so
 // stripe selection is a mask.
 const histStripes = 8

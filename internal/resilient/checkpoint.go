@@ -41,9 +41,10 @@ type Checkpointer struct {
 	// Dir is the snapshot directory (created on first save). Empty
 	// disables checkpointing.
 	Dir string
-	// Every is the save cadence in engine units — round barriers for
-	// the MC engine, completed batches for the fault campaigns. <= 1
-	// saves at every unit.
+	// Every is the save cadence in merged lanes of mcengine.Execute —
+	// MC lanes for mcengine.Run, 63-fault batches for the fault and
+	// campaign engines, width lanes for the SOC sweep. <= 1 saves at
+	// every lane.
 	Every int
 	// Resume makes Load return existing snapshots; without it Load is
 	// a no-op and runs start fresh (overwriting old snapshots as they

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -94,9 +96,24 @@ func writeError(w http.ResponseWriter, status int, errType ErrType, msg string) 
 	})
 }
 
+// maxSubmitBytes caps a POST /v1/jobs body. A job spec is a few
+// hundred bytes; the cap only stops one request from pinning memory.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, ErrTypeBadRequest,
+			fmt.Sprintf("request body exceeds the %d-byte cap", maxSubmitBytes))
+		return
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrTypeBadRequest, "read body: "+err.Error())
+		return
+	}
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrTypeBadRequest, "decode body: "+err.Error())

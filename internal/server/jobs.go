@@ -344,7 +344,6 @@ func (t *campaignTask) prepare(_ context.Context) (uint64, error) {
 
 func (t *campaignTask) run(ctx context.Context, env taskEnv) (*Result, error) {
 	rep, stats, err := t.dt.RunSpectralOpts(ctx, campaign.Options{
-		SimWorkers:    env.workers,
 		DetectWorkers: env.workers,
 		Quarantine:    true,
 		Checkpoint:    env.ckpt,

@@ -178,8 +178,9 @@ type Config struct {
 	// CheckpointDir enables durability: the job ledger and each job's
 	// engine snapshots live under it. Empty = in-memory only.
 	CheckpointDir string
-	// CheckpointEvery is the engine snapshot cadence in engine units
-	// (round barriers / batches). <= 1 saves at every unit.
+	// CheckpointEvery is the engine snapshot cadence in merged engine
+	// lanes (MC lanes, fault batches, SOC widths). <= 1 saves at every
+	// lane.
 	CheckpointEvery int
 	// Resume replays the ledger found in CheckpointDir on startup:
 	// terminal jobs are served from the ledger, live ones re-enqueued

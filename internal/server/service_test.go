@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -452,5 +453,50 @@ func TestHandlerSpecDefaults(t *testing.T) {
 	}
 	if final.Result.Text == "" {
 		t.Fatalf("mc text missing")
+	}
+}
+
+// TestSubmitBodyCap pins the submit body bound at its boundary: a
+// spec padded to exactly maxSubmitBytes is accepted, one byte more is
+// a 413 with a typed body naming the cap, and an empty body is a 400.
+func TestSubmitBodyCap(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1})
+	spec, err := json.Marshal(quickTranslate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pad inside the object so the decoder must read every byte.
+	padded := func(size int) []byte {
+		return append(append([]byte("{"), bytes.Repeat([]byte(" "), size-len(spec))...), spec[1:]...)
+	}
+	for _, tc := range []struct {
+		name     string
+		body     []byte
+		status   int
+		wantType ErrType
+		wantMsg  string
+	}{
+		{"at cap", padded(maxSubmitBytes), http.StatusCreated, errTypeNone, ""},
+		{"cap+1", padded(maxSubmitBytes + 1), http.StatusRequestEntityTooLarge, ErrTypeBadRequest, strconv.Itoa(maxSubmitBytes)},
+		{"empty", nil, http.StatusBadRequest, ErrTypeBadRequest, "decode body"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				resp.Body.Close()
+				t.Fatalf("status %s, want %d", resp.Status, tc.status)
+			}
+			if tc.wantType == errTypeNone {
+				resp.Body.Close()
+				return
+			}
+			eb := errorBody(t, resp)
+			if eb.Type != tc.wantType || !strings.Contains(eb.Message, tc.wantMsg) {
+				t.Fatalf("error body %+v, want type %s naming %q", eb, tc.wantType, tc.wantMsg)
+			}
+		})
 	}
 }

@@ -7,7 +7,7 @@
 // omega <= W. Because the lane results do not depend on W, the
 // candidate set for W+1 is a superset of the one for W — so a wider
 // TAM can never increase the optimal test time, by construction, and
-// worker-count invariance, cancellation and round-barrier
+// worker-count invariance, cancellation and merged-prefix
 // checkpoint/resume all come from the engine.
 package soc
 

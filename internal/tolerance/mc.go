@@ -17,21 +17,22 @@ type MCOptions struct {
 	// reproducibility contract (same seed, different BatchSize is a
 	// different experiment). Defaults to mcengine.DefaultBatchSize.
 	BatchSize int
-	// CheckEvery is the early-stop round size in lanes; used only when
-	// TargetHalfWidth > 0. Defaults to 4.
+	// CheckEvery is the early-stop cadence in merged lanes; used only
+	// when TargetHalfWidth > 0. Defaults to 4.
 	CheckEvery int
-	// TargetHalfWidth, when positive, stops the run at the first round
-	// barrier where the confidence half-widths of BOTH the FCL and YL
-	// proportions are at or below it. The stopping decision is taken
-	// only at deterministic round barriers, so early-stopped results
-	// remain bit-identical at any worker count.
+	// TargetHalfWidth, when positive, stops the run at the first
+	// CheckEvery boundary where the confidence half-widths of BOTH the
+	// FCL and YL proportions are at or below it. The stopping decision
+	// is taken only on the merged lane prefix at deterministic lane
+	// counts, so early-stopped results remain bit-identical at any
+	// worker count.
 	TargetHalfWidth float64
 	// Confidence is the CI level for TargetHalfWidth and the reported
 	// half-widths. Defaults to 0.95.
 	Confidence float64
-	// Checkpoint, when enabled, snapshots the merged tally at round
-	// barriers so a killed run resumes bit-identically (see
-	// resilient.Checkpointer).
+	// Checkpoint, when enabled, snapshots the merged tally every
+	// Checkpoint.Every merged lanes so a killed run resumes
+	// bit-identically (see resilient.Checkpointer).
 	Checkpoint *resilient.Checkpointer
 	// CheckpointName names this run's snapshot inside Checkpoint.Dir.
 	// Defaults to the engine default ("mc"); set it when one command
@@ -120,7 +121,7 @@ func estimateFrom(t lossTally, samples int, z, target float64) LossEstimate {
 // (seed + lane index) and fanned across a bounded worker pool, so the
 // result is bit-identical to SerialMonteCarloLosses for any worker
 // count. With opts.TargetHalfWidth > 0 the run stops at the first
-// round barrier where both loss CIs reach the target, and
+// CheckEvery boundary where both loss CIs reach the target, and
 // LossEstimate.Samples reports the draws actually spent.
 //
 // Cancellation and deadlines on ctx are honored at lane granularity
@@ -155,8 +156,8 @@ func MonteCarloLosses(ctx context.Context, pDist, errDist Normal, spec, testLimi
 
 // SerialMonteCarloLosses is the single-goroutine reference
 // implementation of the same substream contract: a plain loop over the
-// lane decomposition, with the early-stop check at the same round
-// barriers. MonteCarloLosses must be byte-identical to it for any
+// lane decomposition, with the early-stop check at the same
+// CheckEvery boundaries. MonteCarloLosses must be byte-identical to it for any
 // worker count — the property the engine's tests pin.
 func SerialMonteCarloLosses(pDist, errDist Normal, spec, testLimit SpecLimit, n int, seed int64, opts MCOptions) (LossEstimate, error) {
 	if n <= 0 {

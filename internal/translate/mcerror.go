@@ -203,8 +203,9 @@ type MCConfig struct {
 	// Workers and BatchSize are passed to the engine (zero = engine
 	// defaults).
 	Workers, BatchSize int
-	// Checkpoint, when enabled, snapshots the merged accumulator at
-	// round barriers so a killed refinement resumes bit-identically.
+	// Checkpoint, when enabled, snapshots the merged accumulator every
+	// Checkpoint.Every merged lanes so a killed refinement resumes
+	// bit-identically.
 	Checkpoint *resilient.Checkpointer
 	// CheckpointName names this run's snapshot inside Checkpoint.Dir.
 	// Defaults to the engine default ("mc"); RefineErrSigmaMC derives a

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Pre-merge gate: vet, build, race-enabled tests, bench smokes, and
 # the recorded perf trajectory — the dsp scratch pairs, the
-# spectral-campaign pair and the E6 simulation benchmarks are
-# benchmarked, gated against the last entry of BENCH_dsp.json /
-# BENCH_campaign.json / BENCH_e6.json (cmd/benchrecord), and appended
-# on success.
+# spectral-campaign pair, the E6 simulation benchmarks and the engine
+# pairs are benchmarked, gated against the last entry of
+# BENCH_dsp.json / BENCH_campaign.json / BENCH_e6.json /
+# BENCH_engines.json recorded in the same environment
+# (cmd/benchrecord; a trajectory with no entry from this host fails
+# the gate instead of comparing across hosts), and appended on success.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -183,7 +185,9 @@ go test -run '^$' -bench 'BenchmarkCampaignObs|BenchmarkMCObs' -benchtime 3x .
 echo "== bench record + regression gate (dsp scratch pairs) =="
 # Run the allocating/scratch benchmark pairs and append the numbers to
 # the BENCH_*.json perf trajectories. -compare first gates the run
-# against the last recorded entry: any allocs/op growth fails, and so
+# against the last entry recorded in the same environment (goos,
+# goarch, cpu, GOMAXPROCS; with none, it refuses): any allocs/op
+# growth fails, and so
 # does ns/op drift beyond -max-ns-regress (25% here — the tool default
 # is 15%, but shared CI machines need the extra noise headroom; the
 # allocs/op gate is exact either way). The commit SHA and timestamp are
@@ -229,6 +233,19 @@ go test -run '^$' -bench 'BenchmarkPathCapture' -benchmem -benchtime 1s \
     ./internal/params >>"$tmp/bench_e6.txt"
 go run ./cmd/benchrecord -out BENCH_e6.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 25 -max-allocs-regress 2 <"$tmp/bench_e6.txt"
+
+echo "== bench record + regression gate (engine pairs) =="
+# The layer pairs of the two executor-driven engines, recorded to
+# BENCH_engines.json: the fault simulator on one 63-fault batch
+# (BenchmarkFaultSimParallel vs the one-fault-at-a-time Serial path)
+# and the MC loss estimator (BenchmarkMCLossesEngine vs its plain-loop
+# Serial reference). Both parallel legs run on mcengine.Execute's
+# goroutine pool, so their alloc counts move with goroutine reuse like
+# the E6 set's; this gate takes the E6 step's slack.
+go test -run '^$' -bench 'BenchmarkFaultSim(Parallel|Serial)$|BenchmarkMCLosses(Engine|Serial)$' \
+    -benchmem -benchtime 1s . >"$tmp/bench_engines.txt"
+go run ./cmd/benchrecord -out BENCH_engines.json -sha "$sha" -date "$now" \
+    -compare -max-ns-regress 25 -max-allocs-regress 2 <"$tmp/bench_engines.txt"
 
 echo "== bench record + regression gate (mstxvet catalog) =="
 # The vet-runtime budget: the full analyzer catalog (CFG + call graph
