@@ -562,6 +562,32 @@ func BenchmarkSpectralCampaign(b *testing.B) {
 	b.ReportMetric(100*screened, "%screened")
 }
 
+// BenchmarkRecordsFromBaseline measures the campaign's record
+// generation alone: every 63-fault batch of the default E8 universe
+// replayed against one fault-free baseline capture of the realistic
+// stimulus (the cone simulation plus the per-lane decode, no
+// detection). Reported metric: faults simulated per second.
+func BenchmarkRecordsFromBaseline(b *testing.B) {
+	dt := benchDigitalTest(b, 1024)
+	base, err := digital.NewFIRSim(dt.FIR).CaptureBaseline(dt.RealisticCodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := dt.Universe
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < len(u.Faults); lo += 63 {
+			hi := min(lo+63, len(u.Faults))
+			if _, err := fault.RecordsFromBaseline(u, base, u.Faults[lo:hi]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	faults := float64(len(u.Faults)) * float64(b.N)
+	b.ReportMetric(faults/b.Elapsed().Seconds(), "faults/s")
+}
+
 // benchSOC builds the default four-core SOC once for the scheduling
 // benchmark pair.
 func benchSOC(b *testing.B) *soc.SOC {

@@ -2,6 +2,7 @@ package digital
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mstx/internal/netlist"
 )
@@ -30,6 +31,10 @@ type FIR struct {
 	// multiplier and its adder into the sum tree), used to map detected
 	// faults back to "a fault in tap i" as in the paper's Figure 1.
 	TapNets [][]netlist.NetID
+
+	// tapOf[n] is TapOfNet(n), tabulated from TapNets by the
+	// constructor.
+	tapOf []int32
 }
 
 // FIROptions selects implementation variants of the gate-level FIR.
@@ -105,6 +110,7 @@ func NewFIRWithOptions(coeffs []int64, inWidth int, opts FIROptions) (*FIR, erro
 	b.MarkOutputBus(sum, "y")
 	fir.OutBus = sum
 	fir.Circuit = b.C
+	fir.indexTapNets()
 	if err := fir.Circuit.Validate(); err != nil {
 		return nil, fmt.Errorf("digital: built FIR fails validation: %w", err)
 	}
@@ -117,17 +123,29 @@ func (f *FIR) Taps() int { return len(f.Coeffs) }
 // OutWidth returns the output bus width in bits.
 func (f *FIR) OutWidth() int { return len(f.OutBus) }
 
-// TapOfNet returns the index of the tap whose cone contains net n, or
-// -1 when the net belongs to the shared sum tree.
+// TapOfNet returns the index of the first tap whose cone contains net
+// n, or -1 when the net belongs to the shared sum tree. It is a table
+// lookup, built once with the filter.
 func (f *FIR) TapOfNet(n netlist.NetID) int {
-	for i, cone := range f.TapNets {
-		for _, m := range cone {
-			if m == n {
-				return i
-			}
+	if n < 0 || int(n) >= len(f.tapOf) {
+		return -1
+	}
+	return int(f.tapOf[n])
+}
+
+// indexTapNets tabulates TapOfNet from TapNets. It walks the taps
+// backwards so that, for a net listed by several taps, the first tap
+// wins, as a front-to-back scan would find it.
+func (f *FIR) indexTapNets() {
+	f.tapOf = make([]int32, f.Circuit.NumNets())
+	for n := range f.tapOf {
+		f.tapOf[n] = -1
+	}
+	for i := len(f.TapNets) - 1; i >= 0; i-- {
+		for _, n := range f.TapNets[i] {
+			f.tapOf[n] = int32(i)
 		}
 	}
-	return -1
 }
 
 // Reference computes the exact behavioural response y[n] = Σ c_i·x[n-i]
@@ -357,10 +375,16 @@ func (s *FIRSim) CaptureBaseline(xs []int64) (*Baseline, error) {
 
 // RunLanesCone is RunLanesPeriodic replayed differentially against a
 // baseline captured from the same stimulus: per step only the fanout
-// cone of the injected faults is re-evaluated, and only cone outputs
-// are decoded per lane (the rest carry the good value). The returned
-// records are bit-identical to RunLanesPeriodic's. Inject faults
-// before calling.
+// cone of the injected faults is re-evaluated, and only the bits where
+// a lane's cone outputs differ from the good output are decoded. Every
+// lane starts as a copy of the good record; at each step each cone
+// output word is XORed against that output's broadcast good bit, and
+// only the set bits in lanes 1..lanes-1 are visited, flipping that bit
+// (and, for the output MSB, the sign-extension bits) in that lane.
+// Most lanes differ from the good machine in a few bits on a few
+// steps, so the decode costs what the faults change, not lanes ×
+// outputs. The returned records are bit-identical to
+// RunLanesPeriodic's. Inject faults before calling.
 func (s *FIRSim) RunLanesCone(base *Baseline, lanes int) ([][]int64, error) {
 	if lanes <= 0 || lanes > 64 {
 		return nil, fmt.Errorf("digital: lanes %d out of range [1,64]", lanes)
@@ -371,37 +395,37 @@ func (s *FIRSim) RunLanesCone(base *Baseline, lanes int) ([][]int64, error) {
 	}
 	steps := len(base.Snaps)
 	out := make([][]int64, lanes)
-	out[0] = append([]int64(nil), base.Good...)
-	for l := 1; l < lanes; l++ {
-		out[l] = make([]int64, steps)
+	for l := range out {
+		out[l] = append([]int64(nil), base.Good...)
 	}
 	outNets := s.fir.Circuit.Outputs
 	width := len(outNets)
-	coneOuts := cone.OutputIndices()
-	coneWords := make([]uint64, len(coneOuts))
-	var coneMask uint64
-	for _, i := range coneOuts {
-		coneMask |= 1 << uint(i)
-	}
-	widthMask := ^uint64(0)
+	// signExt is what a flipped output MSB also toggles in a decoded
+	// sample: every bit above it.
+	var signExt uint64
 	if width < 64 {
-		widthMask = 1<<uint(width) - 1
+		signExt = ^uint64(0) << uint(width)
 	}
+	laneMask := ^uint64(0) >> uint(64-lanes) &^ 1
 	for t := 0; t < steps; t++ {
 		s.sim.RunCone(cone, base.Snaps[t])
-		for k, i := range coneOuts {
-			coneWords[k] = s.sim.Value(outNets[i])
-		}
-		v0 := uint64(base.Good[t]) & widthMask &^ coneMask
-		for l := 1; l < lanes; l++ {
-			v := v0
-			for k, i := range coneOuts {
-				v |= (coneWords[k] >> uint(l) & 1) << uint(i)
+		good := uint64(base.Good[t])
+		for _, i := range cone.OutputIndices() {
+			if i >= 64 {
+				continue // past the int64 a sample decodes into
 			}
-			if width < 64 && v>>(uint(width)-1)&1 == 1 {
-				v |= ^uint64(0) << uint(width)
+			flip := uint64(1) << uint(i)
+			if i == width-1 {
+				flip |= signExt
 			}
-			out[l][t] = int64(v)
+			diff := s.sim.Value(outNets[i]) & laneMask
+			if good>>uint(i)&1 == 1 {
+				diff ^= laneMask // lanes differ where the word is 0
+			}
+			for diff != 0 {
+				out[bits.TrailingZeros64(diff)][t] ^= int64(flip)
+				diff &= diff - 1
+			}
 		}
 	}
 	return out, nil

@@ -353,10 +353,100 @@ func BenchmarkFIRSimStep13Tap(b *testing.B) {
 	}
 }
 
+// e8FIR builds the E8 default filter: the 13-tap low-pass of
+// experiments.BuildDefaultSpec quantized to 8 fraction bits, on 12-bit
+// ADC codes, with the low 8 bits of the sum truncated
+// (core.DefaultDigitalTestOptions).
+func e8FIR(t testing.TB, opts FIROptions) *FIR {
+	t.Helper()
+	h, err := DesignLowPassFIR(13, 0.18, dsp.Hamming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ints, _, err := QuantizeCoeffs(h, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.DropLSBs = 8
+	fir, err := NewFIRWithOptions(ints, 12, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fir
+}
+
+// checkConeMatchesFull injects faults[i] into lane i+1 and requires
+// RunLanesCone to reproduce RunLanesPeriodic bit for bit. It returns
+// how many fault lanes differ from the good lane anywhere.
+func checkConeMatchesFull(t *testing.T, name string, fir *FIR, xs []int64, faults []netlist.Fault) int {
+	t.Helper()
+	ref := NewFIRSim(fir)
+	diff := NewFIRSim(fir)
+	for i, f := range faults {
+		mask := uint64(1) << uint(i+1)
+		if err := ref.InjectFault(f, mask); err != nil {
+			t.Fatal(err)
+		}
+		if err := diff.InjectFault(f, mask); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ref.RunLanesPeriodic(xs, len(faults)+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := NewFIRSim(fir).CaptureBaseline(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := diff.RunLanesCone(base, len(faults)+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: cone returned %d lanes, full %d", name, len(got), len(want))
+	}
+	differing := 0
+	for l := range want {
+		laneDiffers := false
+		for n := range want[l] {
+			if got[l][n] != want[l][n] {
+				t.Fatalf("%s: lane %d sample %d: cone %d full %d", name, l, n, got[l][n], want[l][n])
+			}
+			laneDiffers = laneDiffers || want[l][n] != want[0][n]
+		}
+		if laneDiffers {
+			differing++
+		}
+	}
+	return differing
+}
+
+// batches splits faults into consecutive batches of at most 63.
+func batches(faults []netlist.Fault) [][]netlist.Fault {
+	var out [][]netlist.Fault
+	for lo := 0; lo < len(faults); lo += 63 {
+		out = append(out, faults[lo:min(lo+63, len(faults))])
+	}
+	return out
+}
+
+// outputBusFaults returns both stuck-at faults on every output-bus net,
+// the MSB included.
+func outputBusFaults(fir *FIR) []netlist.Fault {
+	var out []netlist.Fault
+	for _, n := range fir.OutBus {
+		out = append(out, netlist.Fault{Net: n, Stuck: netlist.StuckAt0}, netlist.Fault{Net: n, Stuck: netlist.StuckAt1})
+	}
+	return out
+}
+
 func TestRunLanesConeMatchesRunLanesPeriodic(t *testing.T) {
 	// The differential replay path must reproduce the full periodic
-	// 63-lane run bit for bit, for fault batches covering primary-input
-	// nets (forced side values) as well as gate outputs (cone gates).
+	// run bit for bit: full and partial batches of random faults
+	// (primary-input nets with forced side values as well as gate
+	// outputs in the cone), faults on every output-bus bit including
+	// the sign bit, a batch that changes nothing, and the E8 filter.
 	fir, err := NewFIR([]int64{5, -11, 23, -11, 5}, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -367,42 +457,94 @@ func TestRunLanesConeMatchesRunLanesPeriodic(t *testing.T) {
 	for i := range xs {
 		xs[i] = int64(rng.Intn(400) - 200)
 	}
+	randomFaults := func(all []netlist.Fault, n int) []netlist.Fault {
+		faults := make([]netlist.Fault, n)
+		for i := range faults {
+			faults[i] = all[rng.Intn(len(all))]
+		}
+		return faults
+	}
 	for trial := 0; trial < 4; trial++ {
-		var faults []netlist.Fault
-		for i := 0; i < 63 && i < len(all); i++ {
-			faults = append(faults, all[rng.Intn(len(all))])
+		checkConeMatchesFull(t, "random 63", fir, xs, randomFaults(all, 63))
+	}
+	for _, n := range []int{1, 2, 17, 62, 63} {
+		checkConeMatchesFull(t, "partial batch", fir, xs, randomFaults(all, n))
+	}
+	for _, batch := range batches(outputBusFaults(fir)) {
+		if checkConeMatchesFull(t, "output bus", fir, xs, batch) == 0 {
+			t.Error("output-bus faults changed no lane")
 		}
-		ref := NewFIRSim(fir)
-		diff := NewFIRSim(fir)
-		for i, f := range faults {
-			mask := uint64(1) << uint(i+1)
-			if err := ref.InjectFault(f, mask); err != nil {
-				t.Fatal(err)
+	}
+
+	// Small non-negative samples never set input bits 4 and up, so
+	// stuck-at-0 faults there reach the outputs' cone without changing
+	// any lane.
+	quiet := make([]int64, 160)
+	for i := range quiet {
+		quiet[i] = int64(rng.Intn(16))
+	}
+	var inert []netlist.Fault
+	for _, bus := range fir.TapBuses {
+		for _, n := range bus[4:] {
+			inert = append(inert, netlist.Fault{Net: n, Stuck: netlist.StuckAt0})
+		}
+	}
+	if got := checkConeMatchesFull(t, "no lane differs", fir, quiet, inert); got != 0 {
+		t.Errorf("inert batch: %d lanes differ, want 0", got)
+	}
+
+	e8 := e8FIR(t, FIROptions{})
+	e8All := netlist.AllFaults(e8.Circuit)
+	stim := make([]int64, 128)
+	for i := range stim {
+		ph := 2 * math.Pi * float64(i) / float64(len(stim))
+		stim[i] = int64(math.Round(900*math.Sin(9*ph) + 900*math.Sin(13*ph)))
+	}
+	for _, n := range []int{63, 17, 1} {
+		checkConeMatchesFull(t, "E8 random", e8, stim, randomFaults(e8All, n))
+	}
+	for _, batch := range batches(outputBusFaults(e8)) {
+		checkConeMatchesFull(t, "E8 output bus", e8, stim, batch)
+	}
+}
+
+// scanTapOfNet is the reference TapOfNet: the first tap whose net list
+// contains n, by linear scan.
+func scanTapOfNet(f *FIR, n netlist.NetID) int {
+	for i, cone := range f.TapNets {
+		for _, m := range cone {
+			if m == n {
+				return i
 			}
-			if err := diff.InjectFault(f, mask); err != nil {
-				t.Fatal(err)
+		}
+	}
+	return -1
+}
+
+func TestTapOfNetMatchesScan(t *testing.T) {
+	check := func(name string, fir *FIR) {
+		t.Helper()
+		for n := -1; n <= fir.Circuit.NumNets(); n++ {
+			if got, want := fir.TapOfNet(netlist.NetID(n)), scanTapOfNet(fir, netlist.NetID(n)); got != want {
+				t.Fatalf("%s: TapOfNet(%d) = %d, scan %d", name, n, got, want)
 			}
 		}
-		want, err := ref.RunLanesPeriodic(xs, len(faults)+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := NewFIRSim(fir).CaptureBaseline(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := diff.RunLanesCone(base, len(faults)+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for l := range want {
-			for n := range want[l] {
-				if got[l][n] != want[l][n] {
-					t.Fatalf("trial %d lane %d sample %d: cone %d full %d",
-						trial, l, n, got[l][n], want[l][n])
-				}
-			}
-		}
+	}
+	check("E8", e8FIR(t, FIROptions{}))
+	csd := e8FIR(t, FIROptions{UseCSD: true})
+	check("CSD", csd)
+
+	// Nets listed by several taps (and sum-tree nets listed by a tap)
+	// resolve to the first tap listing them, as the scan does.
+	shared := e8FIR(t, FIROptions{})
+	last := len(shared.TapNets) - 1
+	shared.TapNets[last] = append(shared.TapNets[last], shared.TapNets[0]...)
+	shared.TapNets[last] = append(shared.TapNets[last], shared.OutBus...)
+	shared.TapNets[2] = append(shared.TapNets[2], shared.TapNets[1][0], shared.OutBus[0])
+	shared.indexTapNets()
+	check("shared", shared)
+	if got := shared.TapOfNet(shared.OutBus[0]); got != 2 {
+		t.Errorf("shared sum-tree net: TapOfNet = %d, want 2 (first listing tap)", got)
 	}
 }
 

@@ -33,7 +33,9 @@ func (c *Cone) Gates() int { return len(c.gates) }
 
 // OutputIndices returns the indices (into Circuit.Outputs) of the
 // primary outputs whose value can differ from the baseline. Outputs
-// not listed carry the fault-free value in every lane.
+// not listed carry the fault-free value in every lane, so a decoder
+// need only compare these outputs' words against their baseline bits
+// (digital.FIRSim.RunLanesCone visits just the differing lane bits).
 func (c *Cone) OutputIndices() []int { return c.outIdx }
 
 // BuildCone compiles the fanout cone of the currently injected faults.

@@ -437,3 +437,30 @@ func TestHistSnapshotQuantile(t *testing.T) {
 		t.Error("empty snapshot should return NaN")
 	}
 }
+
+func TestSpanRingWraps(t *testing.T) {
+	// At and around its capacity the ring keeps the newest n records,
+	// oldest first.
+	const n = 5
+	for _, adds := range []int{0, n - 1, n, n + 1, 2*n + 3} {
+		rg := newSpanRing(n)
+		for i := 0; i < adds; i++ {
+			rg.add(SpanRecord{Name: fmt.Sprintf("s%d", i)})
+		}
+		got := rg.snapshot()
+		first := max(adds-n, 0)
+		if len(got) != adds-first {
+			t.Fatalf("%d adds: snapshot holds %d records, want %d", adds, len(got), adds-first)
+		}
+		for i, rec := range got {
+			if want := fmt.Sprintf("s%d", first+i); rec.Name != want {
+				t.Errorf("%d adds: snapshot[%d] = %s, want %s", adds, i, rec.Name, want)
+			}
+		}
+	}
+	off := newSpanRing(0)
+	off.add(SpanRecord{Name: "dropped"})
+	if got := off.snapshot(); got == nil || len(got) != 0 {
+		t.Errorf("disabled ring snapshot = %#v, want empty", got)
+	}
+}

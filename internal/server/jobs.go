@@ -190,6 +190,32 @@ func fnv1a(h uint64, s string) uint64 {
 
 const fnvOffset = uint64(14695981039346656037)
 
+// The spec size caps. A job spec is untrusted input, and each field
+// below sets the size of the work or memory a job asks for; a spec
+// over its cap is a bad request naming the field and the cap. Each cap
+// sits well above the largest value the tests, examples, goldens and
+// benchmark workloads send (cold-mix's translate jobs send 1 000 000
+// samples).
+const (
+	maxPatterns   = 1 << 16
+	maxCaptureN   = 1 << 16
+	maxDevices    = 1024
+	maxMCSamples  = 10_000_000
+	maxSamples    = 10_000_000
+	maxTAMWidths  = 64 // entries in tam_widths
+	maxTAMWidth   = 1024
+	maxCores      = 64 // entries in cores
+	maxIterations = 1 << 14
+)
+
+// checkCap rejects v above limit, naming the field and the cap.
+func checkCap(field string, v, limit int) error {
+	if v > limit {
+		return fmt.Errorf("%s %d exceeds the cap %d", field, v, limit)
+	}
+	return nil
+}
+
 // normalize validates the spec and fills in the kind's defaults, so
 // the canonical identity string never depends on which zero fields the
 // client omitted.
@@ -198,6 +224,9 @@ func (sp *Spec) normalize() error {
 	case "campaign":
 		if sp.Patterns == 0 {
 			sp.Patterns = 1024
+		}
+		if err := checkCap("campaign patterns", sp.Patterns, maxPatterns); err != nil {
+			return err
 		}
 		if sp.Patterns < 64 || sp.Patterns&(sp.Patterns-1) != 0 {
 			return fmt.Errorf("campaign patterns %d must be a power of two ≥ 64", sp.Patterns)
@@ -215,8 +244,20 @@ func (sp *Spec) normalize() error {
 		if sp.MCSamples == 0 {
 			sp.MCSamples = 200000
 		}
+		if sp.MCSamples < 0 {
+			return fmt.Errorf("mc mc_samples %d must be ≥ 0", sp.MCSamples)
+		}
 		if sp.CaptureN == 0 {
 			sp.CaptureN = 2048
+		}
+		if err := checkCap("mc devices", sp.Devices, maxDevices); err != nil {
+			return err
+		}
+		if err := checkCap("mc mc_samples", sp.MCSamples, maxMCSamples); err != nil {
+			return err
+		}
+		if err := checkCap("mc capture_n", sp.CaptureN, maxCaptureN); err != nil {
+			return err
 		}
 		if sp.CaptureN < 64 || sp.CaptureN&(sp.CaptureN-1) != 0 {
 			return fmt.Errorf("mc capture_n %d must be a power of two ≥ 64", sp.CaptureN)
@@ -243,6 +284,12 @@ func (sp *Spec) normalize() error {
 		if sp.Samples == 0 {
 			sp.Samples = 100000
 		}
+		if sp.Samples < 0 {
+			return fmt.Errorf("translate samples %d must be ≥ 0", sp.Samples)
+		}
+		if err := checkCap("translate samples", sp.Samples, maxSamples); err != nil {
+			return err
+		}
 		if sp.BatchSize < 0 {
 			return fmt.Errorf("translate batch_size %d must be ≥ 0", sp.BatchSize)
 		}
@@ -250,10 +297,19 @@ func (sp *Spec) normalize() error {
 		if len(sp.TAMWidths) == 0 {
 			sp.TAMWidths = append([]int(nil), experiments.DefaultTAMWidths...)
 		}
+		if err := checkCap("soc tam_widths length", len(sp.TAMWidths), maxTAMWidths); err != nil {
+			return err
+		}
 		for _, w := range sp.TAMWidths {
 			if w < 1 {
 				return fmt.Errorf("soc tam_widths entry %d must be ≥ 1", w)
 			}
+			if err := checkCap("soc tam_widths entry", w, maxTAMWidth); err != nil {
+				return err
+			}
+		}
+		if err := checkCap("soc cores length", len(sp.Cores), maxCores); err != nil {
+			return err
 		}
 		seen := make(map[string]bool, len(sp.Cores))
 		for _, id := range sp.Cores {
@@ -270,6 +326,9 @@ func (sp *Spec) normalize() error {
 		}
 		if sp.Iterations == 0 {
 			sp.Iterations = soc.DefaultIterations
+		}
+		if err := checkCap("soc iterations", sp.Iterations, maxIterations); err != nil {
+			return err
 		}
 		if sp.Seed == 0 {
 			sp.Seed = experiments.DefaultSOCSeed

@@ -39,9 +39,12 @@ type Detector struct {
 	// called a fault effect.
 	MarginDB float64
 
-	ref      *dsp.Spectrum
-	excluded map[int]bool
-	n        int
+	ref *dsp.Spectrum
+	// excluded[k] marks bin k as left out of the comparison; nExcluded
+	// counts the marked bins.
+	excluded  []bool
+	nExcluded int
+	n         int
 }
 
 // NewDetector builds a detector from the good-circuit record produced
@@ -88,23 +91,27 @@ func spectrumOf(rec []int64, fs float64) (*dsp.Spectrum, error) {
 	return dsp.PowerSpectrum(f, fs, dsp.BlackmanHarris)
 }
 
-func (d *Detector) buildExclusions() {
-	d.excluded = make(map[int]bool)
-	mark := func(k int) {
-		for i := k - d.GuardBins; i <= k+d.GuardBins; i++ {
-			if i >= 0 && i < len(d.ref.Power) {
-				d.excluded[i] = true
-			}
+// exclude marks the bins within GuardBins of bin k, counting each bin
+// once however many bands overlap it.
+func (d *Detector) exclude(k int) {
+	for i := max(k-d.GuardBins, 0); i <= k+d.GuardBins && i < len(d.excluded); i++ {
+		if !d.excluded[i] {
+			d.excluded[i] = true
+			d.nExcluded++
 		}
 	}
-	mark(0)
+}
+
+func (d *Detector) buildExclusions() {
+	d.excluded = make([]bool, len(d.ref.Power))
+	d.exclude(0)
 	for _, f := range d.ToneFreqs {
-		mark(d.ref.Bin(f))
+		d.exclude(d.ref.Bin(f))
 		// Harmonics of the stimulus also ride on elevated uncertainty
 		// (analog distortion varies device to device); exclude 2nd and
 		// 3rd.
-		mark(d.ref.Bin(2 * f))
-		mark(d.ref.Bin(3 * f))
+		d.exclude(d.ref.Bin(2 * f))
+		d.exclude(d.ref.Bin(3 * f))
 	}
 	// Intermodulation products of tone pairs carry the analog front
 	// end's (device-dependent) distortion — their uncertainty is not
@@ -114,10 +121,10 @@ func (d *Detector) buildExclusions() {
 			if i == j {
 				continue
 			}
-			mark(d.ref.Bin(math.Abs(2*f1 - f2)))
-			mark(d.ref.Bin(math.Abs(f2 - f1)))
-			mark(d.ref.Bin(f1 + f2))
-			mark(d.ref.Bin(2*f1 + f2))
+			d.exclude(d.ref.Bin(math.Abs(2*f1 - f2)))
+			d.exclude(d.ref.Bin(math.Abs(f2 - f1)))
+			d.exclude(d.ref.Bin(f1 + f2))
+			d.exclude(d.ref.Bin(2*f1 + f2))
 		}
 	}
 }
@@ -128,12 +135,7 @@ func (d *Detector) buildExclusions() {
 // through and LO leakage aliases — whose levels vary device to device.
 // Call before CalibrateFloor.
 func (d *Detector) ExcludeFrequency(f float64) {
-	k := d.ref.Bin(f)
-	for i := k - d.GuardBins; i <= k+d.GuardBins; i++ {
-		if i >= 0 && i < len(d.ref.Power) {
-			d.excluded[i] = true
-		}
-	}
+	d.exclude(d.ref.Bin(f))
 }
 
 // CalibrateFloor sets FloorPower from a realistic fault-free capture:
@@ -321,7 +323,7 @@ func (d *Detector) NewWorkerDetect() (func(good, faulty []int64) (bool, error), 
 // ComparedBins returns how many spectrum bins participate in the
 // comparison.
 func (d *Detector) ComparedBins() int {
-	return len(d.ref.Power) - len(d.excluded)
+	return len(d.ref.Power) - d.nExcluded
 }
 
 // FloorDBFS returns the calibrated floor power in dB relative to the

@@ -432,3 +432,47 @@ func TestGuardBinsExcludeTones(t *testing.T) {
 		t.Error("DC not excluded")
 	}
 }
+
+func TestComparedBinsCountsOverlapOnce(t *testing.T) {
+	// Overlapping exclusion bands — a repeated frequency, a band
+	// sliding over another, a band inside the tone guard — must each
+	// remove a bin from the comparison once.
+	_, _, goodIdeal, _, tones, fs := buildFilterAndRecords(t, 512)
+	det, err := NewDetector(goodIdeal, fs, tones, 3, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared := func() int {
+		n := 0
+		for k := range det.ref.Power {
+			if !det.excluded[k] {
+				n++
+			}
+		}
+		return n
+	}
+	binFreq := func(k int) float64 { return dsp.CoherentBin(fs, 512, k) }
+	steps := []struct {
+		name    string
+		bin     int
+		removed int
+	}{
+		// Bin 150's ±3 band clears the tones (37, 53), their
+		// harmonics and their intermodulation products.
+		{"fresh band", 150, 7},
+		{"same band again", 150, 0},
+		{"overlapping band", 152, 2},
+		{"inside a tone guard", 37, 0},
+	}
+	want := det.ComparedBins()
+	if want != compared() {
+		t.Fatalf("ComparedBins = %d, counted %d", want, compared())
+	}
+	for _, st := range steps {
+		det.ExcludeFrequency(binFreq(st.bin))
+		want -= st.removed
+		if got := det.ComparedBins(); got != want || got != compared() {
+			t.Errorf("%s: ComparedBins = %d, want %d (counted %d)", st.name, got, want, compared())
+		}
+	}
+}

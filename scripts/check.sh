@@ -197,14 +197,22 @@ echo "== bench record + regression gate (dsp scratch pairs) =="
 # last entry.
 sha=$(git rev-parse --short HEAD)
 now=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-go test -run '^$' -bench 'Allocating|Scratch' -benchmem -benchtime 500ms \
+go test -run '^$' -bench 'Allocating|Scratch|FFTPlanned4096$' -benchmem -benchtime 500ms \
     ./internal/dsp >"$tmp/bench_dsp.txt"
 go run ./cmd/benchrecord -out BENCH_dsp.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 25 <"$tmp/bench_dsp.txt"
 
-echo "== bench record + regression gate (spectral campaign pair) =="
-go test -run '^$' -bench 'BenchmarkSpectralCampaign' -benchmem -benchtime 3x \
+echo "== bench record + regression gate (spectral campaign and its layers) =="
+# The pooled campaign vs its seed path, plus the layers under it:
+# record generation alone (BenchmarkRecordsFromBaseline: every batch
+# of the E8 universe replayed against one baseline), one full-netlist
+# step of the 13-tap filter, and the compiled simulator on an XOR tree.
+go test -run '^$' -bench 'BenchmarkSpectralCampaign|BenchmarkRecordsFromBaseline' -benchmem -benchtime 3x \
     . >"$tmp/bench_campaign.txt"
+go test -run '^$' -bench 'BenchmarkFIRSimStep13Tap$' -benchmem -benchtime 1s \
+    ./internal/digital >>"$tmp/bench_campaign.txt"
+go test -run '^$' -bench 'BenchmarkSimulatorXorTree$' -benchmem -benchtime 1s \
+    ./internal/netlist >>"$tmp/bench_campaign.txt"
 go run ./cmd/benchrecord -out BENCH_campaign.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 25 <"$tmp/bench_campaign.txt"
 
