@@ -11,6 +11,7 @@ package mstx_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -545,8 +546,10 @@ func benchDigitalTest(b *testing.B, patterns int) *core.DigitalTest {
 // the zero-diff screen (compare with BenchmarkSpectralCampaignSeed).
 // Reported metrics: faults simulated per second and the fraction of
 // lanes the screen resolved without a transform.
-func BenchmarkSpectralCampaign(b *testing.B) {
-	dt := benchDigitalTest(b, 1024)
+func BenchmarkSpectralCampaign(b *testing.B) { benchSpectralCampaign(b, 1024) }
+
+func benchSpectralCampaign(b *testing.B, patterns int) {
+	dt := benchDigitalTest(b, patterns)
 	var screened float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -564,11 +567,14 @@ func BenchmarkSpectralCampaign(b *testing.B) {
 
 // BenchmarkRecordsFromBaseline measures the campaign's record
 // generation alone: every 63-fault batch of the default E8 universe
-// replayed against one fault-free baseline capture of the realistic
-// stimulus (the cone simulation plus the per-lane decode, no
-// detection). Reported metric: faults simulated per second.
-func BenchmarkRecordsFromBaseline(b *testing.B) {
-	dt := benchDigitalTest(b, 1024)
+// propagated over one fault-free baseline capture of the realistic
+// stimulus on one replay (the per-fault event-driven propagation plus
+// the differing-bit decode, no detection). Reported metric: faults
+// simulated per second.
+func BenchmarkRecordsFromBaseline(b *testing.B) { benchRecordsFromBaseline(b, 1024) }
+
+func benchRecordsFromBaseline(b *testing.B, patterns int) {
+	dt := benchDigitalTest(b, patterns)
 	base, err := digital.NewFIRSim(dt.FIR).CaptureBaseline(dt.RealisticCodes)
 	if err != nil {
 		b.Fatal(err)
@@ -576,9 +582,13 @@ func BenchmarkRecordsFromBaseline(b *testing.B) {
 	u := dt.Universe
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		replay, err := digital.NewFaultReplay(dt.FIR)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for lo := 0; lo < len(u.Faults); lo += 63 {
 			hi := min(lo+63, len(u.Faults))
-			if _, err := fault.RecordsFromBaseline(u, base, u.Faults[lo:hi]); err != nil {
+			if _, err := fault.RecordsFromBaseline(replay, base, u.Faults[lo:hi]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -586,6 +596,49 @@ func BenchmarkRecordsFromBaseline(b *testing.B) {
 	b.StopTimer()
 	faults := float64(len(u.Faults)) * float64(b.N)
 	b.ReportMetric(faults/b.Elapsed().Seconds(), "faults/s")
+}
+
+// BenchmarkShortRecordCampaign runs BenchmarkRecordsFromBaseline and
+// BenchmarkSpectralCampaign on the short records the service also
+// takes: 64 patterns (durable-mix's campaign jobs and the server
+// tests) and 256 (the mstxd smoke). A 64-pattern record is one word
+// per net, so each gate a fault disturbs is evaluated over one word:
+// the per-fault overhead (the scheduling walk, the record copy and
+// decode) weighs most there.
+func BenchmarkShortRecordCampaign(b *testing.B) {
+	for _, patterns := range []int{64, 256} {
+		b.Run(fmt.Sprintf("records/patterns=%d", patterns), func(b *testing.B) {
+			benchRecordsFromBaseline(b, patterns)
+		})
+		b.Run(fmt.Sprintf("campaign/patterns=%d", patterns), func(b *testing.B) {
+			benchSpectralCampaign(b, patterns)
+		})
+	}
+}
+
+// BenchmarkCaptureBaseline measures the campaign's parallel-pattern
+// good pass at 1024 patterns: the serial delay-line shift, 16
+// simulator passes of 64 steps each, and the copy of every net's
+// value into the time-packed view.
+func BenchmarkCaptureBaseline(b *testing.B) {
+	dt := benchDigitalTest(b, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := digital.NewFIRSim(dt.FIR).CaptureBaseline(dt.RealisticCodes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildDigitalTest measures the campaign job's prepare at
+// 1024 patterns: the gate-level filter, both stimulus records (the
+// realistic one through the analog path), the two packed good runs and
+// the detector calibration. It runs on every campaign job, cold or
+// cached.
+func BenchmarkBuildDigitalTest(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		benchDigitalTest(b, 1024)
+	}
 }
 
 // benchSOC builds the default four-core SOC once for the scheduling

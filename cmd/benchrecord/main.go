@@ -14,6 +14,13 @@
 // rather than comparing numbers across hosts; record a first entry
 // here without -compare to start gating.
 //
+// A benchmark may appear several times in the input, as `go test
+// -count N` prints it: the recorded entry then holds the median ns/op,
+// B/op and allocs/op of the N samples plus their min/max spread, and
+// -compare gates on the medians, so one noisy sample can neither fail
+// nor pass the gate alone. A name seen under two packages, or under two
+// environments, is still rejected.
+//
 // Usage:
 //
 //	go test -bench X -benchmem ./pkg | benchrecord -out BENCH_x.json \
@@ -39,12 +46,21 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-// BenchResult is one benchmark's measurements from a single run.
+// BenchResult is one benchmark's measurements from a run. For a run
+// of several samples (-count N) each measurement is the median of the
+// samples, and Samples, NsMin/NsMax and AllocsMin/AllocsMax record
+// how many there were and how far they spread; a one-sample run leaves
+// those zero.
 type BenchResult struct {
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BPerOp      int64   `json:"b_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	Samples     int     `json:"samples,omitempty"`
+	NsMin       float64 `json:"ns_min,omitempty"`
+	NsMax       float64 `json:"ns_max,omitempty"`
+	AllocsMin   int64   `json:"allocs_min,omitempty"`
+	AllocsMax   int64   `json:"allocs_max,omitempty"`
 }
 
 // Env is the environment stamp of a run, taken from the go test
@@ -99,9 +115,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchrecord: no benchmark lines in input")
 		return 2
 	}
-	for name, r := range benches {
-		fmt.Fprintf(stdout, "%-40s %10d iter %14.1f ns/op %8d B/op %6d allocs/op\n",
+	for _, name := range sortedKeys(benches) {
+		r := benches[name]
+		fmt.Fprintf(stdout, "%-40s %10d iter %14.1f ns/op %8d B/op %6d allocs/op",
 			name, r.Iterations, r.NsPerOp, r.BPerOp, r.AllocsPerOp)
+		if r.Samples > 1 {
+			fmt.Fprintf(stdout, " (median of %d, ns/op %.1f..%.1f)", r.Samples, r.NsMin, r.NsMax)
+		}
+		fmt.Fprintln(stdout)
 	}
 	if *echoOnly {
 		return 0
@@ -169,10 +190,14 @@ func lastFrom(trajectory []Entry, env Env) (Entry, bool) {
 // The -N GOMAXPROCS suffix is stripped so recorded names are stable
 // across machines, and kept in the stamp. Output that mixes
 // environments (two packages' headers disagreeing, or two different
-// -N suffixes) is rejected: one entry has one stamp.
+// -N suffixes) is rejected: one entry has one stamp. Repeated lines of
+// one benchmark in one package are samples of it (-count N) and are
+// summarized by median; the same name under two packages is rejected.
 func parseBench(r io.Reader) (map[string]BenchResult, Env, error) {
-	benches := make(map[string]BenchResult)
+	samples := make(map[string][]BenchResult)
+	pkgOf := make(map[string]string)
 	var env Env
+	var pkg string
 	headers := false
 	header := map[string]*string{"goos:": &env.GOOS, "goarch:": &env.GOARCH, "cpu:": &env.CPU}
 	sc := bufio.NewScanner(r)
@@ -181,6 +206,10 @@ func parseBench(r io.Reader) (map[string]BenchResult, Env, error) {
 		line := sc.Text()
 		fields := strings.Fields(line)
 		if len(fields) > 1 {
+			if fields[0] == "pkg:" {
+				pkg = fields[1]
+				continue
+			}
 			if dst, ok := header[fields[0]]; ok {
 				v := strings.TrimSpace(strings.TrimPrefix(line, fields[0]))
 				if *dst != "" && *dst != v {
@@ -225,19 +254,51 @@ func parseBench(r io.Reader) (map[string]BenchResult, Env, error) {
 		if !ok {
 			continue
 		}
-		if _, dup := benches[name]; dup {
-			return nil, Env{}, fmt.Errorf("duplicate benchmark %q in input (mixed runs?)", name)
+		if prev, seen := pkgOf[name]; seen && prev != pkg {
+			return nil, Env{}, fmt.Errorf("duplicate benchmark %q in packages %q and %q", name, prev, pkg)
 		}
-		benches[name] = res
+		pkgOf[name] = pkg
+		samples[name] = append(samples[name], res)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, Env{}, err
+	}
+	benches := make(map[string]BenchResult, len(samples))
+	for name, ss := range samples {
+		benches[name] = summarize(ss)
 	}
 	if env.GOMAXPROCS == 0 && headers && len(benches) > 0 {
 		// go test names a GOMAXPROCS=1 benchmark without a suffix.
 		env.GOMAXPROCS = 1
 	}
 	return benches, env, nil
+}
+
+// summarize reduces one benchmark's samples to a result: a single
+// sample as it is, several to the median of each measurement plus the
+// ns/op and allocs/op ranges. For an even count the median is the
+// upper of the two middle values, which errs towards failing the gate.
+func summarize(ss []BenchResult) BenchResult {
+	if len(ss) == 1 {
+		return ss[0]
+	}
+	median := func(key func(BenchResult) float64) (med, lo, hi float64) {
+		vals := make([]float64, len(ss))
+		for i, s := range ss {
+			vals[i] = key(s)
+		}
+		sort.Float64s(vals)
+		return vals[len(vals)/2], vals[0], vals[len(vals)-1]
+	}
+	iters, _, _ := median(func(r BenchResult) float64 { return float64(r.Iterations) })
+	ns, nsMin, nsMax := median(func(r BenchResult) float64 { return r.NsPerOp })
+	b, _, _ := median(func(r BenchResult) float64 { return float64(r.BPerOp) })
+	allocs, allocsMin, allocsMax := median(func(r BenchResult) float64 { return float64(r.AllocsPerOp) })
+	return BenchResult{
+		Iterations: int64(iters), NsPerOp: ns, BPerOp: int64(b), AllocsPerOp: int64(allocs),
+		Samples: len(ss), NsMin: nsMin, NsMax: nsMax,
+		AllocsMin: int64(allocsMin), AllocsMax: int64(allocsMax),
+	}
 }
 
 // compareRuns returns one human-readable line per regression of cur

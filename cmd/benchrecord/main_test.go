@@ -51,10 +51,88 @@ func TestParseBenchWithoutBenchmem(t *testing.T) {
 	}
 }
 
-func TestParseBenchRejectsDuplicates(t *testing.T) {
-	in := "BenchmarkX-4 100 500 ns/op\nBenchmarkX-4 100 510 ns/op\n"
-	if _, _, err := parseBench(strings.NewReader(in)); err == nil {
-		t.Fatal("duplicate benchmark accepted")
+// TestParseBenchRejectsCrossedDuplicates: repeated lines of one
+// benchmark are -count samples, but the same name in two packages or
+// under two environments is a mixed run, not a sample.
+func TestParseBenchRejectsCrossedDuplicates(t *testing.T) {
+	for name, in := range map[string]string{
+		"packages":   "pkg: a\nBenchmarkX-4 100 500 ns/op\npkg: b\nBenchmarkX-4 100 510 ns/op\n",
+		"gomaxprocs": "BenchmarkX-4 100 500 ns/op\nBenchmarkX-2 100 510 ns/op\n",
+		"cpu":        "cpu: A\nBenchmarkX-4 100 500 ns/op\ncpu: B\nBenchmarkX-4 100 510 ns/op\n",
+	} {
+		if _, _, err := parseBench(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: duplicate benchmark accepted", name)
+		}
+	}
+}
+
+// countRun is a -count 5 run of one benchmark whose middle sample is a
+// 2x outlier.
+const countRun = `goos: linux
+goarch: amd64
+pkg: mstx/internal/dsp
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkPowerSpectrumScratch1024-8  	      50	     14874 ns/op	       0 B/op	       0 allocs/op
+BenchmarkPowerSpectrumScratch1024-8  	      50	     15100 ns/op	       0 B/op	       0 allocs/op
+BenchmarkPowerSpectrumScratch1024-8  	      50	     29748 ns/op	      16 B/op	       1 allocs/op
+BenchmarkPowerSpectrumScratch1024-8  	      60	     14700 ns/op	       0 B/op	       0 allocs/op
+BenchmarkPowerSpectrumScratch1024-8  	      50	     15000 ns/op	       0 B/op	       0 allocs/op
+PASS
+`
+
+func TestParseBenchMedianOfSamples(t *testing.T) {
+	benches, env, err := parseBench(strings.NewReader(countRun))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := benches["BenchmarkPowerSpectrumScratch1024"]
+	want := BenchResult{
+		Iterations: 50, NsPerOp: 15000, BPerOp: 0, AllocsPerOp: 0,
+		Samples: 5, NsMin: 14700, NsMax: 29748, AllocsMin: 0, AllocsMax: 1,
+	}
+	if r != want {
+		t.Errorf("summary = %+v, want %+v", r, want)
+	}
+	if env.GOMAXPROCS != 8 {
+		t.Errorf("GOMAXPROCS = %d, want 8", env.GOMAXPROCS)
+	}
+	// An even count takes the upper middle value.
+	two := "BenchmarkX-2 10 100 ns/op\nBenchmarkX-2 10 300 ns/op\n"
+	if benches, _, err := parseBench(strings.NewReader(two)); err != nil || benches["BenchmarkX"].NsPerOp != 300 {
+		t.Errorf("even-count median = %+v (%v), want 300 ns/op", benches["BenchmarkX"], err)
+	}
+}
+
+// TestGateUsesMedianOfSamples: against a one-sample baseline, a
+// five-sample run whose one outlier sample is 2x slow and allocates
+// passes the gate on its median and records the spread, while a run
+// whose median regressed fails.
+func TestGateUsesMedianOfSamples(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "BENCH_test.json")
+	base := countRun[:strings.Index(countRun, "BenchmarkPowerSpectrumScratch1024-8  \t      50\t     15100")]
+	if code, _, stderr := record(t, file, base, "-sha", "base"); code != 0 {
+		t.Fatalf("baseline record exited %d: %s", code, stderr)
+	}
+	if code, _, stderr := record(t, file, countRun, "-sha", "outlier", "-compare"); code != 0 {
+		t.Fatalf("one outlier sample failed the median gate: exit %d, %s", code, stderr)
+	}
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trajectory []Entry
+	if err := json.Unmarshal(data, &trajectory); err != nil {
+		t.Fatal(err)
+	}
+	got := trajectory[len(trajectory)-1].Benchmarks["BenchmarkPowerSpectrumScratch1024"]
+	if got.Samples != 5 || got.NsMin != 14700 || got.NsMax != 29748 || got.AllocsMax != 1 || got.NsPerOp != 15000 {
+		t.Errorf("recorded %+v, want the median and spread of 5 samples", got)
+	}
+
+	slow := strings.NewReplacer("15100 ns/op", "29000 ns/op", "15000 ns/op", "29500 ns/op").Replace(countRun)
+	code, _, stderr := record(t, file, slow, "-sha", "slow", "-compare")
+	if code != 1 || !strings.Contains(stderr, "BenchmarkPowerSpectrumScratch1024") {
+		t.Fatalf("regressed median: exit %d, stderr %s", code, stderr)
 	}
 }
 

@@ -270,7 +270,7 @@ func runSpectral(ctx context.Context, w io.Writer, fir *digital.FIR, u *fault.Un
 		det.FloorDBFS(), sigma, rep)
 	mode := "full per-batch simulation"
 	if stats.Differential {
-		mode = "differential cone replay"
+		mode = "parallel-pattern fault replay"
 	}
 	fmt.Fprintf(w, "engine: %d batches (%s), %d lanes zero-diff screened, %d memoized, %d spectra computed\n",
 		stats.Batches, mode, stats.Screened, stats.Memoized, stats.Spectra)

@@ -27,10 +27,13 @@
 // NoiseFloor and CoherentAverage variants for streaming callers.
 //
 // Two further campaign-level reuses exploit that every batch drives
-// the same stimulus. Record generation is differential: the fault-free
-// machine's net values are captured once per step (digital.Baseline)
-// and each batch re-evaluates only the fanout cone of its 63 faults —
-// a small fraction of the circuit — instead of the whole netlist.
+// the same stimulus. Record generation is parallel-pattern single-fault
+// propagation: the FIR netlist is combinational (its delay line lives
+// outside it), so one fault-free pass, 64 record steps per simulator
+// word, captures every net's value over the whole record
+// (digital.Baseline's time-packed view), and each fault then
+// re-evaluates only the gates its effect reaches — a small fraction of
+// the circuit — over those words, on its worker's digital.FaultReplay.
 // And detection is memoized: structurally inequivalent faults often
 // produce byte-identical output records, whose spectra and verdicts
 // are necessarily identical too, so each distinct record pays for at
@@ -79,11 +82,11 @@ type Options struct {
 	// DisableScreen turns the zero-diff screen off (every lane pays
 	// its FFT); the screen is on by default and changes no verdict.
 	DisableScreen bool
-	// DisableDifferential turns cone-differential record generation
+	// DisableDifferential turns parallel-pattern record generation
 	// off (every batch re-evaluates the full netlist per step). The
-	// differential path is on by default whenever the circuit compiles
-	// and the baseline snapshot fits the memory budget; it changes no
-	// record bit.
+	// parallel-pattern path is on by default whenever the circuit
+	// compiles and the baseline view fits the memory budget; it
+	// changes no record bit.
 	DisableDifferential bool
 	// DisableMemo turns record-verdict memoization off (byte-identical
 	// faulty records each pay their own transform); memoization is on
@@ -105,8 +108,8 @@ type Options struct {
 	CheckpointName string
 }
 
-// maxBaselineBytes caps the differential baseline snapshot (one bit
-// per net per record step); campaigns exceeding it fall back to full
+// maxBaselineBytes caps the baseline's time-packed view (one bit per
+// net per record step); campaigns exceeding it fall back to full
 // per-batch simulation rather than ballooning memory.
 const maxBaselineBytes = 256 << 20
 
@@ -124,8 +127,8 @@ type Stats struct {
 	// Spectra counts spectral evaluations actually performed,
 	// including the one good-record evaluation backing the screen.
 	Spectra int
-	// Differential reports whether record generation replayed fault
-	// cones against a shared baseline (false: full per-batch runs).
+	// Differential reports whether record generation propagated each
+	// fault over a shared baseline (false: full per-batch runs).
 	Differential bool
 	// Quarantined counts faults whose batch panicked and was isolated
 	// under Options.Quarantine (their Results carry no verdict).
@@ -220,9 +223,9 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	// good record is the same for every batch (lane 0 of each pass),
 	// so compute it — and its verdict — once up front. This also
 	// surfaces stimulus/detector length mismatches before any batch
-	// spins up. When the differential path is viable the same pass
-	// captures the per-step baseline snapshots every batch replays its
-	// fault cones against.
+	// spins up. When the parallel-pattern path is viable the same pass
+	// captures the time-packed baseline view every fault is propagated
+	// over.
 	goodSim := digital.NewFIRSim(e.U.FIR)
 	var (
 		good   []int64
@@ -262,6 +265,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	// verdict.
 	workers := min(max(e.Opts.DetectWorkers, 1), nBatches)
 	scratch := make([]*spectest.Scratch, workers)
+	replays := make([]*digital.FaultReplay, workers)
 	var memo *memoTable
 	if !e.Opts.DisableMemo {
 		memo = newMemoTable()
@@ -323,7 +327,18 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 				err   error
 			)
 			if useDiff {
-				lanes, err = fault.RecordsFromBaseline(e.U, base, e.U.Faults[lo:lo+count])
+				if replays[w] == nil {
+					if replays[w], err = digital.NewFaultReplay(e.U.FIR); err != nil {
+						return batchResult{}, err
+					}
+				}
+				// A panic mid-batch may leave the replay's propagator
+				// mid-walk (nets marked, gates scheduled), so the worker
+				// keeps it only once the batch returns.
+				r := replays[w]
+				replays[w] = nil
+				lanes, err = fault.RecordsFromBaseline(r, base, e.U.Faults[lo:lo+count])
+				replays[w] = r
 			} else {
 				_, lanes, err = fault.Records(e.U, xs, e.U.Faults[lo:lo+count])
 			}

@@ -87,7 +87,7 @@ func TestEngineMatchesSerialSimulate(t *testing.T) {
 }
 
 func TestEngineReusePathsChangeNothing(t *testing.T) {
-	// The three campaign-level reuses — differential cone replay,
+	// The three campaign-level reuses — parallel-pattern fault replay,
 	// zero-diff screening, and record-verdict memoization — must be
 	// invisible in the report: run the engine with everything disabled
 	// (full per-batch simulation, one FFT per lane) and with everything
@@ -118,7 +118,7 @@ func TestEngineReusePathsChangeNothing(t *testing.T) {
 		t.Errorf("disabled memo still memoized %d lanes", statsP.Memoized)
 	}
 	if !statsT.Differential {
-		t.Error("differential path not taken on a compiled circuit")
+		t.Error("parallel-pattern path not taken on a compiled circuit")
 	}
 	if !reflect.DeepEqual(repP, repT) {
 		t.Fatal("campaign reuses changed the report")

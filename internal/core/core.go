@@ -292,9 +292,9 @@ func (s *Synthesizer) BuildDigitalTest(opts DigitalTestOptions) (*DigitalTest, e
 	u := fault.NewUniverse(fir, opts.Collapse)
 
 	// Reference: gate-level good machine on the ideal codes
-	// (steady-state periodic response, as in the fault campaigns).
-	sim := digital.NewFIRSim(fir)
-	goodIdeal, err := sim.RunPeriodic(idealCodes)
+	// (steady-state periodic response, as in the fault campaigns),
+	// computed 64 steps per simulator pass.
+	goodIdeal, err := digital.NewFIRSim(fir).RunPeriodic(idealCodes)
 	if err != nil {
 		return nil, err
 	}
@@ -310,8 +310,7 @@ func (s *Synthesizer) BuildDigitalTest(opts DigitalTestOptions) (*DigitalTest, e
 	det.ExcludeFrequency(dspAlias(s.Spec.LO.FreqHz.Nominal, fs))
 	// Calibrate against the gate-level response to the realistic
 	// capture.
-	sim2 := digital.NewFIRSim(fir)
-	goodReal, err := sim2.RunPeriodic(realCodes)
+	goodReal, err := digital.NewFIRSim(fir).RunPeriodic(realCodes)
 	if err != nil {
 		return nil, err
 	}

@@ -198,8 +198,8 @@ func (s *FIRSim) Reset() {
 // ClearFaults removes all injected faults.
 func (s *FIRSim) ClearFaults() { s.sim.ClearFaults() }
 
-// Compiled reports whether the underlying simulator supports
-// cone-differential replay (RunLanesCone).
+// Compiled reports whether the circuit compiles, which FaultReplay
+// requires.
 func (s *FIRSim) Compiled() bool { return s.sim.Compiled() }
 
 // InjectFault injects a stuck-at fault into the given lanes.
@@ -222,13 +222,18 @@ func Saturate(v int64, width int) int64 {
 	return v
 }
 
+// shift moves x, saturated to the input width, into the delay line.
+func (s *FIRSim) shift(x int64) {
+	copy(s.delay[1:], s.delay[:len(s.delay)-1])
+	s.delay[0] = Saturate(x, s.fir.InWidth)
+}
+
 // Step shifts x into the delay line, evaluates the netlist, and
 // returns the per-lane outputs. The returned slice is reused by the
 // next Step; callers keeping results must copy. x is saturated to the
 // input width.
 func (s *FIRSim) Step(x int64) ([]uint64, error) {
-	copy(s.delay[1:], s.delay[:len(s.delay)-1])
-	s.delay[0] = Saturate(x, s.fir.InWidth)
+	s.shift(x)
 	w := s.fir.InWidth
 	for tap, v := range s.delay {
 		for bit := 0; bit < w; bit++ {
@@ -282,7 +287,21 @@ func (s *FIRSim) Warm(xs []int64) error {
 // delay line is warmed with the record tail, so the output record is
 // the steady-state response with no start-up transient. This is the
 // evaluation mode for spectral (coherent-test) campaigns.
+//
+// A simulator with no fault injected computes the record 64 steps per
+// netlist pass: the delay line shifts serially, exactly as the warm-up
+// and Step do, so records shorter than Taps−1 keep their semantics,
+// and step 64w+k drives lane k of pass w (16 passes instead of 1036
+// for 1024 samples). With faults injected it steps serially and
+// returns lane 0.
 func (s *FIRSim) RunPeriodic(xs []int64) ([]int64, error) {
+	if !s.sim.HasFaults() {
+		good := make([]int64, len(xs))
+		if err := s.runPacked(xs, good, nil); err != nil {
+			return nil, err
+		}
+		return good, nil
+	}
 	if err := s.warmTail(xs); err != nil {
 		return nil, err
 	}
@@ -324,111 +343,137 @@ func (f *FIR) ReferencePeriodic(xs []int64) []int64 {
 	return out
 }
 
-// Baseline is a fault-free periodic run captured for differential
-// replay: a bit-packed net-value snapshot of every record step plus
-// the decoded good output record. One capture serves every fault batch
-// of a campaign over the same stimulus (see RunLanesCone). The
-// fault-free machine broadcasts its inputs to all lanes, so every net
-// word is all-zeros or all-ones and one bit per net loses nothing —
-// and a whole record's snapshots stay cache-resident while dozens of
-// batches replay against them.
+// Baseline is a fault-free periodic run captured for parallel-pattern
+// single-fault propagation: every net's value over the record,
+// time-packed, plus the decoded good output record. One capture
+// serves every fault of a campaign over the same stimulus (see
+// FaultReplay).
 type Baseline struct {
-	// Snaps[t] holds the packed net values at record step t
-	// (netlist.SnapshotBits layout).
-	Snaps [][]uint64
+	// View is the time-packed net-value view (netlist.Propagator's
+	// layout): bit k of View[n*W+w], W = ⌈len(Good)/64⌉, is net n at
+	// record step 64w+k.
+	View []uint64
 	// Good is the decoded fault-free output record.
 	Good []int64
 }
 
-// BaselineBytes returns the snapshot storage size of a steps-long
-// capture, for callers budgeting memory beforehand.
+// BaselineBytes returns the view storage size of a steps-long capture,
+// for callers budgeting memory beforehand.
 func BaselineBytes(f *FIR, steps int) int {
-	return steps * netlist.BitWords(f.Circuit.NumNets()) * 8
+	return (steps + 63) / 64 * f.Circuit.NumNets() * 8
 }
 
 // CaptureBaseline runs xs as one period of a periodic stimulus on the
-// fault-free machine (faults must not be injected on this simulator)
-// and records the per-step net-value snapshots and the good output
-// record.
+// fault-free machine, 64 steps per simulator pass (as RunPeriodic
+// does), and keeps every pass's net values as the baseline's
+// time-packed view.
 func (s *FIRSim) CaptureBaseline(xs []int64) (*Baseline, error) {
-	if err := s.warmTail(xs); err != nil {
-		return nil, err
-	}
-	bw := netlist.BitWords(s.fir.Circuit.NumNets())
-	backing := make([]uint64, len(xs)*bw)
 	base := &Baseline{
-		Snaps: make([][]uint64, len(xs)),
-		Good:  make([]int64, len(xs)),
+		View: make([]uint64, BaselineBytes(s.fir, len(xs))/8),
+		Good: make([]int64, len(xs)),
 	}
-	for i, x := range xs {
-		words, err := s.Step(x)
-		if err != nil {
-			return nil, err
-		}
-		snap := backing[i*bw : (i+1)*bw]
-		s.sim.SnapshotBits(snap)
-		base.Snaps[i] = snap
-		base.Good[i] = DecodeSignedLane(words, 0)
+	if err := s.runPacked(xs, base.Good, base.View); err != nil {
+		return nil, err
 	}
 	return base, nil
 }
 
-// RunLanesCone is RunLanesPeriodic replayed differentially against a
-// baseline captured from the same stimulus: per step only the fanout
-// cone of the injected faults is re-evaluated, and only the bits where
-// a lane's cone outputs differ from the good output are decoded. Every
-// lane starts as a copy of the good record; at each step each cone
-// output word is XORed against that output's broadcast good bit, and
-// only the set bits in lanes 1..lanes-1 are visited, flipping that bit
-// (and, for the output MSB, the sign-extension bits) in that lane.
-// Most lanes differ from the good machine in a few bits on a few
-// steps, so the decode costs what the faults change, not lanes ×
-// outputs. The returned records are bit-identical to
-// RunLanesPeriodic's. Inject faults before calling.
-func (s *FIRSim) RunLanesCone(base *Baseline, lanes int) ([][]int64, error) {
-	if lanes <= 0 || lanes > 64 {
-		return nil, fmt.Errorf("digital: lanes %d out of range [1,64]", lanes)
+// runPacked is the parallel-pattern good pass behind CaptureBaseline
+// and RunPeriodic: it decodes the output record into good and, when
+// view is non-nil, copies pass w's net values into word w of each
+// net's view row.
+func (s *FIRSim) runPacked(xs []int64, good []int64, view []uint64) error {
+	if s.sim.HasFaults() {
+		return fmt.Errorf("digital: parallel-pattern good pass on a simulator with faults injected")
 	}
-	cone := s.sim.BuildCone()
-	if cone == nil {
-		return nil, fmt.Errorf("digital: circuit not compiled for cone replay")
+	warm := min(s.fir.Taps()-1, len(xs))
+	for _, x := range xs[len(xs)-warm:] {
+		s.shift(x)
 	}
-	steps := len(base.Snaps)
-	out := make([][]int64, lanes)
-	for l := range out {
-		out[l] = append([]int64(nil), base.Good...)
+	words := (len(xs) + 63) / 64
+	width := s.fir.InWidth
+	for w := 0; 64*w < len(xs); w++ {
+		clear(s.inWords)
+		n := min(64, len(xs)-64*w)
+		for k := 0; k < n; k++ {
+			s.shift(xs[64*w+k])
+			for tap, v := range s.delay {
+				for bit := 0; bit < width; bit++ {
+					s.inWords[tap*width+bit] |= uint64(v>>uint(bit)&1) << uint(k)
+				}
+			}
+		}
+		out, err := s.sim.Run(s.inWords)
+		if err != nil {
+			return err
+		}
+		for k := 0; k < n; k++ {
+			good[64*w+k] = DecodeSignedLane(out, k)
+		}
+		if view != nil {
+			for n, v := range s.sim.Values() {
+				view[n*words+w] = v
+			}
+		}
 	}
-	outNets := s.fir.Circuit.Outputs
-	width := len(outNets)
-	// signExt is what a flipped output MSB also toggles in a decoded
-	// sample: every bit above it.
+	return nil
+}
+
+// FaultReplay generates single-fault output records from a Baseline
+// by parallel-pattern single-fault propagation: the gates each fault
+// disturbs are re-evaluated over the baseline's time-packed view, and
+// only the output bits that differ from the good record are decoded. It holds
+// one netlist.Propagator and so is per-worker state, not safe for
+// concurrent use.
+type FaultReplay struct {
+	fir  *FIR
+	prop *netlist.Propagator
+}
+
+// NewFaultReplay returns a replay for f. It fails when the circuit
+// does not compile (FIRSim.Compiled reports false).
+func NewFaultReplay(f *FIR) (*FaultReplay, error) {
+	prop, err := netlist.NewPropagator(f.Circuit)
+	if err != nil {
+		return nil, err
+	}
+	return &FaultReplay{fir: f, prop: prop}, nil
+}
+
+// Record returns the output record of the machine with fault f over
+// the stimulus base was captured from, bit-identical to that fault's
+// lane of RunLanesPeriodic. It starts as a copy of base.Good and flips
+// only the set bits of each reached output's difference words; a
+// flipped output MSB also flips the sign-extension bits above it.
+func (r *FaultReplay) Record(base *Baseline, f netlist.Fault) ([]int64, error) {
+	steps := len(base.Good)
+	outs, diff, err := r.prop.Propagate(base.View, steps, f)
+	if err != nil {
+		return nil, err
+	}
+	rec := append([]int64(nil), base.Good...)
+	width := len(r.fir.Circuit.Outputs)
 	var signExt uint64
 	if width < 64 {
 		signExt = ^uint64(0) << uint(width)
 	}
-	laneMask := ^uint64(0) >> uint(64-lanes) &^ 1
-	for t := 0; t < steps; t++ {
-		s.sim.RunCone(cone, base.Snaps[t])
-		good := uint64(base.Good[t])
-		for _, i := range cone.OutputIndices() {
-			if i >= 64 {
-				continue // past the int64 a sample decodes into
-			}
-			flip := uint64(1) << uint(i)
-			if i == width-1 {
-				flip |= signExt
-			}
-			diff := s.sim.Value(outNets[i]) & laneMask
-			if good>>uint(i)&1 == 1 {
-				diff ^= laneMask // lanes differ where the word is 0
-			}
-			for diff != 0 {
-				out[bits.TrailingZeros64(diff)][t] ^= int64(flip)
-				diff &= diff - 1
+	words := (steps + 63) / 64
+	for j, i := range outs {
+		if i >= 64 {
+			continue // past the int64 a sample decodes into
+		}
+		flip := uint64(1) << uint(i)
+		if i == width-1 {
+			flip |= signExt
+		}
+		for w, d := range diff[j*words : (j+1)*words] {
+			for d != 0 {
+				rec[64*w+bits.TrailingZeros64(d)] ^= int64(flip)
+				d &= d - 1
 			}
 		}
 	}
-	return out, nil
+	return rec, nil
 }
 
 // RunLanes processes a whole record and returns one output record per

@@ -375,19 +375,15 @@ func e8FIR(t testing.TB, opts FIROptions) *FIR {
 	return fir
 }
 
-// checkConeMatchesFull injects faults[i] into lane i+1 and requires
-// RunLanesCone to reproduce RunLanesPeriodic bit for bit. It returns
-// how many fault lanes differ from the good lane anywhere.
-func checkConeMatchesFull(t *testing.T, name string, fir *FIR, xs []int64, faults []netlist.Fault) int {
+// checkReplayMatchesFull injects faults[i] into lane i+1 of a full
+// simulation and requires FaultReplay to reproduce each fault's lane of
+// RunLanesPeriodic bit for bit. It returns how many faults differ from
+// the good lane anywhere.
+func checkReplayMatchesFull(t *testing.T, name string, fir *FIR, xs []int64, faults []netlist.Fault) int {
 	t.Helper()
 	ref := NewFIRSim(fir)
-	diff := NewFIRSim(fir)
 	for i, f := range faults {
-		mask := uint64(1) << uint(i+1)
-		if err := ref.InjectFault(f, mask); err != nil {
-			t.Fatal(err)
-		}
-		if err := diff.InjectFault(f, mask); err != nil {
+		if err := ref.InjectFault(f, uint64(1)<<uint(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -399,23 +395,28 @@ func checkConeMatchesFull(t *testing.T, name string, fir *FIR, xs []int64, fault
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := diff.RunLanesCone(base, len(faults)+1)
+	replay, err := NewFaultReplay(fir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: cone returned %d lanes, full %d", name, len(got), len(want))
-	}
 	differing := 0
-	for l := range want {
-		laneDiffers := false
-		for n := range want[l] {
-			if got[l][n] != want[l][n] {
-				t.Fatalf("%s: lane %d sample %d: cone %d full %d", name, l, n, got[l][n], want[l][n])
-			}
-			laneDiffers = laneDiffers || want[l][n] != want[0][n]
+	for i, f := range faults {
+		got, err := replay.Record(base, f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if laneDiffers {
+		lane := want[i+1]
+		if len(got) != len(lane) {
+			t.Fatalf("%s: fault %v: replay record has %d samples, full %d", name, f, len(got), len(lane))
+		}
+		differs := false
+		for n := range lane {
+			if got[n] != lane[n] {
+				t.Fatalf("%s: fault %v sample %d: replay %d full %d", name, f, n, got[n], lane[n])
+			}
+			differs = differs || lane[n] != want[0][n]
+		}
+		if differs {
 			differing++
 		}
 	}
@@ -441,12 +442,13 @@ func outputBusFaults(fir *FIR) []netlist.Fault {
 	return out
 }
 
-func TestRunLanesConeMatchesRunLanesPeriodic(t *testing.T) {
-	// The differential replay path must reproduce the full periodic
-	// run bit for bit: full and partial batches of random faults
-	// (primary-input nets with forced side values as well as gate
-	// outputs in the cone), faults on every output-bus bit including
-	// the sign bit, a batch that changes nothing, and the E8 filter.
+func TestFaultReplayMatchesRunLanesPeriodic(t *testing.T) {
+	// The parallel-pattern replay must reproduce the full periodic run
+	// bit for bit: full and partial batches of random faults
+	// (primary-input nets as well as gate outputs in the cone), faults
+	// on every output-bus bit including the sign bit, a batch that
+	// changes nothing, records shorter than the delay line's warm-up,
+	// and the E8 filter.
 	fir, err := NewFIR([]int64{5, -11, 23, -11, 5}, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -465,13 +467,13 @@ func TestRunLanesConeMatchesRunLanesPeriodic(t *testing.T) {
 		return faults
 	}
 	for trial := 0; trial < 4; trial++ {
-		checkConeMatchesFull(t, "random 63", fir, xs, randomFaults(all, 63))
+		checkReplayMatchesFull(t, "random 63", fir, xs, randomFaults(all, 63))
 	}
 	for _, n := range []int{1, 2, 17, 62, 63} {
-		checkConeMatchesFull(t, "partial batch", fir, xs, randomFaults(all, n))
+		checkReplayMatchesFull(t, "partial batch", fir, xs, randomFaults(all, n))
 	}
 	for _, batch := range batches(outputBusFaults(fir)) {
-		if checkConeMatchesFull(t, "output bus", fir, xs, batch) == 0 {
+		if checkReplayMatchesFull(t, "output bus", fir, xs, batch) == 0 {
 			t.Error("output-bus faults changed no lane")
 		}
 	}
@@ -489,9 +491,13 @@ func TestRunLanesConeMatchesRunLanesPeriodic(t *testing.T) {
 			inert = append(inert, netlist.Fault{Net: n, Stuck: netlist.StuckAt0})
 		}
 	}
-	if got := checkConeMatchesFull(t, "no lane differs", fir, quiet, inert); got != 0 {
+	if got := checkReplayMatchesFull(t, "no lane differs", fir, quiet, inert); got != 0 {
 		t.Errorf("inert batch: %d lanes differ, want 0", got)
 	}
+
+	// Records shorter than Taps−1 warm the delay line with the whole
+	// record, not a full tail.
+	checkReplayMatchesFull(t, "short record", fir, xs[:2], randomFaults(all, 63))
 
 	e8 := e8FIR(t, FIROptions{})
 	e8All := netlist.AllFaults(e8.Circuit)
@@ -501,11 +507,13 @@ func TestRunLanesConeMatchesRunLanesPeriodic(t *testing.T) {
 		stim[i] = int64(math.Round(900*math.Sin(9*ph) + 900*math.Sin(13*ph)))
 	}
 	for _, n := range []int{63, 17, 1} {
-		checkConeMatchesFull(t, "E8 random", e8, stim, randomFaults(e8All, n))
+		checkReplayMatchesFull(t, "E8 random", e8, stim, randomFaults(e8All, n))
 	}
 	for _, batch := range batches(outputBusFaults(e8)) {
-		checkConeMatchesFull(t, "E8 output bus", e8, stim, batch)
+		checkReplayMatchesFull(t, "E8 output bus", e8, stim, batch)
 	}
+	checkReplayMatchesFull(t, "E8 short record", e8, stim[:5], randomFaults(e8All, 63))
+	checkReplayMatchesFull(t, "E8 partial word", e8, stim[:100], randomFaults(e8All, 63))
 }
 
 // scanTapOfNet is the reference TapOfNet: the first tap whose net list
@@ -549,30 +557,91 @@ func TestTapOfNetMatchesScan(t *testing.T) {
 }
 
 func TestCaptureBaselineGoodRecord(t *testing.T) {
-	// The baseline's Good record is the ordinary periodic response.
-	fir, err := NewFIR([]int64{3, 7, 3}, 8)
+	// The packed good pass — the baseline's Good record and a
+	// fault-free RunPeriodic — is the serial periodic response (lane 0
+	// of RunLanesPeriodic), for record lengths around the 64-step word
+	// and shorter than the warm-up.
+	fir, err := NewFIR([]int64{3, 7, 3, -2, 5}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := make([]int64, 64)
-	for i := range xs {
-		xs[i] = int64(40 * math.Sin(2*math.Pi*5*float64(i)/64))
-	}
-	base, err := NewFIRSim(fir).CaptureBaseline(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewFIRSim(fir).RunPeriodic(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if base.Good[i] != want[i] {
-			t.Fatalf("sample %d: baseline good %d, RunPeriodic %d", i, base.Good[i], want[i])
+	for _, steps := range []int{1, 2, 63, 64, 65, 1000} {
+		xs := make([]int64, steps)
+		for i := range xs {
+			xs[i] = int64(140 * math.Sin(2*math.Pi*5*float64(i)/float64(steps)+0.3))
+		}
+		lanes, err := NewFIRSim(fir).RunLanesPeriodic(xs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := lanes[0]
+		base, err := NewFIRSim(fir).CaptureBaseline(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed, err := NewFIRSim(fir).RunPeriodic(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(base.Good) != steps || len(packed) != steps {
+			t.Fatalf("%d steps: baseline %d samples, packed %d", steps, len(base.Good), len(packed))
+		}
+		for i := range want {
+			if base.Good[i] != want[i] || packed[i] != want[i] {
+				t.Fatalf("%d steps, sample %d: baseline good %d, RunPeriodic %d, serial %d",
+					steps, i, base.Good[i], packed[i], want[i])
+			}
+		}
+		wantBytes := (steps + 63) / 64 * fir.Circuit.NumNets() * 8
+		if BaselineBytes(fir, steps) != wantBytes || len(base.View)*8 != wantBytes {
+			t.Errorf("%d steps: BaselineBytes = %d, view %d bytes, want %d",
+				steps, BaselineBytes(fir, steps), len(base.View)*8, wantBytes)
 		}
 	}
-	want8 := len(xs) * netlist.BitWords(fir.Circuit.NumNets()) * 8
-	if BaselineBytes(fir, len(xs)) != want8 {
-		t.Errorf("BaselineBytes = %d, want %d", BaselineBytes(fir, len(xs)), want8)
+
+	// A simulator carrying faults cannot capture a baseline: its lanes
+	// are time steps there, not fault lanes. RunPeriodic on it steps
+	// serially and returns the faulty lane 0.
+	xs := make([]int64, 40)
+	for i := range xs {
+		xs[i] = int64(90 * math.Sin(2*math.Pi*3*float64(i)/40))
+	}
+	f := netlist.Fault{Net: fir.OutBus[0], Stuck: netlist.StuckAt1}
+	sim := NewFIRSim(fir)
+	if err := sim.InjectFault(f, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.CaptureBaseline(xs); err == nil {
+		t.Error("baseline captured with a fault injected")
+	}
+	ref := NewFIRSim(fir)
+	if err := ref.InjectFault(f, 1<<1); err != nil {
+		t.Fatal(err)
+	}
+	lanes, err := ref.RunLanesPeriodic(xs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewFIRSim(fir).RunPeriodic(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim = NewFIRSim(fir)
+	if err := sim.InjectFault(f, 1); err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := sim.RunPeriodic(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differs := false
+	for i := range xs {
+		if got[i] != lanes[0][i] || faulty[i] != lanes[1][i] {
+			t.Fatalf("sample %d: good %d faulty %d, want %d and %d", i, got[i], faulty[i], lanes[0][i], lanes[1][i])
+		}
+		differs = differs || faulty[i] != got[i]
+	}
+	if !differs {
+		t.Error("stuck-at on the output LSB left the record unchanged")
 	}
 }

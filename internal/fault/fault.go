@@ -420,27 +420,23 @@ func Records(u *Universe, xs []int64, faults []netlist.Fault) (good []int64, fau
 	return lanes[0], lanes[1:], nil
 }
 
-// RecordsFromBaseline is Records replayed differentially against a
-// fault-free baseline captured from the same periodic stimulus (see
-// digital.CaptureBaseline): per step only the fanout cone of the
-// batch's faults is re-evaluated, which on typical FIR universes is a
-// small fraction of the circuit. The returned faulty records are
-// bit-identical to Records' (the good record is base.Good).
-func RecordsFromBaseline(u *Universe, base *digital.Baseline, faults []netlist.Fault) ([][]int64, error) {
-	if len(faults) > 63 {
-		return nil, fmt.Errorf("fault: RecordsFromBaseline limited to 63 faults per pass, got %d", len(faults))
-	}
-	sim := digital.NewFIRSim(u.FIR)
+// RecordsFromBaseline is Records generated by parallel-pattern
+// single-fault propagation against a fault-free baseline captured
+// from the same periodic stimulus (see digital.CaptureBaseline): each
+// fault re-evaluates only the gates its effect reaches, 64 record
+// steps per gate evaluation, on the worker's replay r. The returned faulty
+// records are bit-identical to Records' (the good record is
+// base.Good).
+func RecordsFromBaseline(r *digital.FaultReplay, base *digital.Baseline, faults []netlist.Fault) ([][]int64, error) {
+	out := make([][]int64, len(faults))
 	for i, f := range faults {
-		if err := sim.InjectFault(f, 1<<uint(i+1)); err != nil {
+		rec, err := r.Record(base, f)
+		if err != nil {
 			return nil, err
 		}
+		out[i] = rec
 	}
-	lanes, err := sim.RunLanesCone(base, len(faults)+1)
-	if err != nil {
-		return nil, err
-	}
-	return lanes[1:], nil
+	return out, nil
 }
 
 // SerialSimulate runs faults one at a time (one fault in all lanes per

@@ -120,68 +120,156 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestConeReplayMatchesFullRun checks the differential path at the
-// netlist level: a fault batch replayed against packed fault-free
-// baseline snapshots must reproduce the full faulty run on every net
-// the cone claims, and the cone must claim every net that differs.
-// Baseline inputs are broadcast words (the SnapshotBits precondition,
-// and how campaign baselines are actually driven); the faulty machine
-// sees the same broadcast stimulus with per-lane fault masks.
-func TestConeReplayMatchesFullRun(t *testing.T) {
+// propagationCircuit is a random circuit with the shapes single-fault
+// propagation must get right beyond randomCircuit's: every wide gate
+// form, a primary input that is also an output, and a net listed as
+// two outputs.
+func propagationCircuit(rng *rand.Rand) *Circuit {
+	c := randomCircuit(rng, 6+rng.Intn(6), 40+rng.Intn(120))
+	pick := func() NetID { return NetID(rng.Intn(c.NumNets())) }
+	for _, wide := range []func(...NetID) NetID{c.Or, c.Nand, c.Nor, c.Xnor} {
+		c.MarkOutput(wide(pick(), pick(), pick()), "")
+	}
+	c.MarkOutput(c.Inputs[rng.Intn(len(c.Inputs))], "")
+	shared := NetID(len(c.Inputs) + rng.Intn(c.NumNets()-len(c.Inputs)))
+	c.MarkOutput(shared, "")
+	c.MarkOutput(shared, "")
+	return c
+}
+
+// TestPropagatorMatchesFaultyRun checks the PPSFP kernel against the
+// full simulator: on random compiled circuits (wide gates, constant
+// gates, inputs and multiply-listed nets among the outputs), every
+// stuck-at fault — primary inputs and output nets included — is
+// propagated over a time-packed good view, and each output's
+// difference words must equal a full Run with the fault injected in
+// all lanes, step (lane) by step. Faults go in AllFaults order and
+// then in reverse order, so every fault follows both faults on other
+// nets and the opposite fault on its own net: a call that left state
+// behind would show.
+func TestPropagatorMatchesFaultyRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
-		c := randomCircuit(rng, 6+rng.Intn(6), 40+rng.Intn(120))
+	for trial := 0; trial < 12; trial++ {
+		c := propagationCircuit(rng)
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		prop, err := NewPropagator(c)
+		if err != nil {
+			t.Fatal(err)
+		}
 		good := NewSimulator(c)
-		full := NewSimulator(c)
-		diff := NewSimulator(c)
-		var faults []Fault
-		for i := 0; i < 1+rng.Intn(8); i++ {
-			faults = append(faults, Fault{
-				Net: NetID(rng.Intn(c.NumNets())), Stuck: StuckValue(rng.Intn(2)),
-			})
+		nn := c.NumNets()
+		faults := AllFaults(c)
+		for i := len(faults) - 1; i >= 0; i-- {
+			faults = append(faults, faults[i])
 		}
-		for i, f := range faults {
-			mask := uint64(1) << uint(1+i%63)
-			if err := full.InjectFault(f, mask); err != nil {
-				t.Fatal(err)
-			}
-			if err := diff.InjectFault(f, mask); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cone := diff.BuildCone()
-		if cone == nil {
-			t.Fatal("no cone on a compiled circuit")
-		}
-		base := make([]uint64, BitWords(c.NumNets()))
-		ins := make([]uint64, len(c.Inputs))
-		for step := 0; step < 5; step++ {
-			for i := range ins {
-				ins[i] = -(rng.Uint64() & 1) // broadcast: all lanes agree
-			}
-			if _, err := good.Run(ins); err != nil {
-				t.Fatal(err)
-			}
-			good.SnapshotBits(base)
-			want, err := full.Run(ins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diff.RunCone(cone, base)
-			inCone := make(map[int]bool)
-			for _, i := range cone.OutputIndices() {
-				inCone[i] = true
-			}
-			for i, n := range c.Outputs {
-				got := baseWord(base, int32(n))
-				if inCone[i] {
-					got = diff.Value(n)
+		for _, steps := range []int{1, 63, 64, 65, 1000} {
+			words := (steps + 63) / 64
+			inputs := make([][]uint64, words)
+			view := make([]uint64, words*nn)
+			goodOut := make([][]uint64, words)
+			for w := range inputs {
+				inputs[w] = make([]uint64, len(c.Inputs))
+				for i := range inputs[w] {
+					inputs[w][i] = rng.Uint64()
 				}
-				if got != want[i] {
-					t.Fatalf("trial %d step %d output %d: cone %x full %x (inCone %v)",
-						trial, step, i, got, want[i], inCone[i])
+				out, err := good.Run(inputs[w])
+				if err != nil {
+					t.Fatal(err)
+				}
+				goodOut[w] = out
+				for n, v := range good.Values() {
+					view[n*words+w] = v
 				}
 			}
+			for _, f := range faults {
+				faulty := NewSimulator(c)
+				if err := faulty.InjectFault(f, ^uint64(0)); err != nil {
+					t.Fatal(err)
+				}
+				outs, diff, err := prop.Propagate(view, steps, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				listed := make(map[int]int)
+				for j, i := range outs {
+					listed[i] = j
+				}
+				for w := 0; w < words; w++ {
+					mask := ^uint64(0)
+					if rem := steps - 64*w; rem < 64 {
+						mask = 1<<uint(rem) - 1
+					}
+					out, err := faulty.Run(inputs[w])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range out {
+						want := (out[i] ^ goodOut[w][i]) & mask
+						var got uint64
+						if j, ok := listed[i]; ok {
+							got = diff[j*words+w]
+						}
+						if got != want {
+							t.Fatalf("trial %d steps %d fault %v word %d output %d: propagated diff %x, full run %x (listed %v)",
+								trial, steps, f, w, i, got, want, listed)
+						}
+					}
+				}
+			}
 		}
+	}
+}
+
+// TestPropagatorSteadyStateAllocsNothing pins that a warmed
+// propagator allocates nothing per fault: every buffer is reused.
+func TestPropagatorSteadyStateAllocsNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := propagationCircuit(rng)
+	prop, err := NewPropagator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 200
+	view := make([]uint64, 4*c.NumNets())
+	for i := range view {
+		view[i] = rng.Uint64()
+	}
+	faults := AllFaults(c)
+	for _, f := range faults {
+		if _, _, err := prop.Propagate(view, steps, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, f := range faults {
+			if _, _, err := prop.Propagate(view, steps, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warmed Propagate allocated %.1f times per universe, want 0", allocs)
+	}
+}
+
+func TestPropagatorRejectsBadInput(t *testing.T) {
+	c := New()
+	a, b := c.Input("a"), c.Input("b")
+	c.MarkOutput(c.And(a, b), "y")
+	prop, err := NewPropagator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := prop.Propagate(make([]uint64, c.NumNets()), 64, Fault{Net: 99}); err == nil {
+		t.Error("fault on an unknown net accepted")
+	}
+	if _, _, err := prop.Propagate(make([]uint64, c.NumNets()), 65, Fault{Net: a}); err == nil {
+		t.Error("view one word short accepted")
+	}
+	c.Gates = append(c.Gates, Gate{Type: GateType(99), In: []NetID{a}, Out: c.newNet()})
+	if _, err := NewPropagator(c); err == nil {
+		t.Error("uncompilable circuit accepted")
 	}
 }

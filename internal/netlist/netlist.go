@@ -1,9 +1,11 @@
 // Package netlist provides the gate-level hardware substrate used by
 // mstx's digital-filter fault simulation: a combinational netlist of
 // boolean gates with named nets, a builder API, structural validation,
-// and a 64-way bit-parallel simulator with single-stuck-at fault
-// injection (the classic PPSFP scheme — one word lane per pattern, or
-// one lane per fault).
+// a 64-way bit-parallel simulator with single-stuck-at fault injection
+// (one word lane per pattern, or one lane per fault), and a
+// parallel-pattern single-fault propagator (Propagator, ppsfp.go) that
+// re-evaluates, event-driven, only the gates one fault disturbs, over
+// 64 fault-free steps per word.
 //
 // Sequential circuits are supported through D flip-flops (DFF/SetD)
 // and the SequentialSimulator; the digital package builds the FIR both

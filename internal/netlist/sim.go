@@ -68,8 +68,11 @@ func NewSimulator(c *Circuit) *Simulator {
 func (s *Simulator) Circuit() *Circuit { return s.c }
 
 // Compiled reports whether the circuit was lowered to the compiled
-// instruction stream (required for cone-differential replay).
+// instruction stream (which a Propagator requires as well).
 func (s *Simulator) Compiled() bool { return s.prog != nil }
+
+// HasFaults reports whether any fault is injected.
+func (s *Simulator) HasFaults() bool { return len(s.dirtyNets) > 0 }
 
 // ClearFaults removes all injected faults.
 func (s *Simulator) ClearFaults() {
@@ -183,6 +186,10 @@ func (s *Simulator) runGates() error {
 
 // Value returns the current word on net n after the last Run.
 func (s *Simulator) Value(n NetID) uint64 { return s.values[n] }
+
+// Values returns every net's word after the last Run, indexed by net.
+// The slice is the simulator's own and the next Run overwrites it.
+func (s *Simulator) Values() []uint64 { return s.values }
 
 // RunBool evaluates a single boolean pattern and returns boolean
 // outputs. It is a convenience wrapper (lane 0 of a parallel run) used

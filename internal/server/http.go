@@ -82,6 +82,16 @@ type submitRequest struct {
 	Spec
 }
 
+// decodeSubmit decodes a POST /v1/jobs body strictly: a field the
+// request does not define is an error.
+func decodeSubmit(body []byte) (submitRequest, error) {
+	var req submitRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -112,10 +122,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrTypeBadRequest, "read body: "+err.Error())
 		return
 	}
-	var req submitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeSubmit(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrTypeBadRequest, "decode body: "+err.Error())
 		return
 	}

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
+	"time"
 
 	"mstx/internal/campaign"
 	"mstx/internal/core"
@@ -206,6 +208,9 @@ const (
 	maxTAMWidth   = 1024
 	maxCores      = 64 // entries in cores
 	maxIterations = 1 << 14
+	// maxDeadlineMS is the longest budget a time.Duration holds, about
+	// 292 years; timeout_sec folds into deadline_ms under the same cap.
+	maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 )
 
 // checkCap rejects v above limit, naming the field and the cap.
@@ -341,8 +346,14 @@ func (sp *Spec) normalize() error {
 	if sp.TimeoutSec < 0 {
 		return fmt.Errorf("timeout_sec %g must be ≥ 0", sp.TimeoutSec)
 	}
+	if sp.TimeoutSec > float64(maxDeadlineMS/1000) {
+		return fmt.Errorf("timeout_sec %g exceeds the cap %d", sp.TimeoutSec, maxDeadlineMS/1000)
+	}
 	if sp.DeadlineMS < 0 {
 		return fmt.Errorf("deadline_ms %d must be ≥ 0", sp.DeadlineMS)
+	}
+	if sp.DeadlineMS > maxDeadlineMS {
+		return fmt.Errorf("deadline_ms %d exceeds the cap %d", sp.DeadlineMS, maxDeadlineMS)
 	}
 	if sp.DeadlineMS == 0 && sp.TimeoutSec > 0 {
 		sp.DeadlineMS = int64(sp.TimeoutSec * 1000)

@@ -88,6 +88,11 @@ func TestNegativeSampleCountsRejected(t *testing.T) {
 		{map[string]any{"kind": "translate", "param": "iip3", "samples": -5}, "samples -5"},
 		{map[string]any{"kind": "mc", "mc_samples": -5}, "mc_samples -5"},
 		{map[string]any{"kind": "translate", "param": "iip3", "samples": maxSamples + 1}, "cap " + strconv.Itoa(maxSamples)},
+		// Budgets past what a time.Duration holds used to overflow:
+		// timeout_sec into a negative deadline_ms, deadline_ms into a
+		// wrapped (possibly tiny) duration.
+		{map[string]any{"kind": "translate", "param": "iip3", "timeout_sec": 1e300}, "timeout_sec"},
+		{map[string]any{"kind": "translate", "param": "iip3", "deadline_ms": maxDeadlineMS + 1}, "deadline_ms"},
 	} {
 		resp, snap := postJob(t, ts, "", tc.spec)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -191,27 +191,34 @@ echo "== bench record + regression gate (dsp scratch pairs) =="
 # does ns/op drift beyond -max-ns-regress (25% here — the tool default
 # is 15%, but shared CI machines need the extra noise headroom; the
 # allocs/op gate is exact either way). The commit SHA and timestamp are
-# passed in so the recorder itself reads no clock. On a regression the
+# passed in so the recorder itself reads no clock. Every gated step
+# runs -count 5 and benchrecord gates on the median of the five
+# samples (recording their min/max spread), so one noisy sample on a
+# shared host neither fails nor passes a gate; the bounds are
+# unchanged. On a regression the
 # gate prints the offending benchmarks and leaves the trajectory
 # untouched; fix the code or deliberately re-baseline by deleting the
 # last entry.
 sha=$(git rev-parse --short HEAD)
 now=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-go test -run '^$' -bench 'Allocating|Scratch|FFTPlanned4096$' -benchmem -benchtime 500ms \
+go test -run '^$' -bench 'Allocating|Scratch|FFTPlanned4096$' -benchmem -benchtime 500ms -count 5 \
     ./internal/dsp >"$tmp/bench_dsp.txt"
 go run ./cmd/benchrecord -out BENCH_dsp.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 25 <"$tmp/bench_dsp.txt"
 
 echo "== bench record + regression gate (spectral campaign and its layers) =="
 # The pooled campaign vs its seed path, plus the layers under it:
-# record generation alone (BenchmarkRecordsFromBaseline: every batch
-# of the E8 universe replayed against one baseline), one full-netlist
-# step of the 13-tap filter, and the compiled simulator on an XOR tree.
-go test -run '^$' -bench 'BenchmarkSpectralCampaign|BenchmarkRecordsFromBaseline' -benchmem -benchtime 3x \
-    . >"$tmp/bench_campaign.txt"
-go test -run '^$' -bench 'BenchmarkFIRSimStep13Tap$' -benchmem -benchtime 1s \
+# record generation alone (BenchmarkRecordsFromBaseline: every fault
+# of the E8 universe propagated over one baseline view), the
+# parallel-pattern good pass that captures that view
+# (BenchmarkCaptureBaseline), the campaign job's prepare
+# (BenchmarkBuildDigitalTest), one full-netlist step of the 13-tap
+# filter, and the compiled simulator on an XOR tree.
+go test -run '^$' -bench 'BenchmarkSpectralCampaign|BenchmarkRecordsFromBaseline|BenchmarkCaptureBaseline|BenchmarkBuildDigitalTest' \
+    -benchmem -benchtime 3x -count 5 . >"$tmp/bench_campaign.txt"
+go test -run '^$' -bench 'BenchmarkFIRSimStep13Tap$' -benchmem -benchtime 1s -count 5 \
     ./internal/digital >>"$tmp/bench_campaign.txt"
-go test -run '^$' -bench 'BenchmarkSimulatorXorTree$' -benchmem -benchtime 1s \
+go test -run '^$' -bench 'BenchmarkSimulatorXorTree$' -benchmem -benchtime 1s -count 5 \
     ./internal/netlist >>"$tmp/bench_campaign.txt"
 go run ./cmd/benchrecord -out BENCH_campaign.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 25 <"$tmp/bench_campaign.txt"
@@ -220,7 +227,7 @@ echo "== bench record + regression gate (SOC scheduler pair) =="
 # The E9 rectangle packer at W=32, parallel lanes vs -workers 1; the
 # trajectory keeps the scheduler's cost visible as the SOC model and
 # the local search grow.
-go test -run '^$' -bench 'BenchmarkSOCSchedule' -benchmem -benchtime 3x \
+go test -run '^$' -bench 'BenchmarkSOCSchedule' -benchmem -benchtime 3x -count 5 \
     . >"$tmp/bench_soc.txt"
 go run ./cmd/benchrecord -out BENCH_soc.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 25 <"$tmp/bench_soc.txt"
@@ -235,9 +242,9 @@ echo "== bench record + regression gate (E6 device-lane simulation) =="
 # about 1% with goroutine reuse; this gate takes 2% alloc slack,
 # which still leaves the zero-alloc PathCapture count exact and catches
 # any per-draw or per-capture allocation.
-go test -run '^$' -bench 'BenchmarkTable2$|BenchmarkReferralMC1M' -benchmem -benchtime 1s \
+go test -run '^$' -bench 'BenchmarkTable2$|BenchmarkReferralMC1M' -benchmem -benchtime 1s -count 5 \
     . >"$tmp/bench_e6.txt"
-go test -run '^$' -bench 'BenchmarkPathCapture' -benchmem -benchtime 1s \
+go test -run '^$' -bench 'BenchmarkPathCapture' -benchmem -benchtime 1s -count 5 \
     ./internal/params >>"$tmp/bench_e6.txt"
 go run ./cmd/benchrecord -out BENCH_e6.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 25 -max-allocs-regress 2 <"$tmp/bench_e6.txt"
@@ -251,7 +258,7 @@ echo "== bench record + regression gate (engine pairs) =="
 # goroutine pool, so their alloc counts move with goroutine reuse like
 # the E6 set's; this gate takes the E6 step's slack.
 go test -run '^$' -bench 'BenchmarkFaultSim(Parallel|Serial)$|BenchmarkMCLosses(Engine|Serial)$' \
-    -benchmem -benchtime 1s . >"$tmp/bench_engines.txt"
+    -benchmem -benchtime 1s -count 5 . >"$tmp/bench_engines.txt"
 go run ./cmd/benchrecord -out BENCH_engines.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 25 -max-allocs-regress 2 <"$tmp/bench_engines.txt"
 
@@ -264,14 +271,18 @@ echo "== bench record + regression gate (mstxvet catalog) =="
 # allocs/op count jitters by a handful in millions (go/types interns
 # as it goes), so this gate alone takes 1% alloc slack instead of the
 # exact default.
-go test -run '^$' -bench 'BenchmarkMstxvet' -benchmem -benchtime 3x \
+go test -run '^$' -bench 'BenchmarkMstxvet' -benchmem -benchtime 3x -count 5 \
     ./internal/analysis >"$tmp/bench_mstxvet.txt"
 go run ./cmd/benchrecord -out BENCH_mstxvet.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 50 -max-allocs-regress 1 <"$tmp/bench_mstxvet.txt"
 
-echo "== fuzz smoke (netlist parser) =="
-# Ten seconds of coverage-guided fuzzing on top of the checked-in seed
-# corpus; any panic or round-trip violation fails the gate.
+echo "== fuzz smoke (netlist parser, job spec) =="
+# Ten seconds of coverage-guided fuzzing each on top of the checked-in
+# seed corpora: the netlist text reader (any panic or round-trip
+# violation fails) and the service's job-spec decoder (decode plus
+# normalize never panics, every accepted spec is within the caps, and
+# normalizing it again keeps its identity).
 go test -fuzz=FuzzParseNetlist -fuzztime=10s ./internal/netlist
+go test -run '^$' -fuzz=FuzzSubmitSpec -fuzztime=10s ./internal/server
 
 echo "== check OK (chaos soak: $soak_status, seed $soak_seed) =="
