@@ -19,18 +19,15 @@
 //   - obsnil: obs calls on possibly-nil registries stay on the
 //     nil-safe fast path, and metric name literals are globally
 //     consistent (one kind, one geometry, one owning package).
-//   - lockorder: a consistent global mutex acquisition order and no
-//     lock held across a blocking operation, proven over the
-//     per-function CFG (cfg.go), the module call graph (callgraph.go)
-//     and the gen/kill dataflow solver (dataflow.go).
 //   - leakjoin: every goroutine spawned in the engine/server packages
 //     reaches a join point (WaitGroup.Wait, channel drain, ctx-cancel
-//     select) on all CFG paths.
+//     select) on all paths of the per-function CFG (cfg.go).
 //
 // An invariant the compiler or a test can hold is left to them: the
 // server's job state and error class are defined types rather than
-// strings policed here, and a server test checks that every job kind
-// writes engine checkpoints.
+// strings policed here, a server test checks that every job kind
+// writes engine checkpoints, and deadlocks are left to -race, the
+// chaos suites and the soak.
 //
 // The cmd/mstxvet driver runs the catalog over ./... with vet-style
 // file:line diagnostics; scripts/check.sh gates merges on a clean run.
@@ -96,7 +93,6 @@ func Catalog() []*Analyzer {
 		newDeterminism(),
 		newFailpointreg(),
 		newObsnil(),
-		newLockorder(),
 		newLeakjoin(),
 	}
 }

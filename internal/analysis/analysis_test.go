@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -162,8 +164,8 @@ func TestVetRealPackagesClean(t *testing.T) {
 // per-Vet state never leaks between runs.
 func TestCatalogFresh(t *testing.T) {
 	a, b := Catalog(), Catalog()
-	if len(a) != 7 || len(b) != 7 {
-		t.Fatalf("catalog size = %d, %d; want 7", len(a), len(b))
+	if len(a) != 6 || len(b) != 6 {
+		t.Fatalf("catalog size = %d, %d; want 6", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] == b[i] {
@@ -173,4 +175,58 @@ func TestCatalogFresh(t *testing.T) {
 			t.Errorf("analyzer %d missing name or doc", i)
 		}
 	}
+}
+
+// TestStdlibSharedAcrossLoads: every Load in a process shares one
+// FileSet and one stdlib importer, so two Loads, run at once, get the
+// very same type-checked "sync", and a fixture finding still prints
+// the right file:line after earlier Loads have grown the shared
+// FileSet.
+func TestStdlibSharedAcrossLoads(t *testing.T) {
+	root := repoRoot(t)
+	fixRoot := fixtureDir(t, "src", "nakedgo")
+	dirs := fixturePackages(t, fixRoot)
+	cfg := Config{Root: root, FixtureRoot: fixRoot, Dirs: dirs, WholeProgram: true}
+	var first, second *Program
+	var firstErr, secondErr error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		first, firstErr = Load(Config{Root: root, Dirs: []string{"internal/resilient"}})
+	}()
+	go func() {
+		defer wg.Done()
+		second, secondErr = Load(cfg)
+	}()
+	wg.Wait()
+	if firstErr != nil || secondErr != nil {
+		t.Fatal(firstErr, secondErr)
+	}
+	if first.Fset != second.Fset {
+		t.Error("two Loads built separate FileSets")
+	}
+	a, b := importOf(first.Targets[0], "sync"), importOf(second.Targets[0], "sync")
+	if a == nil || a != b {
+		t.Errorf("sync package differs between Loads: %p vs %p", a, b)
+	}
+
+	diags, err := Vet(cfg, []*Analyzer{catalogByName(t, "nakedgo")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) == 0 {
+		t.Fatal("nakedgo fixture produced no findings")
+	}
+	matchWants(t, diags, collectWants(t, fixRoot, dirs))
+}
+
+// importOf returns the package pkg imports under path, or nil.
+func importOf(pkg *Package, path string) *types.Package {
+	for _, imp := range pkg.Types.Imports() {
+		if imp.Path() == path {
+			return imp
+		}
+	}
+	return nil
 }

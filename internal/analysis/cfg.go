@@ -5,15 +5,15 @@ import (
 	"go/token"
 )
 
-// This file is the intraprocedural control-flow layer the dataflow
-// analyzers (lockorder, leakjoin) are built on: a per-function
-// CFG over go/ast with basic blocks and branch/loop/select/defer edges.
+// This file is the intraprocedural control-flow layer leakjoin is built
+// on: a per-function CFG over go/ast with basic blocks and
+// branch/loop/select/defer edges, queried through EveryPathHits.
 //
 // Blocks hold *leaf* nodes in execution order: plain statements,
 // condition/tag/range expressions, and two shallow composite markers
 // (*ast.SelectStmt for blocking detection, *ast.RangeStmt for the
 // per-iteration assignment). Composite statements whose bodies the CFG
-// expands are never appended whole, so a transfer function can walk
+// expands are never appended whole, so an analyzer can walk
 // each node's subtree (via walkShallow) without double-visiting.
 // Function literals get their own CFGs (FuncCFGs); walkShallow never
 // descends into them.
@@ -23,7 +23,6 @@ type Block struct {
 	Index int
 	Nodes []ast.Node
 	Succs []*Block
-	Preds []*Block
 }
 
 // CFG is the control-flow graph of one function body (declared function
@@ -109,7 +108,6 @@ func (b *cfgBuilder) newBlock() *Block {
 
 func (b *cfgBuilder) link(from, to *Block) {
 	from.Succs = append(from.Succs, to)
-	to.Preds = append(to.Preds, from)
 }
 
 // add appends a leaf node to the current block (creating an unreachable
@@ -507,12 +505,6 @@ func walkShallow(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return fn(m)
 	})
-}
-
-// refOf locates a leaf node in the graph.
-func (c *CFG) refOf(n ast.Node) (nodeRef, bool) {
-	r, ok := c.index[n]
-	return r, ok
 }
 
 // EveryPathHits reports whether every path from just after `from` to

@@ -191,120 +191,3 @@ func f(ch chan int, xs []int) {
 		t.Error("no RangeStmt marker in any block")
 	}
 }
-
-// TestFlowMay: after an if/else where only one branch gens the fact,
-// the union merge sees it set.
-func TestFlowMay(t *testing.T) {
-	src := `package p
-
-func gen()   {}
-func after() {}
-
-func f(ok bool) {
-	if ok {
-		gen()
-	}
-	after()
-}
-`
-	f, cfg := parseFunc(t, src, "f")
-	transfer := func(n ast.Node, facts *BitSet) {
-		if hitsCall("gen")(n) {
-			facts.Set(0)
-		}
-	}
-	at := findCall(t, f, "after")
-
-	may := &Flow{CFG: cfg, NumFacts: 1, Transfer: transfer}
-	facts, ok := may.At(at, may.Solve())
-	if !ok {
-		t.Fatal("after() not found in CFG")
-	}
-	if !facts.Has(0) {
-		t.Error("may-analysis lost the fact from the taken branch")
-	}
-}
-
-// TestFlowKill: a gen followed by a kill on the same path leaves the
-// fact clear downstream.
-func TestFlowKill(t *testing.T) {
-	src := `package p
-
-func gen()   {}
-func kill()  {}
-func after() {}
-
-func f() {
-	gen()
-	kill()
-	after()
-}
-`
-	f, cfg := parseFunc(t, src, "f")
-	transfer := func(n ast.Node, facts *BitSet) {
-		if hitsCall("gen")(n) {
-			facts.Set(0)
-		}
-		if hitsCall("kill")(n) {
-			facts.Clear(0)
-		}
-	}
-	flow := &Flow{CFG: cfg, NumFacts: 1, Transfer: transfer}
-	facts, ok := flow.At(findCall(t, f, "after"), flow.Solve())
-	if !ok {
-		t.Fatal("after() not found in CFG")
-	}
-	if facts.Has(0) {
-		t.Error("kill did not clear the fact")
-	}
-}
-
-// TestFlowLoopFixpoint: a fact genned inside a loop body reaches the
-// loop head through the back edge (may-analysis worklist convergence).
-func TestFlowLoopFixpoint(t *testing.T) {
-	src := `package p
-
-func gen()  {}
-func head() bool { return false }
-
-func f() {
-	for head() {
-		gen()
-	}
-}
-`
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "loop.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cfg *CFG
-	var cond ast.Node
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "f" {
-			cfg = buildCFG(fd.Body)
-			ast.Inspect(fd, func(n ast.Node) bool {
-				if fs, ok := n.(*ast.ForStmt); ok {
-					cond = fs.Cond
-				}
-				return true
-			})
-		}
-	}
-	if cfg == nil || cond == nil {
-		t.Fatal("loop not found")
-	}
-	transfer := func(n ast.Node, facts *BitSet) {
-		if hitsCall("gen")(n) {
-			facts.Set(0)
-		}
-	}
-	flow := &Flow{CFG: cfg, NumFacts: 1, Transfer: transfer}
-	facts, ok := flow.At(cond, flow.Solve())
-	if !ok {
-		t.Fatal("loop condition not a CFG leaf")
-	}
-	if !facts.Has(0) {
-		t.Error("fact genned in the loop body did not flow around the back edge")
-	}
-}

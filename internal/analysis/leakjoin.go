@@ -358,3 +358,10 @@ func forEachLeaf(cfg *CFG, fn func(n ast.Node)) {
 		}
 	}
 }
+
+// isResilientSpawn reports whether fn is the panic-quarantined spawn
+// helper (a function named Go declared in a package named resilient —
+// name-matched so fixture stubs count).
+func isResilientSpawn(fn *types.Func) bool {
+	return fn != nil && fn.Name() == "Go" && declaredIn(fn, "resilient")
+}

@@ -42,6 +42,8 @@ func (p *Package) Broken() bool { return len(p.ParseErrs) > 0 || len(p.TypeErrs)
 // Program is one loaded program: the target packages plus every
 // module-internal or fixture dependency they pulled in.
 type Program struct {
+	// Fset is the process-wide FileSet shared with the stdlib importer,
+	// so positions of stdlib objects resolve too.
 	Fset *token.FileSet
 	// Root is the module root (the directory holding go.mod).
 	Root string
@@ -60,14 +62,19 @@ type Program struct {
 	pkgs    map[string]*Package
 	loading map[string]bool
 	std     types.Importer
-
-	cgOnce sync.Once
-	cg     *CallGraph
 }
 
-// Lookup returns any loaded package (target or dependency) by import
-// path, or nil.
-func (p *Program) Lookup(path string) *Package { return p.pkgs[path] }
+// The stdlib is type-checked from source once per process: every Load
+// shares one FileSet and one source importer, whose own cache keeps
+// each checked package. A checked package is immutable, and a process
+// has one GOROOT and one set of build tags, so the cache needs no key.
+// stdMu serializes the importer, which is not safe for concurrent use
+// (the FileSet is).
+var (
+	stdMu   sync.Mutex
+	stdFset = token.NewFileSet()
+	stdImp  = importer.ForCompiler(stdFset, "source", nil)
+)
 
 // LookupByName returns every loaded package whose package name matches
 // (e.g. "obs" finds both the real obs package and a fixture stub).
@@ -105,8 +112,9 @@ type Config struct {
 
 // Load parses and type-checks the target packages and everything they
 // import from the module (or fixture tree); stdlib imports go through
-// the source importer. Broken packages are returned, not fatal — only
-// infrastructure failures (unreadable root, no go.mod) are errors.
+// the process-wide source importer. Broken packages are returned, not
+// fatal — only infrastructure failures (unreadable root, no go.mod)
+// are errors.
 func Load(cfg Config) (*Program, error) {
 	root, err := filepath.Abs(cfg.Root)
 	if err != nil {
@@ -116,7 +124,9 @@ func Load(cfg Config) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
+	stdMu.Lock()
+	fset, std := stdFset, stdImp
+	stdMu.Unlock()
 	prog := &Program{
 		Fset:         fset,
 		Root:         root,
@@ -125,7 +135,7 @@ func Load(cfg Config) (*Program, error) {
 		WholeProgram: cfg.WholeProgram,
 		pkgs:         map[string]*Package{},
 		loading:      map[string]bool{},
-		std:          importer.ForCompiler(fset, "source", nil),
+		std:          std,
 	}
 	if prog.FixtureRoot != "" {
 		if prog.FixtureRoot, err = filepath.Abs(prog.FixtureRoot); err != nil {
@@ -298,6 +308,8 @@ func (p *Program) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
+	stdMu.Lock()
+	defer stdMu.Unlock()
 	return p.std.Import(path)
 }
 

@@ -261,7 +261,6 @@ func (x *executor[T, P]) finish(l int, part P, err error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.pending[l%x.ahead] = laneResult[P]{part: part, err: err, ready: true}
-	//mstxvet:ignore lockorder the periodic snapshot is saved under the merge lock so no lane can merge mid-save
 	x.fold()
 	if x.runErr != nil || x.stopped || (err != nil && !x.quarantined(err)) {
 		x.halt = true

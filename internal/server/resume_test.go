@@ -2,10 +2,12 @@ package server
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -225,6 +227,71 @@ func TestResumeValidatesLedger(t *testing.T) {
 				t.Errorf("event stream closed without a done event:\n%s", body)
 			}
 		})
+	}
+}
+
+// TestResumeKeepsRestoredIDs: a ledger whose NextID lags behind a
+// restored "j<n>" must not make Submit issue that ID again, which
+// would overwrite the restored job and list its ID twice.
+func TestResumeKeepsRestoredIDs(t *testing.T) {
+	dir := t.TempDir()
+	ledger := &resilient.Checkpointer{Dir: dir}
+	st := ledgerState{NextID: 1}
+	for _, id := range []string{"j1", "j2"} {
+		st.Jobs = append(st.Jobs, ledgerRecord{
+			ID: id, Tenant: "t", Spec: quickTranslate(),
+			State: "done", Result: &Result{Text: "restored " + id},
+		})
+	}
+	if err := ledger.Save(ledgerName, ledgerVersion, &st); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Workers: 1, CheckpointDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	j, err := srv.Submit("t", quickTranslate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID != "j3" {
+		t.Errorf("Submit after resume issued %s, want j3", j.ID)
+	}
+	restored, ok := srv.Get("j2")
+	if !ok {
+		t.Fatal("restored job j2 lost")
+	}
+	if snap := srv.Snapshot(restored); snap.Result == nil || snap.Result.Text != "restored j2" {
+		t.Errorf("restored job j2 overwritten: %+v", snap)
+	}
+	srv.mu.Lock()
+	order := append([]string(nil), srv.order...)
+	srv.mu.Unlock()
+	if want := []string{"j1", "j2", "j3"}; !reflect.DeepEqual(order, want) {
+		t.Errorf("job order %v, want %v", order, want)
+	}
+}
+
+// TestResumeRejectsRepeatedID: a ledger that lists one job ID twice
+// cannot be replayed without one job replacing the other, so New fails
+// with a LedgerError naming the ID.
+func TestResumeRejectsRepeatedID(t *testing.T) {
+	dir := t.TempDir()
+	ledger := &resilient.Checkpointer{Dir: dir}
+	rec := ledgerRecord{ID: "j1", Tenant: "t", Spec: quickTranslate(), State: "done", Result: &Result{Text: "x"}}
+	st := ledgerState{NextID: 1, Jobs: []ledgerRecord{rec, rec}}
+	if err := ledger.Save(ledgerName, ledgerVersion, &st); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Workers: 1, CheckpointDir: dir, Resume: true})
+	if err == nil {
+		srv.Close()
+		t.Fatal("resume accepted a ledger listing j1 twice")
+	}
+	var le *LedgerError
+	if !errors.As(err, &le) || le.ID != "j1" || !strings.Contains(err.Error(), "j1") {
+		t.Fatalf("resume error %v; want a LedgerError naming j1", err)
 	}
 }
 

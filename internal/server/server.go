@@ -16,8 +16,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -152,6 +154,18 @@ type BreakerOpenError struct {
 
 func (e *BreakerOpenError) Error() string {
 	return fmt.Sprintf("server: %s breaker open (retry in %s)", e.Kind, e.RetryAfter.Round(time.Millisecond))
+}
+
+// LedgerError is resume's refusal of a ledger it cannot replay
+// without one job overwriting another: a ledger that lists a job ID
+// twice, or whose IDs leave Submit no fresh one to issue.
+type LedgerError struct {
+	ID     string
+	Reason string
+}
+
+func (e *LedgerError) Error() string {
+	return fmt.Sprintf("server: resume: ledger job %s: %s", e.ID, e.Reason)
 }
 
 // Config parameterizes a Server. Zero values take the stated defaults.
@@ -458,9 +472,13 @@ func (s *Server) resume() error {
 	if !ok {
 		return nil
 	}
+	next, err := ledgerNextID(&st)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID = st.NextID
+	s.nextID = next
 	for i := range st.Jobs {
 		rec := &st.Jobs[i]
 		j := &Job{
@@ -510,9 +528,32 @@ func (s *Server) resume() error {
 		s.order = append(s.order, j.ID)
 	}
 	s.gQueued.Set(float64(s.q.queued))
-	//mstxvet:ignore lockorder resume snapshot is saved under s.mu by design so no transition can interleave
 	s.saveLedgerLocked()
 	return nil
+}
+
+// ledgerNextID checks that the ledger's job IDs are unique and returns
+// the counter Submit continues from: at least the ledger's NextID and
+// every restored "j<n>", so a new job never takes a restored ID.
+func ledgerNextID(st *ledgerState) (int64, error) {
+	next := max(st.NextID, 0)
+	seen := make(map[string]bool, len(st.Jobs))
+	for i := range st.Jobs {
+		id := st.Jobs[i].ID
+		if seen[id] {
+			return 0, &LedgerError{ID: id, Reason: "listed twice"}
+		}
+		seen[id] = true
+		if rest, ok := strings.CutPrefix(id, "j"); ok {
+			if n, err := strconv.ParseInt(rest, 10, 64); err == nil {
+				next = max(next, n)
+			}
+		}
+	}
+	if next == math.MaxInt64 {
+		return 0, &LedgerError{ID: "j" + strconv.FormatInt(next, 10), Reason: "no job ID left after it"}
+	}
+	return next, nil
 }
 
 // restore parses the record's state and error type into j — the one
@@ -604,7 +645,6 @@ func (s *Server) Cancel(id string) bool {
 			delete(s.retryTimers, j.ID)
 		}
 		s.gQueued.Set(float64(s.q.queued))
-		//mstxvet:ignore lockorder terminal transitions persist their own ledger snapshot under s.mu by design
 		s.finishLocked(j, StateCanceled, ErrTypeCanceled, "canceled before start")
 	case StateRunning:
 		j.cancelRequested = true

@@ -29,9 +29,10 @@ go vet ./...
 echo "== mstxvet (project invariants) =="
 # The internal/analysis catalog: panic quarantine, context threading,
 # determinism, failpoint registry coverage, obs nil-safety, plus the
-# dataflow analyzers (lock ordering, goroutine joins) built on the
-# CFG/call-graph layer. Job state and error class are compiler-checked
-# types in internal/server, and retry checkpointing is a server test.
+# goroutine-join analyzer built on the per-function CFG. Job state and
+# error class are compiler-checked types in internal/server, retry
+# checkpointing is a server test, and deadlocks are left to -race, the
+# chaos suites and the soak.
 # Must be self-clean over the whole repo; ./... skips the nested
 # mstxbench module, as go list does (suppressions need an audited
 # //mstxvet:ignore <analyzer> <reason>).
@@ -263,26 +264,33 @@ go run ./cmd/benchrecord -out BENCH_engines.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 25 -max-allocs-regress 2 <"$tmp/bench_engines.txt"
 
 echo "== bench record + regression gate (mstxvet catalog) =="
-# The vet-runtime budget: the full analyzer catalog (CFG + call graph
-# + dataflow) over two real packages. check.sh runs the catalog on
-# every merge, so its cost must stay visible in a trajectory like the
-# engine benchmarks. 50% ns headroom: a whole-program load + type
-# check dominates and is noisier than the compute-bound pairs. The
+# The vet-runtime budget: the full analyzer catalog over two real
+# packages, cold (BenchmarkMstxvet: the stdlib type-checked from
+# source again each iteration, as one CLI run does) and warm
+# (BenchmarkMstxvetWarm: the process-wide stdlib already checked).
+# check.sh runs the catalog on every merge, so its cost must stay
+# visible in a trajectory like the engine benchmarks. 50% ns headroom:
+# loading and type-checking dominate and are noisier than the
+# compute-bound pairs. The
 # allocs/op count jitters by a handful in millions (go/types interns
 # as it goes), so this gate alone takes 1% alloc slack instead of the
 # exact default.
-go test -run '^$' -bench 'BenchmarkMstxvet' -benchmem -benchtime 3x -count 5 \
+go test -run '^$' -bench 'BenchmarkMstxvet(Warm)?$' -benchmem -benchtime 3x -count 5 \
     ./internal/analysis >"$tmp/bench_mstxvet.txt"
 go run ./cmd/benchrecord -out BENCH_mstxvet.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 50 -max-allocs-regress 1 <"$tmp/bench_mstxvet.txt"
 
-echo "== fuzz smoke (netlist parser, job spec) =="
+echo "== fuzz smoke (netlist parser, job spec, job ledger) =="
 # Ten seconds of coverage-guided fuzzing each on top of the checked-in
 # seed corpora: the netlist text reader (any panic or round-trip
-# violation fails) and the service's job-spec decoder (decode plus
+# violation fails), the service's job-spec decoder (decode plus
 # normalize never panics, every accepted spec is within the caps, and
-# normalizing it again keeps its identity).
+# normalizing it again keeps its identity), and resume over arbitrary
+# CRC-valid job ledgers (never panics, fails only with a LedgerError,
+# restores unique IDs that a new Submit never reuses, and serves a
+# result for every restored done or partial job).
 go test -fuzz=FuzzParseNetlist -fuzztime=10s ./internal/netlist
 go test -run '^$' -fuzz=FuzzSubmitSpec -fuzztime=10s ./internal/server
+go test -run '^$' -fuzz=FuzzLedgerRestore -fuzztime=10s ./internal/server
 
 echo "== check OK (chaos soak: $soak_status, seed $soak_seed) =="
