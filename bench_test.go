@@ -14,16 +14,20 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"mstx/internal/campaign"
 	"mstx/internal/core"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
 	"mstx/internal/experiments"
 	"mstx/internal/fault"
+	"mstx/internal/mcengine"
 	"mstx/internal/obs"
 	"mstx/internal/params"
 	"mstx/internal/soc"
+	"mstx/internal/spectest"
 	"mstx/internal/tolerance"
 	"mstx/internal/translate"
 )
@@ -213,18 +217,28 @@ func benchRecord(n int) []int64 {
 	return xs
 }
 
-// BenchmarkFaultSimParallel measures the 63-fault-per-pass parallel
-// engine (compare with BenchmarkFaultSimSerial).
+// BenchmarkFaultSimParallel measures the campaign engine on one
+// 63-fault batch with exact compare (compare with
+// BenchmarkFaultSimSerial).
 func BenchmarkFaultSimParallel(b *testing.B) {
 	fir := benchFIR(b)
 	u := fault.NewUniverse(fir, true)
 	// Limit to one batch worth of faults so serial/parallel compare
 	// the same work.
 	u.Faults = u.Faults[:63]
-	xs := benchRecord(256)
+	benchExactCampaign(b, u, benchRecord(256))
+}
+
+// benchExactCampaign times the exact-compare campaign of u over xs on
+// the campaign engine.
+func benchExactCampaign(b *testing.B, u *fault.Universe, xs []int64) {
+	eng, err := campaign.New(u, fault.ExactDetector{}, campaign.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{}); err != nil {
+		if _, _, err := eng.Run(context.Background(), xs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -490,32 +504,11 @@ func BenchmarkSineFit4(b *testing.B) {
 	b.ReportMetric(ferr, "Hz-err")
 }
 
-// BenchmarkDetectOnly measures the early-abort exact campaign
-// (compare with BenchmarkSimulateFull over the same universe).
-func BenchmarkDetectOnly(b *testing.B) {
-	fir := benchFIR(b)
-	u := fault.NewUniverse(fir, true)
-	xs := benchRecord(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fault.DetectOnly(u, xs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulateFull is the diagnostic-complete campaign baseline
-// for BenchmarkDetectOnly.
+// BenchmarkSimulateFull is the exact-compare campaign over the whole
+// collapsed universe of the 13-tap filter on the campaign engine.
 func BenchmarkSimulateFull(b *testing.B) {
-	fir := benchFIR(b)
-	u := fault.NewUniverse(fir, true)
-	xs := benchRecord(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	u := fault.NewUniverse(benchFIR(b), true)
+	benchExactCampaign(b, u, benchRecord(512))
 }
 
 // benchDigitalTest builds the default E8 digital test (13-tap filter
@@ -553,7 +546,7 @@ func benchSpectralCampaign(b *testing.B, patterns int) {
 	var screened float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, stats, err := dt.RunSpectralStats()
+		_, stats, err := dt.RunSpectralOpts(context.Background(), campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -696,7 +689,7 @@ func BenchmarkCampaignObsOff(b *testing.B) {
 	dt := benchDigitalTest(b, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dt.RunSpectralStats(); err != nil {
+		if _, _, err := dt.RunSpectralOpts(context.Background(), campaign.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -711,7 +704,7 @@ func BenchmarkCampaignObsOn(b *testing.B) {
 	dt := benchDigitalTest(b, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dt.RunSpectralStats(); err != nil {
+		if _, _, err := dt.RunSpectralOpts(context.Background(), campaign.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -749,20 +742,64 @@ func BenchmarkMCObsOn(b *testing.B) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
-// BenchmarkSpectralCampaignSeed is the seed path of the same campaign:
-// fault.Simulate with the detector invoked inline, full-netlist
-// record generation, and a transform for every lane.
+// BenchmarkSpectralCampaignSeed is the seed path of the same campaign
+// (seedCampaign), kept as the fixed reference of the BENCH_campaign
+// trajectory and a probe of host speed.
 func BenchmarkSpectralCampaignSeed(b *testing.B) {
 	dt := benchDigitalTest(b, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dt.RunSpectralSeed(); err != nil {
+		if _, err := seedCampaign(dt.Universe, dt.RealisticCodes, dt.Detector); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	faults := float64(dt.Universe.Size()) * float64(b.N)
 	b.ReportMetric(faults/b.Elapsed().Seconds(), "faults/s")
+}
+
+// seedCampaign grades u the way the first campaign did: full-netlist
+// fault.Records batches of 63 faults on mcengine.Execute, one
+// NewWorkerDetect scratch per pool worker, and a transform for every
+// lane — no parallel-pattern records, screen or memo.
+func seedCampaign(u *fault.Universe, xs []int64, det *spectest.Detector) (*fault.Report, error) {
+	const batch = 63
+	nf := len(u.Faults)
+	dets := make([]func(good, faulty []int64) (bool, error), min(runtime.GOMAXPROCS(0), (nf+batch-1)/batch))
+	for w := range dets {
+		var err error
+		if dets[w], err = det.NewWorkerDetect(); err != nil {
+			return nil, err
+		}
+	}
+	results := make([]fault.Result, nf)
+	results, _, err := mcengine.Execute(context.Background(), mcengine.Plan[[]fault.Result, []fault.Result]{
+		N: nf, BatchSize: batch, Workers: len(dets),
+		Kernel: func(w, lane, count int) ([]fault.Result, error) {
+			faults := u.Faults[lane*batch : lane*batch+count]
+			good, faulty, err := fault.Records(u, xs, faults)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]fault.Result, count)
+			for i, f := range faults {
+				out[i] = fault.Result{Fault: f, Tap: u.FIR.TapOfNet(f.Net)}
+				out[i].FirstDiff, out[i].MaxAbsDiff = fault.DiffStats(good, faulty[i])
+				if out[i].Detected, err = dets[w](good, faulty[i]); err != nil {
+					return nil, err
+				}
+			}
+			return out, nil
+		},
+		Merge: func(results []fault.Result, lane int, part []fault.Result) []fault.Result {
+			copy(results[lane*batch:], part)
+			return results
+		},
+	}, results)
+	if err != nil {
+		return nil, err
+	}
+	return &fault.Report{Results: results, Patterns: len(xs)}, nil
 }
 
 // BenchmarkReferralMC1M measures one cold-mix-sized translate job's

@@ -1,7 +1,8 @@
 // Command faultsim runs a stand-alone gate-level stuck-at fault
-// simulation of a low-pass FIR filter with a multi-tone stimulus and
+// campaign of a low-pass FIR filter with a multi-tone stimulus and
 // exact output comparison — the ideal-input digital-test baseline of
-// the paper.
+// the paper — and, with -spectral, the spectral-signature campaign;
+// both run on the campaign engine.
 //
 // Usage:
 //
@@ -156,8 +157,13 @@ func simulate(ctx context.Context, cfg simConfig, w io.Writer) error {
 		}
 		xs[i] = int64(math.Round(v))
 	}
-	rep, err := fault.SimulateOpts(ctx, u, xs, fault.ExactDetector{},
-		fault.SimOptions{Checkpoint: cfg.ckpt, CheckpointName: "exact"})
+	eng, err := campaign.New(u, fault.ExactDetector{}, campaign.Options{
+		Checkpoint: cfg.ckpt, CheckpointName: "exact",
+	})
+	if err != nil {
+		return err
+	}
+	rep, _, err := eng.Run(ctx, xs)
 	if err != nil {
 		if resilient.Interrupted(err) && rep != nil {
 			fmt.Fprintf(w, "interrupted (%v); partial results:\n%s\n", err, rep)
@@ -219,7 +225,7 @@ func simulate(ctx context.Context, cfg simConfig, w io.Writer) error {
 	return nil
 }
 
-// runSpectral runs the spectral-signature campaign on the pooled
+// runSpectral runs the spectral-signature campaign on the campaign
 // engine: the reference spectrum comes from the good machine on the
 // clean stimulus, the uncertainty floor is calibrated from the good
 // machine on a noise-dithered copy, and every fault's record is then

@@ -83,7 +83,7 @@ func TestRunCheckpointResumeRoundTrip(t *testing.T) {
 
 	dir := t.TempDir()
 	fp := resilient.NewFailpoints()
-	fp.Set("fault.batch", resilient.Action{Err: errors.New("injected crash"), After: 2})
+	fp.Set("campaign.sim_batch", resilient.Action{Err: errors.New("injected crash"), After: 2})
 	resilient.Install(fp)
 	var crashOut, crashErr bytes.Buffer
 	code := run(small("-checkpoint", dir, "-checkpoint-every", "1"), &crashOut, &crashErr)

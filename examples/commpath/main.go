@@ -8,12 +8,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"strconv"
 
+	"mstx/internal/campaign"
 	"mstx/internal/core"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
@@ -94,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := dt.RunSpectral()
+	rep, _, err := dt.RunSpectralOpts(context.Background(), campaign.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

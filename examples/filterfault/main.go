@@ -1,8 +1,8 @@
 // Filterfault demonstrates the gate-level substrate on its own:
 // build a 16-tap FIR as a netlist, enumerate and collapse its
-// stuck-at universe, fault-simulate a two-tone record with exact
-// comparison, and show how one injected fault distorts the output
-// spectrum (the Figure 1 story).
+// stuck-at universe, grade it on a two-tone record with exact
+// comparison on the campaign engine, and show how one injected fault
+// distorts the output spectrum (the Figure 1 story).
 //
 //	go run ./examples/filterfault
 package main
@@ -13,6 +13,7 @@ import (
 	"log"
 	"math"
 
+	"mstx/internal/campaign"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
 	"mstx/internal/fault"
@@ -48,7 +49,11 @@ func main() {
 		ph := 2 * math.Pi * float64(i) / float64(n)
 		xs[i] = int64(math.Round(230*math.Sin(65*ph) + 230*math.Sin(81*ph)))
 	}
-	rep, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{})
+	eng, err := campaign.New(u, fault.ExactDetector{}, campaign.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, _, err := eng.Run(context.Background(), xs)
 	if err != nil {
 		log.Fatal(err)
 	}

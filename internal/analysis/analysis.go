@@ -98,8 +98,8 @@ func Catalog() []*Analyzer {
 }
 
 // enginePackages are the packages bound by the engine-layer contracts
-// (panic quarantine, deterministic replay): the spectral campaign, the
-// MC engine, the fault simulator, the tolerance/translate math that
+// (panic quarantine, deterministic replay): the stuck-at campaign, the
+// MC engine, the fault model, the tolerance/translate math that
 // feeds checkpointed ledgers, and the SOC test scheduler whose
 // schedules are golden-pinned bit for bit.
 var enginePackages = map[string]bool{

@@ -124,7 +124,6 @@ func TestFailpointSites(t *testing.T) {
 	want := []string{
 		"campaign.detect_batch",
 		"campaign.sim_batch",
-		"fault.batch",
 		"mcengine.lane",
 		"resilient.checkpoint.save",
 	}

@@ -1,44 +1,31 @@
-// Package campaign is the pooled spectral fault-campaign engine: one
-// bounded worker pool (mcengine.Execute, one 63-fault batch per lane)
-// in which each worker generates a batch's gate-level records and then
-// detects them with its own reusable FFT scratch (window table,
-// complex work buffer, float conversion buffer) keyed off the shared
-// dsp plan cache, so the per-fault hot path allocates nothing. Batch
-// results merge into the report in batch order.
+// Package campaign is the stuck-at fault-campaign engine. It runs
+// every campaign of the repository — exact output compare
+// (fault.ExactDetector) and spectral signature detection through the
+// analog path (spectest.Detector) alike — on one bounded worker pool
+// (mcengine.Execute, one 63-fault batch per lane). Each worker
+// generates a batch's gate-level records and detects them with its own
+// detector, bound through fault.BindWorker; for the spectral detector
+// that is a reusable FFT scratch, so once warm the record → FFT →
+// verdict path allocates nothing (pinned by AllocsPerRun tests in dsp
+// and spectest and by BENCH_campaign.json). Batches merge in order, so
+// the Report is identical for any worker count, any kill/resume split,
+// and to fault.SerialSimulate with the same detector.
 //
-// The engine also applies a zero-diff screen: a faulty record that is
-// identical to the good record has an identical spectrum, so its
-// spectral verdict equals the good record's own — computed once — and
-// the per-fault FFT is skipped entirely. On high-coverage stimuli a
-// large fraction of the residual faults never toggle the output, so
-// the screen removes a matching fraction of the transform work while
-// leaving the campaign Report bit-identical to the serial reference
-// path (fault.SerialSimulate with the same detector).
-//
-// The per-record steady state is a zero-allocation contract, pinned by
-// testing.AllocsPerRun regression tests in dsp and spectest and by the
-// BENCH_dsp.json / BENCH_campaign.json perf trajectories recorded by
-// scripts/check.sh: once a worker's scratch is warm, the record →
-// window → FFT → power spectrum → screen path allocates nothing. The
-// same contract is available outside this engine — spectest.Detector
-// satisfies fault.WorkerDetector, so fault.Simulate and
-// fault.SerialSimulate bind one scratch per pool worker, and
-// dsp.SpectrumScratch carries scratch-backed Welch, Analyze,
-// NoiseFloor and CoherentAverage variants for streaming callers.
-//
-// Two further campaign-level reuses exploit that every batch drives
-// the same stimulus. Record generation is parallel-pattern single-fault
-// propagation: the FIR netlist is combinational (its delay line lives
-// outside it), so one fault-free pass, 64 record steps per simulator
-// word, captures every net's value over the whole record
-// (digital.Baseline's time-packed view), and each fault then
-// re-evaluates only the gates its effect reaches — a small fraction of
-// the circuit — over those words, on its worker's digital.FaultReplay.
-// And detection is memoized: structurally inequivalent faults often
-// produce byte-identical output records, whose spectra and verdicts
-// are necessarily identical too, so each distinct record pays for at
-// most one transform. Both reuses are exact (no verdict can change)
-// and both can be disabled in Options for A/B measurement.
+// Three reuses exploit that every batch drives the same stimulus.
+// Record generation is parallel-pattern single-fault propagation: the
+// FIR netlist is combinational (its delay line lives outside it), so
+// one fault-free pass, 64 record steps per simulator word, captures
+// every net's value over the whole record (digital.Baseline), and each
+// fault then re-evaluates only the gates its effect reaches, on its
+// worker's digital.FaultReplay. A zero-diff screen gives a faulty
+// record identical to the good one the good record's own verdict,
+// Det.Detect(good, good), computed once. And verdicts are memoized:
+// structurally inequivalent faults often produce byte-identical
+// records, so each distinct record is detected at most once. The
+// screen and the memo are exact for any pure detector (one whose
+// verdict depends only on the two records): the good record is the
+// same for every lane, so a verdict is a function of the faulty record
+// alone.
 package campaign
 
 import (
@@ -54,7 +41,6 @@ import (
 	"mstx/internal/mcengine"
 	"mstx/internal/obs"
 	"mstx/internal/resilient"
-	"mstx/internal/spectest"
 )
 
 // Failpoint sites for the deterministic fault-injection harness: one
@@ -76,22 +62,15 @@ type Options struct {
 	// Deprecated: the campaign runs one pool of DetectWorkers, each
 	// worker simulating and then detecting its batch.
 	SimWorkers int
-	// DetectWorkers bounds the campaign pool (one FFT scratch per
+	// DetectWorkers bounds the campaign pool (one bound detector per
 	// worker). Defaults to GOMAXPROCS.
 	DetectWorkers int
-	// DisableScreen turns the zero-diff screen off (every lane pays
-	// its FFT); the screen is on by default and changes no verdict.
-	DisableScreen bool
 	// DisableDifferential turns parallel-pattern record generation
 	// off (every batch re-evaluates the full netlist per step). The
 	// parallel-pattern path is on by default whenever the circuit
 	// compiles and the baseline view fits the memory budget; it
 	// changes no record bit.
 	DisableDifferential bool
-	// DisableMemo turns record-verdict memoization off (byte-identical
-	// faulty records each pay their own transform); memoization is on
-	// by default and changes no verdict.
-	DisableMemo bool
 	// Quarantine recovers a panicking batch (either stage), marks its
 	// faults Quarantined in the Report, and continues the campaign.
 	// Without it the recovered panic aborts the run as an ordinary
@@ -122,10 +101,11 @@ type Stats struct {
 	// Screened counts lanes resolved by the zero-diff screen.
 	Screened int
 	// Memoized counts lanes resolved by record-verdict memoization (a
-	// byte-identical record was already transformed).
+	// byte-identical record was already detected).
 	Memoized int
-	// Spectra counts spectral evaluations actually performed,
-	// including the one good-record evaluation backing the screen.
+	// Spectra counts detector evaluations actually performed (spectra,
+	// for the spectral detector), including the one good-record
+	// evaluation backing the screen.
 	Spectra int
 	// Differential reports whether record generation propagated each
 	// fault over a shared baseline (false: full per-batch runs).
@@ -135,10 +115,10 @@ type Stats struct {
 	Quarantined int
 }
 
-// runTotal is the merged prefix of a campaign: the report's results
-// and the engine counters the merged batches contributed. It is what a
-// checkpoint saves. Spectra excludes the good-record verdict
-// (recomputed on every run, including resumes).
+// runTotal is the merged prefix of a campaign: the results of the
+// merged batches, in universe order, and the engine counters they
+// contributed. It is what a checkpoint saves. Spectra excludes the
+// good-record verdict (recomputed on every run, including resumes).
 type runTotal struct {
 	Results                                  []fault.Result
 	Screened, Memoized, Spectra, Quarantined int
@@ -150,18 +130,18 @@ type batchResult struct {
 	screened, memoized, spectra int
 }
 
-// Engine runs spectral stuck-at campaigns for one universe/detector
-// pair. It is cheap to construct; all heavy state is per-Run.
+// Engine runs stuck-at campaigns for one universe/detector pair. It is
+// cheap to construct; all heavy state is per-Run.
 type Engine struct {
 	U    *fault.Universe
-	Det  *spectest.Detector
+	Det  fault.Detector
 	Opts Options
 }
 
-// New builds an engine. The detector must already be calibrated;
-// construction validates nothing about the stimulus, which is supplied
-// per Run.
-func New(u *fault.Universe, det *spectest.Detector, opts Options) (*Engine, error) {
+// New builds an engine. The detector must already be calibrated (a
+// spectral one against its reference); construction validates nothing
+// about the stimulus, which is supplied per Run.
+func New(u *fault.Universe, det fault.Detector, opts Options) (*Engine, error) {
 	if u == nil {
 		return nil, fmt.Errorf("campaign: nil universe")
 	}
@@ -174,7 +154,7 @@ func New(u *fault.Universe, det *spectest.Detector, opts Options) (*Engine, erro
 	return &Engine{U: u, Det: det, Opts: opts}, nil
 }
 
-// Run executes the spectral campaign over one period of the (coherent)
+// Run executes the campaign over one period of the (coherent)
 // stimulus xs and returns the per-fault Report — identical to
 // fault.SerialSimulate(u, xs, det) — together with engine statistics.
 // Detector errors abort the run and surface as campaign errors; the
@@ -218,14 +198,13 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		genCounter = reg.Counter("campaign_records_generated_total")
 	}
 
-	// The screen's shared verdict: a zero-diff lane's spectrum is the
-	// good record's spectrum, so its verdict is the good record's. The
-	// good record is the same for every batch (lane 0 of each pass),
-	// so compute it — and its verdict — once up front. This also
-	// surfaces stimulus/detector length mismatches before any batch
-	// spins up. When the parallel-pattern path is viable the same pass
-	// captures the time-packed baseline view every fault is propagated
-	// over.
+	// The screen's shared verdict: a zero-diff lane's record is the
+	// good record, so its verdict is Detect(good, good). The good
+	// record is the same for every batch (lane 0 of each pass), so
+	// compute it — and its verdict — once up front. This also surfaces
+	// stimulus/detector length mismatches before any batch spins up.
+	// When the parallel-pattern path is viable the same pass captures
+	// the time-packed baseline view every fault is propagated over.
 	goodSim := digital.NewFIRSim(e.U.FIR)
 	var (
 		good   []int64
@@ -251,7 +230,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		}
 	}
 	stats.Differential = useDiff
-	goodDetected, err := e.Det.DetectRecord(good, nil)
+	goodDetected, err := e.Det.Detect(good, good)
 	baseSp.End()
 	if err != nil {
 		return nil, nil, err
@@ -259,56 +238,47 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	stats.Spectra++
 
 	// One pool: each worker simulates a batch, then detects it with its
-	// own scratch (created on the worker's first batch). Lanes whose
-	// record matches the good record take the screened verdict without
-	// transforming, and byte-identical records share one memoized
+	// own bound detector (created on the worker's first batch). Lanes
+	// whose record matches the good record take the screened verdict
+	// without detecting, and byte-identical records share one memoized
 	// verdict.
 	workers := min(max(e.Opts.DetectWorkers, 1), nBatches)
-	scratch := make([]*spectest.Scratch, workers)
+	dets := make([]fault.Detector, workers)
 	replays := make([]*digital.FaultReplay, workers)
-	var memo *memoTable
-	if !e.Opts.DisableMemo {
-		memo = newMemoTable()
-	}
-	detect := func(sc *spectest.Scratch, lo int, lanes [][]int64) (batchResult, error) {
+	memo := newMemoTable()
+	detect := func(det fault.Detector, lo int, lanes [][]int64) (batchResult, error) {
 		if err := resilient.Fire(fpDetBatch); err != nil {
 			return batchResult{}, err
 		}
 		out := batchResult{results: make([]fault.Result, len(lanes))}
 		for i, rec := range lanes {
-			f := e.U.Faults[lo+i]
 			res := &out.results[i]
-			*res = fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net)}
+			*res = e.blank(lo + i)
 			res.FirstDiff, res.MaxAbsDiff = fault.DiffStats(good, rec)
-			if !e.Opts.DisableScreen && res.MaxAbsDiff == 0 {
+			if res.MaxAbsDiff == 0 {
 				res.Detected = goodDetected
 				out.screened++
 				continue
 			}
-			var h uint64
-			if memo != nil {
-				h = HashRecord(rec)
-				if d, ok := memo.lookup(h, rec); ok {
-					res.Detected = d
-					out.memoized++
-					continue
-				}
+			h := HashRecord(rec)
+			if d, ok := memo.lookup(h, rec); ok {
+				res.Detected = d
+				out.memoized++
+				continue
 			}
 			var t0 time.Time
 			if verdictHist != nil {
 				t0 = time.Now()
 			}
-			det, err := e.Det.DetectRecord(rec, sc)
+			d, err := det.Detect(good, rec)
 			if verdictHist != nil {
 				verdictHist.Observe(time.Since(t0).Seconds())
 			}
 			if err != nil {
 				return batchResult{}, err
 			}
-			if memo != nil {
-				memo.insert(h, rec, det)
-			}
-			res.Detected = det
+			memo.insert(h, rec, d)
+			res.Detected = d
 			out.spectra++
 		}
 		return out, nil
@@ -316,7 +286,10 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	plan := mcengine.Plan[runTotal, batchResult]{
 		Span: "campaign.pipeline", N: nf, BatchSize: lanesPerBatch, Workers: workers,
 		Checkpoint: e.Opts.Checkpoint, CheckpointName: e.Opts.CheckpointName,
-		Ident: fmt.Sprintf("patterns=%d stim=%016x", len(xs), HashRecord(xs)),
+		// The detector's type is part of the identity: an exact and a
+		// spectral campaign over one stimulus must never resume each
+		// other's verdicts.
+		Ident: fmt.Sprintf("det=%T patterns=%d stim=%016x", e.Det, len(xs), HashRecord(xs)),
 		Kernel: func(w, lane, count int) (batchResult, error) {
 			lo := lane * lanesPerBatch
 			if err := resilient.Fire(fpSimBatch); err != nil {
@@ -346,21 +319,21 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 				return batchResult{}, err
 			}
 			genCounter.Add(int64(len(lanes)))
-			if scratch[w] == nil {
-				if scratch[w], err = e.Det.NewScratch(); err != nil {
+			if dets[w] == nil {
+				if dets[w], err = fault.BindWorker(e.Det); err != nil {
 					return batchResult{}, err
 				}
 			}
 			if reg != nil {
 				t := time.Now()
-				out, err := detect(scratch[w], lo, lanes)
+				out, err := detect(dets[w], lo, lanes)
 				busyNanos.Add(int64(time.Since(t)))
 				return out, err
 			}
-			return detect(scratch[w], lo, lanes)
+			return detect(dets[w], lo, lanes)
 		},
-		Merge: func(t runTotal, lane int, b batchResult) runTotal {
-			copy(t.Results[lane*lanesPerBatch:], b.results)
+		Merge: func(t runTotal, _ int, b batchResult) runTotal {
+			t.Results = append(t.Results, b.results...)
 			t.Screened += b.screened
 			t.Memoized += b.memoized
 			t.Spectra += b.spectra
@@ -374,25 +347,31 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		// A quarantined batch keeps its faults' bare identity, marked.
 		plan.Quarantine = func(t runTotal, lane, count int, _ error) runTotal {
 			for i := lane * lanesPerBatch; i < lane*lanesPerBatch+count; i++ {
-				t.Results[i].Quarantined = true
+				res := e.blank(i)
+				res.Quarantined = true
+				t.Results = append(t.Results, res)
 			}
 			t.Quarantined += count
 			return t
 		}
 	}
-	// Prefill the fault identity so partial (canceled) and quarantined
-	// entries still say which fault they cover.
-	total := runTotal{Results: make([]fault.Result, nf)}
-	for i, f := range e.U.Faults {
-		total.Results[i] = fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net), FirstDiff: -1}
-	}
 	var pipeStart time.Time
 	if reg != nil {
 		pipeStart = time.Now()
 	}
-	total, _, err = mcengine.Execute(runCtx, plan, total)
+	total, _, err := mcengine.Execute(runCtx, plan, runTotal{Results: make([]fault.Result, 0, nf)})
 	if err != nil && !resilient.Interrupted(err) {
 		return nil, nil, err
+	}
+	if e.Opts.Checkpoint.Enabled() {
+		if bad := e.checkResumed(plan.CheckpointName, total.Results, err == nil); bad != nil {
+			return nil, nil, bad
+		}
+	}
+	// The batches not merged keep their faults' bare identity, so a
+	// partial report still says which fault each entry covers.
+	for i := len(total.Results); i < nf; i++ {
+		total.Results = append(total.Results, e.blank(i))
 	}
 	stats.Screened = total.Screened
 	stats.Memoized = total.Memoized
@@ -411,11 +390,9 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 			reg.Counter("campaign_quarantined_total").Add(int64(total.Quarantined))
 		}
 		reg.Counter("campaign_memo_hits_total").Add(int64(total.Memoized))
-		if memo != nil {
-			// A miss is a lane that paid its own transform while the
-			// memo was on — exactly the spectra computed in the pool.
-			reg.Counter("campaign_memo_misses_total").Add(int64(total.Spectra))
-		}
+		// A miss is a lane that paid its own detection — exactly the
+		// evaluations computed in the pool.
+		reg.Counter("campaign_memo_misses_total").Add(int64(total.Spectra))
 		reg.Counter("campaign_spectra_total").Add(int64(stats.Spectra))
 		if wall := time.Since(pipeStart).Seconds(); wall > 0 && workers > 0 {
 			busy := float64(busyNanos.Load()) / 1e9
@@ -425,10 +402,34 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	return rep, stats, nil
 }
 
+// blank is fault i's bare identity: no verdict, FirstDiff -1.
+func (e *Engine) blank(i int) fault.Result {
+	f := e.U.Faults[i]
+	return fault.Result{Fault: f, Tap: e.U.FIR.TapOfNet(f.Net), FirstDiff: -1}
+}
+
+// checkResumed refuses a merged prefix that is not this universe's
+// leading faults in order (or, when the run completed, all of them): a
+// snapshot that matched the campaign identity but holds another fault
+// list.
+func (e *Engine) checkResumed(name string, results []fault.Result, complete bool) error {
+	nf := len(e.U.Faults)
+	ok := len(results) <= nf && (!complete || len(results) == nf)
+	for i := 0; ok && i < len(results); i++ {
+		ok = results[i].Fault == e.U.Faults[i]
+	}
+	if !ok {
+		return &resilient.CheckpointError{Name: name,
+			Err: fmt.Errorf("its %d results are not a prefix of this %d-fault universe", len(results), nf)}
+	}
+	return nil
+}
+
 // memoTable memoizes detection verdicts by record content. Hash
 // collisions are resolved by full record comparison, so a hit is an
 // exact byte-identical match and reusing its verdict cannot change any
-// result (the detector is a pure function of the record). Two workers
+// result (with the good record fixed, a pure detector's verdict is a
+// function of the faulty record). Two workers
 // racing on the same record may both compute it — the table then keeps
 // one entry and the campaign merely loses one skip, never correctness.
 type memoTable struct {

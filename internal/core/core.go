@@ -221,8 +221,10 @@ func DefaultDigitalTestOptions() DigitalTestOptions {
 	}
 }
 
-// DigitalTest is a ready-to-run spectral fault-simulation campaign
-// for the path's digital filter.
+// DigitalTest is a ready-to-run pair of stuck-at campaigns for the
+// path's digital filter: exact compare on the ideal codes
+// (RunExactOpts) and the spectral test on the realistic capture
+// (RunSpectralOpts), both on the campaign engine.
 type DigitalTest struct {
 	// FIR is the gate-level filter under test.
 	FIR *digital.FIR
@@ -327,61 +329,27 @@ func (s *Synthesizer) BuildDigitalTest(opts DigitalTestOptions) (*DigitalTest, e
 	}, nil
 }
 
-// RunExact runs the campaign with the ideal-input, exact-compare
-// detector (the known-input digital test baseline).
-func (dt *DigitalTest) RunExact() (*fault.Report, error) {
-	return dt.RunExactCtx(context.Background())
+// RunExactOpts grades the universe by exact compare on the ideal codes
+// (the known-input digital test baseline) on the campaign engine, with
+// the caller's pool and resilience options under ctx.
+func (dt *DigitalTest) RunExactOpts(ctx context.Context, opts campaign.Options) (*fault.Report, *campaign.Stats, error) {
+	eng, err := campaign.New(dt.Universe, fault.ExactDetector{}, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eng.Run(ctx, dt.IdealCodes)
 }
 
-// RunExactCtx is RunExact bounded by ctx: cancellation/deadline is
-// honored at batch granularity and surfaces as a typed
-// resilient.ErrCanceled/ErrDeadline with a partial report.
-func (dt *DigitalTest) RunExactCtx(ctx context.Context) (*fault.Report, error) {
-	return fault.Simulate(ctx, dt.Universe, dt.IdealCodes, fault.ExactDetector{})
-}
-
-// RunExactOpts is RunExact with the resilience knobs (checkpoint/
-// resume, quarantine) exposed.
-func (dt *DigitalTest) RunExactOpts(ctx context.Context, opts fault.SimOptions) (*fault.Report, error) {
-	return fault.SimulateOpts(ctx, dt.Universe, dt.IdealCodes, fault.ExactDetector{}, opts)
-}
-
-// RunSpectral runs the campaign with the calibrated spectral detector
-// on the realistic front-end capture — the paper's translated digital
-// test. It executes on the pooled campaign engine (one worker pool,
-// each worker generating a 63-lane batch and detecting it on its own
-// FFT scratch, zero-diff screening); the report is identical to the
-// serial reference path.
-func (dt *DigitalTest) RunSpectral() (*fault.Report, error) {
-	rep, _, err := dt.RunSpectralStats()
-	return rep, err
-}
-
-// RunSpectralStats is RunSpectral, also returning the engine's
-// pipeline statistics (batches, screened lanes, spectra computed).
-func (dt *DigitalTest) RunSpectralStats() (*fault.Report, *campaign.Stats, error) {
-	return dt.RunSpectralOpts(context.Background(), campaign.Options{})
-}
-
-// RunSpectralOpts runs the spectral campaign on the pooled engine with
-// the caller's pipeline and resilience options (worker counts,
-// checkpoint/resume, quarantine) under ctx. The report is identical to
-// RunSpectral's for any option set that completes the run.
+// RunSpectralOpts grades the universe with the calibrated spectral
+// detector on the realistic front-end capture — the paper's translated
+// digital test — likewise. The report is the same for any option set
+// that completes the run.
 func (dt *DigitalTest) RunSpectralOpts(ctx context.Context, opts campaign.Options) (*fault.Report, *campaign.Stats, error) {
 	eng, err := campaign.New(dt.Universe, dt.Detector, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	return eng.Run(ctx, dt.RealisticCodes)
-}
-
-// RunSpectralSeed runs the same spectral campaign through the seed
-// path — fault.Simulate with the detector invoked inline in each
-// simulation batch, with full-netlist record generation and no screen
-// or memo. It exists as the baseline for the campaign-engine benchmark
-// pair and for equivalence testing.
-func (dt *DigitalTest) RunSpectralSeed() (*fault.Report, error) {
-	return fault.Simulate(context.Background(), dt.Universe, dt.RealisticCodes, dt.Detector)
 }
 
 func dspAlias(f, fs float64) float64 {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"mstx/internal/campaign"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
 	"mstx/internal/params"
@@ -184,11 +186,11 @@ func TestBuildDigitalTestAndSmallCampaign(t *testing.T) {
 	if dt.Detector.FloorPower <= 0 {
 		t.Fatal("detector not calibrated")
 	}
-	exact, err := dt.RunExact()
+	exact, _, err := dt.RunExactOpts(context.Background(), campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spectral, err := dt.RunSpectral()
+	spectral, _, err := dt.RunSpectralOpts(context.Background(), campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

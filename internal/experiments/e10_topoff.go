@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -72,7 +71,7 @@ func TopOff(opts TopOffOptions) (*TopOffResult, error) {
 		ph := 2 * math.Pi * float64(i) / float64(n)
 		xs[i] = int64(math.Round(230*math.Sin(float64(n/16+1)*ph) + 230*math.Sin(float64(n/16+17)*ph)))
 	}
-	rep, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{})
+	rep, err := exactCampaign(u, xs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -157,7 +156,7 @@ func mostActiveFault(fir *digital.FIR, u *fault.Universe, tap int, xs []int64) (
 		return netlist.Fault{}, false, nil
 	}
 	sub := &fault.Universe{FIR: fir, Faults: cands}
-	rep, err := fault.Simulate(context.Background(), sub, xs, fault.ExactDetector{})
+	rep, err := exactCampaign(sub, xs)
 	if err != nil {
 		return netlist.Fault{}, false, err
 	}

@@ -81,21 +81,15 @@ func CoverageVsTones(opts TonesOptions) (*TonesResult, error) {
 			}
 			xs[i] = int64(math.Round(v))
 		}
-		det, err := fault.DetectOnly(u, xs)
+		rep, err := exactCampaign(u, xs)
 		if err != nil {
 			return nil, err
 		}
-		count := 0
-		for _, d := range det {
-			if d {
-				count++
-			}
-		}
 		res.Rows = append(res.Rows, ToneCoverageRow{
 			Tones:    tones,
-			Coverage: 100 * float64(count) / float64(len(det)),
-			Detected: count,
-			Total:    len(det),
+			Coverage: rep.Coverage(),
+			Detected: rep.Detected(),
+			Total:    len(rep.Results),
 		})
 	}
 	return res, nil

@@ -113,8 +113,8 @@ func PathFaultSim(opts PathFaultOptions) (*PathFaultResult, error) {
 	}
 	res.UniverseSize = dtLong.Universe.Size()
 	_, exactSp := obs.Span(e8Ctx, "e8.exact")
-	exact, err := dtLong.RunExactOpts(ctx,
-		fault.SimOptions{Checkpoint: opts.Checkpoint, CheckpointName: "e8_exact"})
+	exact, _, err := dtLong.RunExactOpts(ctx,
+		campaign.Options{Checkpoint: opts.Checkpoint, CheckpointName: "e8_exact"})
 	exactSp.End()
 	if err != nil {
 		return nil, err

@@ -16,13 +16,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 	"text/tabwriter"
 
+	"mstx/internal/campaign"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
+	"mstx/internal/fault"
 	"mstx/internal/path"
 )
 
@@ -41,6 +44,17 @@ func BuildDefaultSpec() (path.Spec, error) {
 		return path.Spec{}, err
 	}
 	return path.DefaultSpec(coeffs), nil
+}
+
+// exactCampaign grades the universe by exact output compare over the
+// periodic stimulus xs, on the campaign engine.
+func exactCampaign(u *fault.Universe, xs []int64) (*fault.Report, error) {
+	eng, err := campaign.New(u, fault.ExactDetector{}, campaign.Options{})
+	if err != nil {
+		return nil, err
+	}
+	rep, _, err := eng.Run(context.Background(), xs)
+	return rep, err
 }
 
 // table renders rows with a tabwriter; the first row is the header.

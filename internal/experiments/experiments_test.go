@@ -271,6 +271,11 @@ func TestTopOffShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The functional campaign's counts are pinned: the ATPG residue
+	// below is derived from exactly these undetected faults.
+	if res.Detected != 1980 || res.Total != 2188 {
+		t.Errorf("functional campaign detected %d/%d, want 1980/2188", res.Detected, res.Total)
+	}
 	if res.Testable+res.Untestable+res.Aborted+res.Detected != res.Total {
 		t.Fatalf("classification does not partition the universe: %+v", res)
 	}

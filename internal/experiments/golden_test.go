@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -21,8 +22,14 @@ func TestTable2Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Format()
-	golden := filepath.Join("testdata", "e6_table2.golden")
+	checkGolden(t, "e6_table2.golden", res.Format())
+}
+
+// checkGolden compares got with testdata/name byte for byte, first
+// rewriting the file when the test runs with -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -36,8 +43,44 @@ func TestTable2Golden(t *testing.T) {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
 	if got != string(want) {
-		t.Errorf("Table 2 output drifted from golden.\n--- got ---\n%s--- want ---\n%s(run with -update if the change is intentional)", got, want)
+		t.Errorf("output drifted from %s.\n--- got ---\n%s--- want ---\n%s(run with -update if the change is intentional)", golden, got, want)
 	}
+}
+
+// TestStuckAtGoldens pins the -quick tables of the three stuck-at
+// experiments byte for byte, at the sizes `cmd/experiments -quick`
+// runs: E1 (Figure 1 spurs), E2 (coverage vs. tones) and E8 (the
+// filter through the analog path). E8's last line, the campaign
+// engine's screened/memoized/spectra split, is left out: with several
+// workers two of them can both miss the memo table on one record, so
+// the split (never a verdict) moves from run to run. Regenerate
+// intentionally with:
+//
+//	go test ./internal/experiments -run StuckAtGoldens -update
+func TestStuckAtGoldens(t *testing.T) {
+	fig1, err := Fig1(Fig1Options{Patterns: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "e1_fig1.golden", fig1.Format())
+	tones, err := CoverageVsTones(TonesOptions{Patterns: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "e2_tones.golden", tones.Format())
+	if testing.Short() {
+		t.Skip("E8 golden skipped in -short")
+	}
+	e8, err := PathFaultSim(PathFaultOptions{BasePatterns: 256, LongPatterns: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := e8.Format()
+	engineLine := strings.LastIndex(strings.TrimSuffix(out, "\n"), "\n") + 1
+	if !strings.HasPrefix(out[engineLine:], "campaign engine") {
+		t.Fatalf("E8 report no longer ends with the engine line:\n%s", out)
+	}
+	checkGolden(t, "e8_pathfault.golden", out[:engineLine])
 }
 
 // TestE9ScheduleGolden pins the formatted E9 SOC schedule sweep
@@ -53,23 +96,7 @@ func TestE9ScheduleGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Format()
-	golden := filepath.Join("testdata", "e9_schedule.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if got != string(want) {
-		t.Errorf("E9 schedule output drifted from golden.\n--- got ---\n%s--- want ---\n%s(run with -update if the change is intentional)", got, want)
-	}
+	checkGolden(t, "e9_schedule.golden", res.Format())
 }
 
 // TestE9ScheduleGoldenWorkerInvariant re-runs the golden

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"context"
 	"errors"
 	"math"
 	"strings"
@@ -44,11 +43,14 @@ func TestUniverseSizes(t *testing.T) {
 	}
 }
 
+// TestSimulateDetectsInjectedFaults checks the Report accounting over
+// the serial reference; the campaign engine's reports are tested
+// equal to it in package campaign.
 func TestSimulateDetectsInjectedFaults(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, true)
 	xs := sineRecord(64, 28, 5)
-	rep, err := Simulate(context.Background(), u, xs, ExactDetector{})
+	rep, err := SerialSimulate(u, xs, ExactDetector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +78,27 @@ func TestSimulateDetectsInjectedFaults(t *testing.T) {
 	}
 }
 
+// TestSerialMatchesParallel: 63 faults in the lanes of one Records pass
+// grade exactly as one fault per pass does.
 func TestSerialMatchesParallel(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, true)
 	xs := sineRecord(48, 25, 3)
-	par, err := Simulate(context.Background(), u, xs, ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
+	par := &Report{Patterns: len(xs)}
+	for lo := 0; lo < u.Size(); lo += 63 {
+		batch := u.Faults[lo:min(lo+63, u.Size())]
+		good, faulty, err := Records(u, xs, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range batch {
+			res := Result{Fault: f, Tap: fir.TapOfNet(f.Net)}
+			res.FirstDiff, res.MaxAbsDiff = DiffStats(good, faulty[i])
+			if res.Detected, err = (ExactDetector{}).Detect(good, faulty[i]); err != nil {
+				t.Fatal(err)
+			}
+			par.Results = append(par.Results, res)
+		}
 	}
 	ser, err := SerialSimulate(u, xs, ExactDetector{})
 	if err != nil {
@@ -136,17 +152,14 @@ func TestSimulateSurfacesDetectorErrors(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, true)
 	xs := sineRecord(64, 20, 3)
-	if _, err := Simulate(context.Background(), u, xs, errDetector{}); err == nil || !strings.Contains(err.Error(), "detector exploded") {
-		t.Errorf("Simulate swallowed the detector error: %v", err)
-	}
 	if _, err := SerialSimulate(u, xs, errDetector{}); err == nil || !strings.Contains(err.Error(), "detector exploded") {
 		t.Errorf("SerialSimulate swallowed the detector error: %v", err)
 	}
 }
 
 // countingWorkerDetector wraps ExactDetector with WorkerDetector
-// bookkeeping so tests can prove the campaign detects through the
-// per-worker bound functions rather than the shared Detect.
+// bookkeeping so tests can prove the reference path detects through
+// the bound function rather than the shared Detect.
 type countingWorkerDetector struct {
 	base        ExactDetector
 	newErr      error
@@ -175,50 +188,29 @@ func TestSimulateUsesWorkerDetectors(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, true)
 	xs := sineRecord(64, 28, 5)
-	want, err := Simulate(context.Background(), u, xs, ExactDetector{})
+	want, err := SerialSimulate(u, xs, ExactDetector{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(label string, cd *countingWorkerDetector, rep *Report, wantNew int64) {
-		t.Helper()
-		if len(rep.Results) != len(want.Results) {
-			t.Fatalf("%s: result count mismatch", label)
-		}
-		for i := range want.Results {
-			if rep.Results[i].Detected != want.Results[i].Detected {
-				t.Fatalf("%s: fault %v verdict differs from plain ExactDetector",
-					label, rep.Results[i].Fault)
-			}
-		}
-		if cd.newCalls.Load() != wantNew {
-			t.Errorf("%s: NewWorkerDetect called %d times, want %d", label, cd.newCalls.Load(), wantNew)
-		}
-		if cd.boundCalls.Load() == 0 {
-			t.Errorf("%s: no detection went through the bound worker function", label)
-		}
-		if cd.directCalls.Load() != 0 {
-			t.Errorf("%s: %d detections bypassed the worker scratch path", label, cd.directCalls.Load())
-		}
-	}
-
 	cd := &countingWorkerDetector{}
-	rep, err := SimulateOpts(context.Background(), u, xs, cd, SimOptions{Workers: 2})
+	rep, err := SerialSimulate(u, xs, cd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One bound detector per pool worker, clamped to the batch count.
-	wantDets := int64((len(u.Faults) + 62) / 63)
-	if wantDets > 2 {
-		wantDets = 2
+	for i := range want.Results {
+		if rep.Results[i].Detected != want.Results[i].Detected {
+			t.Fatalf("fault %v verdict differs from plain ExactDetector", rep.Results[i].Fault)
+		}
 	}
-	check("parallel", cd, rep, wantDets)
-
-	cd = &countingWorkerDetector{}
-	ser, err := SerialSimulate(u, xs, cd)
-	if err != nil {
-		t.Fatal(err)
+	if cd.newCalls.Load() != 1 {
+		t.Errorf("NewWorkerDetect called %d times, want 1", cd.newCalls.Load())
 	}
-	check("serial", cd, ser, 1)
+	if cd.boundCalls.Load() == 0 {
+		t.Error("no detection went through the bound worker function")
+	}
+	if cd.directCalls.Load() != 0 {
+		t.Errorf("%d detections bypassed the worker scratch path", cd.directCalls.Load())
+	}
 }
 
 func TestWorkerDetectorSetupErrorPropagates(t *testing.T) {
@@ -226,9 +218,6 @@ func TestWorkerDetectorSetupErrorPropagates(t *testing.T) {
 	u := NewUniverse(fir, true)
 	xs := sineRecord(64, 28, 5)
 	cd := &countingWorkerDetector{newErr: errors.New("scratch build failed")}
-	if _, err := Simulate(context.Background(), u, xs, cd); err == nil || !strings.Contains(err.Error(), "scratch build failed") {
-		t.Errorf("Simulate swallowed the setup error: %v", err)
-	}
 	if _, err := SerialSimulate(u, xs, cd); err == nil || !strings.Contains(err.Error(), "scratch build failed") {
 		t.Errorf("SerialSimulate swallowed the setup error: %v", err)
 	}
@@ -240,12 +229,6 @@ func TestWorkerDetectorSetupErrorPropagates(t *testing.T) {
 func TestSimulateValidation(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, true)
-	if _, err := Simulate(context.Background(), u, nil, ExactDetector{}); err == nil {
-		t.Error("empty record accepted")
-	}
-	if _, err := Simulate(context.Background(), u, []int64{1}, nil); err == nil {
-		t.Error("nil detector accepted")
-	}
 	if _, err := SerialSimulate(u, nil, ExactDetector{}); err == nil {
 		t.Error("serial empty record accepted")
 	}
@@ -291,7 +274,7 @@ func TestTapAttribution(t *testing.T) {
 	fir := smallFIR(t)
 	u := NewUniverse(fir, false)
 	xs := sineRecord(32, 25, 3)
-	rep, err := Simulate(context.Background(), u, xs, ExactDetector{})
+	rep, err := SerialSimulate(u, xs, ExactDetector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +324,11 @@ func TestTwoToneBeatsSingleToneCoverage(t *testing.T) {
 		one[i] = int64(math.Round(100 * math.Sin(7*ph)))
 		two[i] = int64(math.Round(50*math.Sin(7*ph) + 50*math.Sin(11*ph)))
 	}
-	rep1, err := Simulate(context.Background(), u, one, ExactDetector{})
+	rep1, err := SerialSimulate(u, one, ExactDetector{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := Simulate(context.Background(), u, two, ExactDetector{})
+	rep2, err := SerialSimulate(u, two, ExactDetector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +344,7 @@ func TestUndetectedResults(t *testing.T) {
 	// All-zero input: nothing toggles, SA0 faults everywhere are
 	// undetectable, so there must be a healthy undetected set.
 	xs := make([]int64, 16)
-	rep, err := Simulate(context.Background(), u, xs, ExactDetector{})
+	rep, err := SerialSimulate(u, xs, ExactDetector{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,21 +355,6 @@ func TestUndetectedResults(t *testing.T) {
 	for _, r := range und {
 		if r.Detected {
 			t.Fatal("UndetectedResults returned a detected fault")
-		}
-	}
-}
-
-func BenchmarkSimulateParallel(b *testing.B) {
-	fir, err := digital.NewFIR([]int64{5, -9, 13, -9, 5}, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := NewUniverse(fir, true)
-	xs := sineRecord(128, 100, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(context.Background(), u, xs, ExactDetector{}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -403,38 +371,5 @@ func BenchmarkSimulateSerial(b *testing.B) {
 		if _, err := SerialSimulate(u, xs, ExactDetector{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestDetectOnlyMatchesSimulate(t *testing.T) {
-	fir, err := digital.NewFIR([]int64{5, -9, 13, -9, 5}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := NewUniverse(fir, true)
-	xs := sineRecord(96, 100, 7)
-	rep, err := Simulate(context.Background(), u, xs, ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := DetectOnly(u, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast) != len(rep.Results) {
-		t.Fatal("length mismatch")
-	}
-	for i := range fast {
-		if fast[i] != rep.Results[i].Detected {
-			t.Fatalf("fault %v: fast %v vs full %v", rep.Results[i].Fault, fast[i], rep.Results[i].Detected)
-		}
-	}
-}
-
-func TestDetectOnlyValidation(t *testing.T) {
-	fir := smallFIR(t)
-	u := NewUniverse(fir, true)
-	if _, err := DetectOnly(u, nil); err == nil {
-		t.Error("empty record accepted")
 	}
 }

@@ -42,7 +42,8 @@ type Plan[T, P any] struct {
 	CheckpointName string
 	// Ident is the caller's run identity (seed, stimulus hash, ...). A
 	// snapshot resumes only when its Ident, N, BatchSize and
-	// CheckEvery all match; otherwise the run fails loudly.
+	// CheckEvery all match; otherwise the run fails loudly with a
+	// *resilient.CheckpointError.
 	Ident string
 	// Kernel computes one lane's partial result from count items.
 	// worker (0 ≤ worker < Workers) identifies the calling goroutine,
@@ -141,9 +142,14 @@ func Execute[T, P any](ctx context.Context, p Plan[T, P], total T) (T, int, erro
 		}
 		if loaded {
 			if st.N != p.N || st.BatchSize != x.batch || st.CheckEvery != p.CheckEvery || st.Ident != p.Ident {
-				return total, 0, fmt.Errorf(
-					"mcengine: checkpoint %q is from a different campaign (n=%d batch=%d check=%d %s, want n=%d batch=%d check=%d %s)",
-					p.CheckpointName, st.N, st.BatchSize, st.CheckEvery, st.Ident, p.N, x.batch, p.CheckEvery, p.Ident)
+				return total, 0, &resilient.CheckpointError{Name: p.CheckpointName, Err: fmt.Errorf(
+					"from a different campaign (n=%d batch=%d check=%d %s, want n=%d batch=%d check=%d %s)",
+					st.N, st.BatchSize, st.CheckEvery, st.Ident, p.N, x.batch, p.CheckEvery, p.Ident)}
+			}
+			// Done counts the unquarantined items of lanes [0, Next).
+			if st.Next < 0 || st.Done < 0 || st.Done > min(min(st.Next, x.lanes)*x.batch, p.N) {
+				return total, 0, &resilient.CheckpointError{Name: p.CheckpointName, Err: fmt.Errorf(
+					"merged prefix out of range (next lane %d, %d of %d items done)", st.Next, st.Done, p.N)}
 			}
 			if st.Stopped || st.Next >= x.lanes {
 				return st.Total, st.Done, nil

@@ -62,9 +62,9 @@ func TestChaosSiteRegistryComplete(t *testing.T) {
 	}
 }
 
-// chaosFIR builds the small gate-level campaign shared by the fault
-// and spectral chaos cases.
-func chaosFIR(t testing.TB) (*fault.Universe, []int64) {
+// chaosExact builds the exact-compare campaign engine over a small
+// uncollapsed gate-level FIR (several batches).
+func chaosExact(t testing.TB, opts campaign.Options) (*campaign.Engine, []int64) {
 	t.Helper()
 	fir, err := digital.NewFIR([]int64{3, -5, 7, 4}, 6)
 	if err != nil {
@@ -75,7 +75,11 @@ func chaosFIR(t testing.TB) (*fault.Universe, []int64) {
 	for i := range xs {
 		xs[i] = int64(math.Round(24 * math.Sin(2*math.Pi*5*float64(i)/float64(n))))
 	}
-	return fault.NewUniverse(fir, false), xs
+	eng, err := campaign.New(fault.NewUniverse(fir, false), fault.ExactDetector{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, xs
 }
 
 // chaosSpectral builds a calibrated spectral campaign engine.
@@ -200,32 +204,33 @@ func TestChaosMCEngineLane(t *testing.T) {
 	settle(t, baseline)
 }
 
-// TestChaosFaultBatch drives fault.batch through all three classes.
+// TestChaosFaultBatch drives the exact-compare campaign's record
+// batches (campaign.sim_batch) through all three classes.
 func TestChaosFaultBatch(t *testing.T) {
 	defer resilient.Install(nil)
 	baseline := runtime.NumGoroutine() + 2
-	u, xs := chaosFIR(t)
-	ref, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{})
+	eng, xs := chaosExact(t, campaign.Options{})
+	ref, _, err := eng.Run(context.Background(), xs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fp := resilient.NewFailpoints()
 	boom := errors.New("chaos err")
-	fp.Set("fault.batch", resilient.Action{Err: boom, Times: 1})
+	fp.Set("campaign.sim_batch", resilient.Action{Err: boom, Times: 1})
 	resilient.Install(fp)
-	if _, err := fault.Simulate(context.Background(), u, xs, fault.ExactDetector{}); !errors.Is(err, boom) {
+	if _, _, err := eng.Run(context.Background(), xs); !errors.Is(err, boom) {
 		t.Fatalf("err action surfaced as %v", err)
 	}
-	if fp.Hits("fault.batch") == 0 {
+	if fp.Hits("campaign.sim_batch") == 0 {
 		t.Fatal("site never fired")
 	}
 
 	fp = resilient.NewFailpoints()
-	fp.Set("fault.batch", resilient.Action{PanicValue: "chaos panic", Times: 1})
+	fp.Set("campaign.sim_batch", resilient.Action{PanicValue: "chaos panic", Times: 1})
 	resilient.Install(fp)
-	rep, err := fault.SimulateOpts(context.Background(), u, xs, fault.ExactDetector{},
-		fault.SimOptions{Quarantine: true})
+	qeng, _ := chaosExact(t, campaign.Options{Quarantine: true})
+	rep, _, err := qeng.Run(context.Background(), xs)
 	if err != nil {
 		t.Fatalf("quarantined campaign failed: %v", err)
 	}
@@ -246,9 +251,9 @@ func TestChaosFaultBatch(t *testing.T) {
 	}
 
 	fp = resilient.NewFailpoints()
-	fp.Set("fault.batch", resilient.Action{Delay: time.Millisecond})
+	fp.Set("campaign.sim_batch", resilient.Action{Delay: time.Millisecond})
 	resilient.Install(fp)
-	rep, err = fault.Simulate(context.Background(), u, xs, fault.ExactDetector{})
+	rep, _, err = eng.Run(context.Background(), xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,10 +414,9 @@ func TestChaosCheckpointSave(t *testing.T) {
 		t.Fatal("save failpoint never applied")
 	}
 
-	// The fault campaign must abort on save failure too.
-	u, xs := chaosFIR(t)
-	if _, err := fault.SimulateOpts(context.Background(), u, xs, fault.ExactDetector{},
-		fault.SimOptions{Checkpoint: ck, CheckpointName: "f"}); !errors.Is(err, boom) {
-		t.Fatalf("fault checkpoint-save failure surfaced as %v", err)
+	// The stuck-at campaign must abort on save failure too.
+	eng, xs := chaosExact(t, campaign.Options{Checkpoint: ck, CheckpointName: "f"})
+	if _, _, err := eng.Run(context.Background(), xs); !errors.Is(err, boom) {
+		t.Fatalf("campaign checkpoint-save failure surfaced as %v", err)
 	}
 }

@@ -28,6 +28,25 @@ type envelope struct {
 	CRC     uint32
 }
 
+// CheckpointError is the refusal of a snapshot that exists but cannot
+// be trusted: an unreadable file, a torn or corrupted container or
+// payload, another engine version, or (from the engines, after decode)
+// a snapshot of a different run or one whose merged state does not fit
+// the run resuming it. A resume either continues from a trusted
+// snapshot or fails with this error; it never blends runs.
+type CheckpointError struct {
+	// Name is the snapshot name.
+	Name string
+	// Err says what was wrong with it.
+	Err error
+}
+
+func (e *CheckpointError) Error() string {
+	return fmt.Sprintf("resilient: checkpoint %s: %v", e.Name, e.Err)
+}
+
+func (e *CheckpointError) Unwrap() error { return e.Err }
+
 // Checkpointer periodically snapshots the merged state of a long run
 // so a killed process can resume instead of restarting from zero. One
 // Checkpointer serves a whole command invocation: each engine run
@@ -42,9 +61,8 @@ type Checkpointer struct {
 	// disables checkpointing.
 	Dir string
 	// Every is the save cadence in merged lanes of mcengine.Execute —
-	// MC lanes for mcengine.Run, 63-fault batches for the fault and
-	// campaign engines, width lanes for the SOC sweep. <= 1 saves at
-	// every lane.
+	// MC lanes for mcengine.Run, 63-fault batches for the campaign
+	// engine, width lanes for the SOC sweep. <= 1 saves at every lane.
 	Every int
 	// Resume makes Load return existing snapshots; without it Load is
 	// a no-op and runs start fresh (overwriting old snapshots as they
@@ -120,9 +138,9 @@ func (c *Checkpointer) Save(name string, version int, state any) error {
 
 // Load restores the snapshot saved under name into state, returning
 // whether one was loaded. It returns (false, nil) when resuming is
-// disabled or no snapshot exists, and an error when a snapshot exists
-// but cannot be trusted: wrong container magic, wrong name, wrong
-// engine version, CRC mismatch, or a decode failure. Engines verify
+// disabled or no snapshot exists, and a *CheckpointError when a
+// snapshot exists but cannot be trusted: wrong container magic, wrong
+// name, wrong engine version, CRC mismatch, or a decode failure. Engines verify
 // their own run parameters after decode — resuming a checkpoint from
 // a different experiment must fail loudly, not silently merge streams.
 func (c *Checkpointer) Load(name string, version int, state any) (bool, error) {
@@ -133,25 +151,28 @@ func (c *Checkpointer) Load(name string, version int, state any) (bool, error) {
 	if errors.Is(err, os.ErrNotExist) {
 		return false, nil
 	}
+	refuse := func(format string, args ...any) (bool, error) {
+		return false, &CheckpointError{Name: name, Err: fmt.Errorf(format, args...)}
+	}
 	if err != nil {
-		return false, fmt.Errorf("resilient: checkpoint %s: %w", name, err)
+		return false, &CheckpointError{Name: name, Err: err}
 	}
 	var env envelope
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
-		return false, fmt.Errorf("resilient: checkpoint %s: corrupt container: %w", name, err)
+		return refuse("corrupt container: %w", err)
 	}
 	switch {
 	case env.Magic != snapshotMagic:
-		return false, fmt.Errorf("resilient: checkpoint %s: bad magic %q", name, env.Magic)
+		return refuse("bad magic %q", env.Magic)
 	case env.Name != name:
-		return false, fmt.Errorf("resilient: checkpoint %s: file holds %q", name, env.Name)
+		return refuse("file holds %q", env.Name)
 	case env.Version != version:
-		return false, fmt.Errorf("resilient: checkpoint %s: version %d, want %d", name, env.Version, version)
+		return refuse("version %d, want %d", env.Version, version)
 	case env.CRC != crc32.ChecksumIEEE(env.Payload):
-		return false, fmt.Errorf("resilient: checkpoint %s: CRC mismatch (torn or corrupted snapshot)", name)
+		return refuse("CRC mismatch (torn or corrupted snapshot)")
 	}
 	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(state); err != nil {
-		return false, fmt.Errorf("resilient: checkpoint %s: corrupt payload: %w", name, err)
+		return refuse("corrupt payload: %w", err)
 	}
 	return true, nil
 }

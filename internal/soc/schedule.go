@@ -518,6 +518,25 @@ type sweepTotal struct {
 	Lanes []laneSched
 }
 
+// checkResumed refuses a lane prefix restored from a snapshot that
+// does not hold a valid schedule for every width lane 1..maxW, in
+// order: one that matched the run identity but was packed for some
+// other SOC, or was corrupted between its CRC and here.
+func checkResumed(s *SOC, name string, lanes []laneSched, maxW int) error {
+	if len(lanes) != maxW {
+		return &resilient.CheckpointError{Name: name, Err: fmt.Errorf("holds %d width lanes, want %d", len(lanes), maxW)}
+	}
+	for i, ln := range lanes {
+		if ln.Width != i+1 || ln.Sched == nil || ln.Sched.PackWidth != ln.Width {
+			return &resilient.CheckpointError{Name: name, Err: fmt.Errorf("lane %d holds no schedule for width %d", i, i+1)}
+		}
+		if err := ln.Sched.Validate(s); err != nil {
+			return &resilient.CheckpointError{Name: name, Err: fmt.Errorf("lane %d: %w", i, err)}
+		}
+	}
+	return nil
+}
+
 // Plan schedules the SOC at one TAM width. See PlanSweep.
 func Plan(ctx context.Context, s *SOC, width int, opts Options) (*Schedule, error) {
 	scheds, err := PlanSweep(ctx, s, []int{width}, opts)
@@ -593,6 +612,11 @@ func PlanSweep(ctx context.Context, s *SOC, widths []int, opts Options) ([]*Sche
 	}, sweepTotal{}, kernel, merge, nil)
 	if err != nil {
 		return nil, err
+	}
+	if opts.Checkpoint.Enabled() {
+		if err := checkResumed(s, ckName, total.Lanes, maxW); err != nil {
+			return nil, err
+		}
 	}
 
 	out := make([]*Schedule, len(widths))

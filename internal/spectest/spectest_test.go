@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"mstx/internal/campaign"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
 	"mstx/internal/fault"
@@ -149,20 +150,12 @@ func TestCoverageDropsWithNoiseFloorAndRecoversWithPatterns(t *testing.T) {
 		if err := det.CalibrateFloor(goodNoisy, floorScale); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := fault.Simulate(context.Background(), u, ideal, det)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Coverage()
+		return coverage(t, u, ideal, det)
 	}
 	exactCoverage := func(n int) float64 {
 		fir, ideal, _, _, _, _ := buildFilterAndRecords(t, n)
 		u := fault.NewUniverse(fir, true)
-		rep, err := fault.Simulate(context.Background(), u, ideal, fault.ExactDetector{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Coverage()
+		return coverage(t, u, ideal, fault.ExactDetector{})
 	}
 	exact := exactCoverage(1024)
 	spectral := runCampaign(1024, 40) // generous floor: faults escape
@@ -173,6 +166,20 @@ func TestCoverageDropsWithNoiseFloorAndRecoversWithPatterns(t *testing.T) {
 	if longer < spectral {
 		t.Errorf("more patterns lowered coverage: %.1f%% -> %.1f%%", spectral, longer)
 	}
+}
+
+// coverage grades u over xs with det on the campaign engine.
+func coverage(t *testing.T, u *fault.Universe, xs []int64, det fault.Detector) float64 {
+	t.Helper()
+	eng, err := campaign.New(u, det, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := eng.Run(context.Background(), xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Coverage()
 }
 
 func TestDeviationLengthMismatch(t *testing.T) {

@@ -62,12 +62,12 @@ go test -race -count=2 ./internal/campaign ./internal/mcengine ./internal/obs
 
 echo "== chaos suite (failpoints, race) =="
 # Deterministic fault injection at the registered engine sites
-# (mcengine.lane, fault.batch, campaign.sim_batch/detect_batch,
-# soc.schedule, resilient.checkpoint.save): injected errors, panics
-# and slow batches must never leak goroutines, lose samples, or
-# corrupt the partial accounting. -count=2 so a cached result never
-# masks a race.
-go test -race -count=2 ./internal/resilient ./internal/fault
+# (mcengine.lane, campaign.sim_batch/detect_batch, soc.schedule,
+# resilient.checkpoint.save), with the stuck-at campaign under both
+# detectors: injected errors, panics and slow batches must never leak
+# goroutines, lose samples, or corrupt the partial accounting.
+# -count=2 so a cached result never masks a race.
+go test -race -count=2 ./internal/resilient ./internal/campaign
 
 echo "== SOC scheduler property wall (race) =="
 # The internal/soc quick.Check suite: every published schedule
@@ -252,8 +252,9 @@ go run ./cmd/benchrecord -out BENCH_e6.json -sha "$sha" -date "$now" \
 
 echo "== bench record + regression gate (engine pairs) =="
 # The layer pairs of the two executor-driven engines, recorded to
-# BENCH_engines.json: the fault simulator on one 63-fault batch
-# (BenchmarkFaultSimParallel vs the one-fault-at-a-time Serial path)
+# BENCH_engines.json: the campaign engine grading one 63-fault batch by
+# exact compare (BenchmarkFaultSimParallel vs the one-fault-at-a-time
+# fault.SerialSimulate reference)
 # and the MC loss estimator (BenchmarkMCLossesEngine vs its plain-loop
 # Serial reference). Both parallel legs run on mcengine.Execute's
 # goroutine pool, so their alloc counts move with goroutine reuse like
@@ -280,7 +281,7 @@ go test -run '^$' -bench 'BenchmarkMstxvet(Warm)?$' -benchmem -benchtime 3x -cou
 go run ./cmd/benchrecord -out BENCH_mstxvet.json -sha "$sha" -date "$now" \
     -compare -max-ns-regress 50 -max-allocs-regress 1 <"$tmp/bench_mstxvet.txt"
 
-echo "== fuzz smoke (netlist parser, job spec, job ledger) =="
+echo "== fuzz smoke (netlist parser, job spec, job ledger, engine checkpoints) =="
 # Ten seconds of coverage-guided fuzzing each on top of the checked-in
 # seed corpora: the netlist text reader (any panic or round-trip
 # violation fails), the service's job-spec decoder (decode plus
@@ -288,9 +289,16 @@ echo "== fuzz smoke (netlist parser, job spec, job ledger) =="
 # normalizing it again keeps its identity), and resume over arbitrary
 # CRC-valid job ledgers (never panics, fails only with a LedgerError,
 # restores unique IDs that a new Submit never reuses, and serves a
-# result for every restored done or partial job).
+# result for every restored done or partial job), and engine resume
+# from arbitrary CRC-valid snapshot payloads (the MC merged prefix,
+# the SOC width lanes and the stuck-at campaign: never panics, fails
+# only with a CheckpointError, and a resume that finishes is well
+# formed). The campaign snapshots run to tens of KB, and minimizing a
+# new interesting input that size takes up to the default 60 s, so
+# that smoke bounds minimization to 1 s.
 go test -fuzz=FuzzParseNetlist -fuzztime=10s ./internal/netlist
 go test -run '^$' -fuzz=FuzzSubmitSpec -fuzztime=10s ./internal/server
 go test -run '^$' -fuzz=FuzzLedgerRestore -fuzztime=10s ./internal/server
+go test -run '^$' -fuzz=FuzzCheckpointDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/resilient
 
 echo "== check OK (chaos soak: $soak_status, seed $soak_seed) =="
