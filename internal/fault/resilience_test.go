@@ -1,31 +1,48 @@
-package fault
+package fault_test
+
+// Resilience of the exact-compare stuck-at campaign (ExactDetector over
+// an uncollapsed universe) as it runs in the repository: on the one
+// campaign engine, campaign.Engine. This is an external test package so
+// it can import campaign, which imports fault.
 
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
 
+	"mstx/internal/campaign"
+	"mstx/internal/digital"
+	"mstx/internal/fault"
 	"mstx/internal/resilient"
 )
 
-// settleGoroutines waits for the goroutine count to come back down to
-// (at most) the baseline, tolerating runtime background goroutines.
-func settleGoroutines(t *testing.T, baseline int) {
+// exactCampaign returns an uncollapsed universe of a small FIR (plenty
+// of batches) and a sine stimulus of n samples.
+func exactCampaign(t *testing.T, n int) (*fault.Universe, []int64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= baseline {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not settle: %d live, baseline %d",
-				runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
+	fir, err := digital.NewFIR([]int64{3, -5, 7}, 6)
+	if err != nil {
+		t.Fatal(err)
 	}
+	xs := make([]int64, n)
+	for i := range xs {
+		xs[i] = int64(math.Round(28 * math.Sin(2*math.Pi*5*float64(i)/float64(n))))
+	}
+	return fault.NewUniverse(fir, false), xs
+}
+
+// runExact runs one exact-compare campaign with opts.
+func runExact(t *testing.T, u *fault.Universe, det fault.Detector, opts campaign.Options, xs []int64) (*fault.Report, error) {
+	t.Helper()
+	eng, err := campaign.New(u, det, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := eng.Run(context.Background(), xs)
+	return rep, err
 }
 
 // firstRecordErrDetector errors on the very first record pair it sees —
@@ -36,34 +53,55 @@ func (firstRecordErrDetector) Detect(good, faulty []int64) (bool, error) {
 	return false, errors.New("first record rejected")
 }
 
-// TestSimulateEarlyErrorNoGoroutineLeak is the satellite regression:
-// a detector that errors on the first record must not leave pool
-// goroutines behind, and repeated failing campaigns must not
-// accumulate any.
+// TestSimulateEarlyErrorNoGoroutineLeak: a detector that errors on the
+// first record must not leave pool goroutines behind, and repeated
+// failing campaigns must not accumulate any.
 func TestSimulateEarlyErrorNoGoroutineLeak(t *testing.T) {
-	fir := smallFIR(t)
-	u := NewUniverse(fir, false) // uncollapsed: plenty of batches
-	xs := sineRecord(128, 28, 5)
+	u, xs := exactCampaign(t, 128)
 	baseline := runtime.NumGoroutine() + 2 // tolerate runtime jitter
 	for trial := 0; trial < 20; trial++ {
-		_, err := Simulate(context.Background(), u, xs, firstRecordErrDetector{})
-		if err == nil {
+		if _, err := runExact(t, u, firstRecordErrDetector{}, campaign.Options{}, xs); err == nil {
 			t.Fatal("erroring detector did not surface")
 		}
 	}
-	settleGoroutines(t, baseline)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if runtime.NumGoroutine() <= baseline {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines did not settle: %d live, baseline %d",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// cancelingDetector cancels its context on the first detected fault,
+// then keeps detecting by exact compare.
+type cancelingDetector struct{ cancel context.CancelFunc }
+
+func (d cancelingDetector) Detect(good, faulty []int64) (bool, error) {
+	hit, err := fault.ExactDetector{}.Detect(good, faulty)
+	if hit {
+		d.cancel()
+	}
+	return hit, err
 }
 
 func TestSimulateCancelReturnsTypedPartial(t *testing.T) {
-	fir := smallFIR(t)
-	u := NewUniverse(fir, false)
-	xs := sineRecord(128, 28, 5)
+	u, xs := exactCampaign(t, 128)
 
 	// Already-expired deadline: nothing may run, but the report still
 	// carries every fault's identity.
+	eng, err := campaign.New(u, fault.ExactDetector{}, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	rep, err := Simulate(ctx, u, xs, ExactDetector{})
+	rep, _, err := eng.Run(ctx, xs)
 	if !errors.Is(err, resilient.ErrDeadline) {
 		t.Fatalf("expired deadline returned %v, want ErrDeadline", err)
 	}
@@ -73,7 +111,10 @@ func TestSimulateCancelReturnsTypedPartial(t *testing.T) {
 	if rep == nil || len(rep.Results) != u.Size() {
 		t.Fatal("partial report missing or wrong length")
 	}
-	for _, r := range rep.Results {
+	for i, r := range rep.Results {
+		if r.Fault != u.Faults[i] {
+			t.Fatalf("entry %d is fault %v, want %v", i, r.Fault, u.Faults[i])
+		}
 		if r.Detected || r.Quarantined {
 			t.Fatalf("no batch ran, but fault %v carries a verdict", r.Fault)
 		}
@@ -86,8 +127,11 @@ func TestSimulateCancelReturnsTypedPartial(t *testing.T) {
 	// batches must be skipped, and the error must be ErrCanceled.
 	cctx, ccancel := context.WithCancel(context.Background())
 	defer ccancel()
-	trip := cancelingDetector{cancel: ccancel}
-	rep, err = Simulate(cctx, u, xs, trip)
+	eng, err = campaign.New(u, cancelingDetector{cancel: ccancel}, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err = eng.Run(cctx, xs)
 	if !errors.Is(err, resilient.ErrCanceled) {
 		t.Fatalf("mid-run cancel returned %v, want ErrCanceled", err)
 	}
@@ -99,27 +143,18 @@ func TestSimulateCancelReturnsTypedPartial(t *testing.T) {
 	}
 }
 
-// cancelingDetector cancels its context on the first record, then
-// keeps detecting normally (exact compare).
-type cancelingDetector struct{ cancel context.CancelFunc }
-
-func (d cancelingDetector) Detect(good, faulty []int64) (bool, error) {
-	d.cancel()
-	return ExactDetector{}.Detect(good, faulty)
-}
-
 func TestSimulateQuarantineIsolatesPanickingBatch(t *testing.T) {
-	fir := smallFIR(t)
-	u := NewUniverse(fir, false)
-	xs := sineRecord(64, 28, 5)
+	u, xs := exactCampaign(t, 64)
+	ref, err := runExact(t, u, fault.ExactDetector{}, campaign.Options{}, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	fp := resilient.NewFailpoints()
-	fp.Set("fault.batch", resilient.Action{PanicValue: "batch corrupted", Times: 1})
+	fp.Set("campaign.sim_batch", resilient.Action{PanicValue: "batch corrupted", Times: 1})
 	resilient.Install(fp)
-	defer resilient.Install(nil)
-
-	rep, err := SimulateOpts(context.Background(), u, xs, ExactDetector{},
-		SimOptions{Quarantine: true})
+	rep, err := runExact(t, u, fault.ExactDetector{}, campaign.Options{Quarantine: true}, xs)
+	resilient.Install(nil)
 	if err != nil {
 		t.Fatalf("quarantined campaign failed: %v", err)
 	}
@@ -128,16 +163,11 @@ func TestSimulateQuarantineIsolatesPanickingBatch(t *testing.T) {
 		t.Fatalf("quarantined %d faults, want one batch's worth (1..63)", q)
 	}
 	// Quarantined lanes keep their identity and no verdict; all other
-	// lanes must match an uninjected reference run exactly.
-	resilient.Install(nil)
-	ref, err := Simulate(context.Background(), u, xs, ExactDetector{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// lanes must match the uninjected reference run exactly.
 	for i, r := range rep.Results {
 		if r.Quarantined {
-			if r.Detected || r.FirstDiff != -1 {
-				t.Fatalf("quarantined fault %v carries a verdict", r.Fault)
+			if r.Detected || r.FirstDiff != -1 || r.Fault != u.Faults[i] {
+				t.Fatalf("quarantined entry %d carries a verdict or a foreign fault: %+v", i, r)
 			}
 			continue
 		}
@@ -149,9 +179,10 @@ func TestSimulateQuarantineIsolatesPanickingBatch(t *testing.T) {
 	// Without Quarantine the same panic surfaces as a *PanicError and
 	// the process survives.
 	fp2 := resilient.NewFailpoints()
-	fp2.Set("fault.batch", resilient.Action{PanicValue: "batch corrupted", Times: 1})
+	fp2.Set("campaign.sim_batch", resilient.Action{PanicValue: "batch corrupted", Times: 1})
 	resilient.Install(fp2)
-	_, err = Simulate(context.Background(), u, xs, ExactDetector{})
+	_, err = runExact(t, u, fault.ExactDetector{}, campaign.Options{}, xs)
+	resilient.Install(nil)
 	var pe *resilient.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("panic without quarantine returned %v, want *PanicError", err)
@@ -162,11 +193,8 @@ func TestSimulateQuarantineIsolatesPanickingBatch(t *testing.T) {
 }
 
 func TestSimulateCheckpointResumeBitIdentical(t *testing.T) {
-	fir := smallFIR(t)
-	u := NewUniverse(fir, false)
-	xs := sineRecord(64, 28, 5)
-
-	ref, err := Simulate(context.Background(), u, xs, ExactDetector{})
+	u, xs := exactCampaign(t, 64)
+	ref, err := runExact(t, u, fault.ExactDetector{}, campaign.Options{}, xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +210,10 @@ func TestSimulateCheckpointResumeBitIdentical(t *testing.T) {
 	// third firing); the checkpoint must survive.
 	fp := resilient.NewFailpoints()
 	boom := errors.New("injected crash")
-	fp.Set("fault.batch", resilient.Action{Err: boom, After: 2})
+	fp.Set("campaign.detect_batch", resilient.Action{Err: boom, After: 2})
 	resilient.Install(fp)
-	_, err = SimulateOpts(context.Background(), u, xs, ExactDetector{},
-		SimOptions{Workers: 1, Checkpoint: ck, CheckpointName: "t"})
+	_, err = runExact(t, u, fault.ExactDetector{},
+		campaign.Options{DetectWorkers: 1, Checkpoint: ck, CheckpointName: "t"}, xs)
 	resilient.Install(nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("injected crash returned %v", err)
@@ -194,10 +222,11 @@ func TestSimulateCheckpointResumeBitIdentical(t *testing.T) {
 	// Resume must re-run only the missing batches and land exactly on
 	// the reference report.
 	ck2 := &resilient.Checkpointer{Dir: dir, Every: 1, Resume: true}
-	var reran int
-	cd := countingDetector{n: &reran}
-	rep, err := SimulateOpts(context.Background(), u, xs, cd,
-		SimOptions{Workers: 1, Checkpoint: ck2, CheckpointName: "t"})
+	fp = resilient.NewFailpoints()
+	resilient.Install(fp)
+	rep, err := runExact(t, u, fault.ExactDetector{},
+		campaign.Options{DetectWorkers: 1, Checkpoint: ck2, CheckpointName: "t"}, xs)
+	resilient.Install(nil)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
@@ -209,22 +238,15 @@ func TestSimulateCheckpointResumeBitIdentical(t *testing.T) {
 			t.Fatalf("lane %d: resumed %+v != reference %+v", i, rep.Results[i], ref.Results[i])
 		}
 	}
-	if reran == 0 || reran >= u.Size() {
-		t.Fatalf("resume re-detected %d faults, want a strict subset (>0, <%d)", reran, u.Size())
+	if reran := fp.Hits("campaign.sim_batch"); reran == 0 || reran >= nBatches {
+		t.Fatalf("resume re-ran %d batches, want a strict subset (>0, <%d)", reran, nBatches)
 	}
 
 	// A checkpoint from a different stimulus must be rejected loudly.
-	other := sineRecord(64, 25, 3)
-	if _, err := SimulateOpts(context.Background(), u, other, ExactDetector{},
-		SimOptions{Checkpoint: ck2, CheckpointName: "t"}); err == nil {
-		t.Fatal("checkpoint accepted for a different stimulus")
+	_, other := exactCampaign(t, 32)
+	var ce *resilient.CheckpointError
+	if _, err := runExact(t, u, fault.ExactDetector{},
+		campaign.Options{Checkpoint: ck2, CheckpointName: "t"}, other); !errors.As(err, &ce) {
+		t.Fatalf("checkpoint of another stimulus resumed (err %v), want a CheckpointError", err)
 	}
-}
-
-// countingDetector is an exact detector that counts invocations.
-type countingDetector struct{ n *int }
-
-func (d countingDetector) Detect(good, faulty []int64) (bool, error) {
-	*d.n++
-	return ExactDetector{}.Detect(good, faulty)
 }
