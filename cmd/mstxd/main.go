@@ -141,6 +141,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 1
 	}
 	bound := ln.Addr().String()
+	// The handler is installed before the address is published
+	// (-addr-file, ready), so a SIGTERM sent as soon as the server is
+	// up shuts it down instead of killing the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
 			fmt.Fprintf(stderr, "mstxd: write -addr-file: %v\n", err)
@@ -157,9 +163,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	select {
 	case got := <-sig:
 		fmt.Fprintf(stderr, "mstxd: %v; shutting down\n", got)

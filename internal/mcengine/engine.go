@@ -67,6 +67,11 @@ type Options struct {
 	// CheckpointName names this run's snapshot inside Checkpoint.Dir
 	// (several engine runs can share one directory). Default "mc".
 	CheckpointName string
+	// Ident extends the snapshot's run identity beyond the seed with
+	// whatever else the kernel's result depends on (a per-lane
+	// budget, say): a snapshot resumes only when seed and Ident both
+	// match.
+	Ident string
 	// OnQuarantine, when non-nil, turns a panicking kernel lane into a
 	// quarantined lane: the panic is recovered, OnQuarantine receives
 	// the lane, its sample count and the *resilient.PanicError (in lane
@@ -148,6 +153,10 @@ func Run[T, P any](ctx context.Context, n int, seed int64, opts Options, total T
 	if name == "" {
 		name = "mc"
 	}
+	ident := fmt.Sprintf("seed=%d", seed)
+	if o.Ident != "" {
+		ident += " " + o.Ident
+	}
 	// Instrumentation counts only what the merge and stop callbacks
 	// see; the executor serializes both, so plain ints suffice.
 	reg := obs.For(ctx)
@@ -164,7 +173,7 @@ func Run[T, P any](ctx context.Context, n int, seed int64, opts Options, total T
 	p := Plan[T, P]{
 		Span: "mcengine.run", N: n, BatchSize: o.BatchSize, Workers: o.Workers,
 		CheckEvery: o.CheckEvery, Checkpoint: o.Checkpoint, CheckpointName: name,
-		Ident: fmt.Sprintf("seed=%d", seed),
+		Ident: ident,
 		Kernel: func(_, lane, count int) (P, error) {
 			var part P
 			err := resilient.Fire(fpLane)

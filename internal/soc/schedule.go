@@ -12,10 +12,13 @@
 package soc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mstx/internal/mcengine"
@@ -36,7 +39,7 @@ type Options struct {
 	// Iterations is the local-search budget per width lane
 	// (default DefaultIterations). It is part of the reproducibility
 	// contract: the same seed with a different budget is a different
-	// optimization.
+	// optimization, and a checkpoint of one never resumes the other.
 	Iterations int
 	// Seed drives the per-lane RNG substreams.
 	Seed int64
@@ -280,13 +283,18 @@ type placement struct {
 	start, dur int64
 	wire       int
 	width      int
-	done       bool
 }
+
+func (p *placement) end() int64 { return p.start + p.dur }
 
 // instance is the flattened packing problem for one TAM width.
 type instance struct {
 	omega int
 	tests []laneTest
+	// conflict[a*n+b] reports whether tests a and b may never overlap
+	// in time: same core (single-session wrapper) or a shared
+	// exclusive resource.
+	conflict []bool
 }
 
 func newInstance(s *SOC, omega int) *instance {
@@ -310,6 +318,15 @@ func newInstance(s *SOC, omega int) *instance {
 			})
 		}
 	}
+	n := len(inst.tests)
+	inst.conflict = make([]bool, n*n)
+	for a := range inst.tests {
+		ta := &inst.tests[a]
+		for b := range inst.tests {
+			tb := &inst.tests[b]
+			inst.conflict[a*n+b] = ta.coreIdx == tb.coreIdx || sharesResource(ta, tb)
+		}
+	}
 	return inst
 }
 
@@ -326,20 +343,73 @@ func sharesResource(a, b *laneTest) bool {
 
 func ceilDiv(c int64, w int) int64 { return (c + int64(w) - 1) / int64(w) }
 
-// pack greedily places the tests in the given order at the given
-// widths: each test goes to its earliest feasible candidate start
-// (time 0 or the end of an already-placed test), on the lowest run of
-// contiguous free wires, honoring core- and resource-exclusivity.
-// Placement is always possible at the latest end, so pack never
-// fails; the result is fully determined by (order, widths).
-func pack(inst *instance, order []int, widths []int, placed []placement, occ []bool, ends []int64) int64 {
-	for i := range placed {
-		placed[i] = placement{}
+// packer is one lane's local-search state: the accepted packing
+// (placed, with prefix makespans mk) and the candidate packing being
+// tried (cand, candMk). Between moves cand mirrors placed, so a move
+// that changes nothing before position from repacks only
+// order[from:].
+type packer struct {
+	inst          *instance
+	order, widths []int
+	// pos is the inverse of order: pos[order[k]] == k.
+	pos []int
+	// placed and cand are indexed by test; mk and candMk by position:
+	// mk[k] is the makespan of the first k placed tests.
+	placed, cand []placement
+	mk, candMk   []int64
+	occ          []bool
+	ends         []int64
+	// key and candKey hold appendKey's bytes for placed and cand; key
+	// is stale when keyOK is false.
+	key, candKey []byte
+	keyOK        bool
+}
+
+func newPacker(inst *instance, order, widths []int) *packer {
+	n := len(inst.tests)
+	p := &packer{
+		inst: inst, order: order, widths: widths,
+		pos:    make([]int, n),
+		placed: make([]placement, n), cand: make([]placement, n),
+		mk: make([]int64, n+1), candMk: make([]int64, n+1),
+		occ:  make([]bool, inst.omega),
+		ends: make([]int64, 0, n+1),
 	}
-	var makespan int64
-	for _, ti := range order {
+	for k, ti := range order {
+		p.pos[ti] = k
+	}
+	return p
+}
+
+// swap exchanges the tests at positions i and j and returns the first
+// position whose placement may change.
+func (p *packer) swap(i, j int) int {
+	p.order[i], p.order[j] = p.order[j], p.order[i]
+	p.pos[p.order[i]], p.pos[p.order[j]] = i, j
+	return min(i, j)
+}
+
+// pack greedily places the tests at positions from.. of the order into
+// cand, keeping cand's placements before from: each test goes to its
+// earliest feasible candidate start (time 0 or the end of an
+// already-placed test), on the lowest run of contiguous free wires,
+// honoring core- and resource-exclusivity. Placement is always
+// possible at the latest end, so pack never fails; the result is
+// fully determined by (order, widths), and equals a full repack
+// whenever cand[order[:from]] is the packing of that prefix.
+func (p *packer) pack(from int) int64 {
+	inst, order, cand, occ := p.inst, p.order, p.cand, p.occ
+	n := len(inst.tests)
+	ends := append(p.ends[:0], 0)
+	for _, tj := range order[:from] {
+		ends = append(ends, cand[tj].end())
+	}
+	slices.Sort(ends)
+	makespan := p.candMk[from]
+	for k := from; k < n; k++ {
+		ti := order[k]
 		t := &inst.tests[ti]
-		w := widths[ti]
+		w := p.widths[ti]
 		if w < 1 {
 			w = 1
 		}
@@ -347,76 +417,98 @@ func pack(inst *instance, order []int, widths []int, placed []placement, occ []b
 			w = t.maxW
 		}
 		d := t.settle + ceilDiv(t.cycles, w)
+		conflict := inst.conflict[ti*n : ti*n+n]
 
-		ends = ends[:0]
-		ends = append(ends, 0)
-		for tj := range placed {
-			if placed[tj].done {
-				ends = append(ends, placed[tj].start+placed[tj].dur)
-			}
-		}
-		sort.Slice(ends, func(a, b int) bool { return ends[a] < ends[b] })
-
-		var prev int64 = -1
+		wire := -1
+		var st, prev int64 = 0, -1
 	cands:
-		for _, st := range ends {
+		for _, st = range ends {
 			if st == prev {
 				continue
 			}
 			prev = st
-			for k := 0; k < inst.omega; k++ {
-				occ[k] = false
-			}
-			for tj := range placed {
-				p := &placed[tj]
-				if !p.done || st >= p.start+p.dur || p.start >= st+d {
+			clear(occ)
+			for _, tj := range order[:k] {
+				q := &cand[tj]
+				if st >= q.start+q.dur || q.start >= st+d {
 					continue
 				}
-				other := &inst.tests[tj]
-				if other.coreIdx == t.coreIdx || sharesResource(other, t) {
+				if conflict[tj] {
 					continue cands
 				}
-				for k := p.wire; k < p.wire+p.width; k++ {
-					occ[k] = true
+				for x := q.wire; x < q.wire+q.width; x++ {
+					occ[x] = true
 				}
 			}
-			run, wire := 0, -1
-			for k := 0; k < inst.omega; k++ {
-				if occ[k] {
+			run := 0
+			for x := 0; x < inst.omega; x++ {
+				if occ[x] {
 					run = 0
 					continue
 				}
 				if run++; run == w {
-					wire = k - w + 1
-					break
+					wire = x - w + 1
+					break cands
 				}
 			}
-			if wire < 0 {
-				continue
-			}
-			placed[ti] = placement{start: st, dur: d, wire: wire, width: w, done: true}
-			break
 		}
-		if !placed[ti].done {
+		if wire < 0 {
 			// Unreachable (the latest end always fits), kept as a
 			// guard so a future constraint cannot silently drop tests.
-			placed[ti] = placement{start: makespan, dur: d, wire: 0, width: w, done: true}
+			st, wire = makespan, 0
 		}
-		if end := placed[ti].start + placed[ti].dur; end > makespan {
-			makespan = end
-		}
+		cand[ti] = placement{start: st, dur: d, wire: wire, width: w}
+		end := st + d
+		at, _ := slices.BinarySearch(ends, end)
+		ends = slices.Insert(ends, at, end)
+		makespan = max(makespan, end)
+		p.candMk[k+1] = makespan
 	}
+	p.ends = ends
 	return makespan
 }
 
-// packKey is the canonical byte form of a packing, used to break
-// equal-makespan ties deterministically during local search.
-func packKey(placed []placement) string {
-	var b strings.Builder
-	for i := range placed {
-		fmt.Fprintf(&b, "%d:%d:%d;", placed[i].start, placed[i].wire, placed[i].width)
+// candLess reports whether cand's key sorts before placed's, in
+// the byte order of the "%d:%d:%d;" strings (decimal-string order, so
+// "10" < "9": the order the published schedules were tie-broken in).
+func (p *packer) candLess() bool {
+	if !p.keyOK {
+		p.key, p.keyOK = appendKey(p.key[:0], p.placed), true
 	}
-	return b.String()
+	p.candKey = appendKey(p.candKey[:0], p.cand)
+	return bytes.Compare(p.candKey, p.key) < 0
+}
+
+// accept makes the candidate packing the accepted one.
+func (p *packer) accept(from int, keyBuilt bool) {
+	copy(p.placed, p.cand)
+	copy(p.mk[from+1:], p.candMk[from+1:])
+	if keyBuilt {
+		p.key, p.candKey = p.candKey, p.key
+	}
+	p.keyOK = keyBuilt
+}
+
+// reject restores the candidate packing to the accepted one; the
+// caller has already undone the move.
+func (p *packer) reject(from int) {
+	copy(p.cand, p.placed)
+	copy(p.candMk[from+1:], p.mk[from+1:])
+}
+
+// appendKey appends the canonical byte form of a packing, used to
+// break equal-makespan ties deterministically during local search:
+// "start:wire:width;" per test, in test order.
+func appendKey(dst []byte, placed []placement) []byte {
+	for i := range placed {
+		dst = strconv.AppendInt(dst, placed[i].start, 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(placed[i].wire), 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(placed[i].width), 10)
+		dst = append(dst, ';')
+	}
+	return dst
 }
 
 // optimize runs one width lane: greedy seed (longest test first at
@@ -445,35 +537,38 @@ func optimize(s *SOC, omega, iters int, rng *rand.Rand) *Schedule {
 		return ta.name < tb.name
 	})
 
-	placed := make([]placement, n)
-	cand := make([]placement, n)
-	occ := make([]bool, omega)
-	ends := make([]int64, 0, n+1)
-
-	best := pack(inst, order, widths, placed, occ, ends)
-	bestKey := packKey(placed)
+	p := newPacker(inst, order, widths)
+	best := p.pack(0)
+	p.accept(0, false)
 
 	for it := 0; it < iters; it++ {
-		var undo func()
-		if n > 1 && rng.Intn(2) == 0 {
-			i, j := rng.Intn(n), rng.Intn(n)
-			order[i], order[j] = order[j], order[i]
-			undo = func() { order[i], order[j] = order[j], order[i] }
+		var from, i, j, oldW int
+		swapped := n > 1 && rng.Intn(2) == 0
+		if swapped {
+			i, j = rng.Intn(n), rng.Intn(n)
+			from = p.swap(i, j)
 		} else {
-			i := rng.Intn(n)
-			old := widths[i]
+			i = rng.Intn(n)
+			oldW = widths[i]
 			widths[i] = 1 + rng.Intn(inst.tests[i].maxW)
-			undo = func() { widths[i] = old }
+			from = p.pos[i]
 		}
-		mk := pack(inst, order, widths, cand, occ, ends)
-		if mk < best || (mk == best && packKey(cand) < bestKey) {
+		mk := p.pack(from)
+		if mk < best {
 			best = mk
-			copy(placed, cand)
-			bestKey = packKey(placed)
+			p.accept(from, false)
+		} else if mk == best && p.candLess() {
+			p.accept(from, true)
 		} else {
-			undo()
+			if swapped {
+				p.swap(i, j)
+			} else {
+				widths[i] = oldW
+			}
+			p.reject(from)
 		}
 	}
+	placed := p.placed
 
 	sch := &Schedule{TAMWidth: omega, PackWidth: omega, Makespan: best, LowerBound: LowerBound(s, omega)}
 	for i := range placed {
@@ -609,6 +704,7 @@ func PlanSweep(ctx context.Context, s *SOC, widths []int, opts Options) ([]*Sche
 		BatchSize:      1,
 		Checkpoint:     opts.Checkpoint,
 		CheckpointName: ckName,
+		Ident:          fmt.Sprintf("iterations=%d", iters),
 	}, sweepTotal{}, kernel, merge, nil)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,9 @@ package soc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"mstx/internal/core"
 	"mstx/internal/digital"
@@ -273,12 +275,40 @@ func digitalCore(id, name string, taps int, cutoff float64, wrapperWidth int) (C
 	}, nil
 }
 
-// Default builds the reference SOC: the paper's Amp->Mixer->LPF->ADC
+// Default returns the reference SOC: the paper's Amp->Mixer->LPF->ADC
 // receive path as a wrapped analog core, the same path with the
 // sigma-delta interface alternative (DESIGN.md) whose 1-bit modulator
 // stream crosses the TAM at the oversampled rate, and two digital
 // FIR cores (the 13-tap path filter and a smaller 9-tap decimator).
+// The model is built once per process; every call returns a deep
+// copy the caller may mutate.
 func Default() (*SOC, error) {
+	s, err := reference()
+	if err != nil {
+		return nil, err
+	}
+	return s.clone(), nil
+}
+
+// reference builds the reference SOC on first use. Its inputs are
+// fixed, so the two test-plan syntheses behind the analog cores run
+// once per process.
+var reference = sync.OnceValues(buildDefault)
+
+// clone deep-copies the SOC: cores, their tests and resource lists.
+func (s *SOC) clone() *SOC {
+	c := &SOC{Name: s.Name, Cores: slices.Clone(s.Cores)}
+	for i := range c.Cores {
+		tests := slices.Clone(c.Cores[i].Tests)
+		for j := range tests {
+			tests[j].Resources = slices.Clone(tests[j].Resources)
+		}
+		c.Cores[i].Tests = tests
+	}
+	return c
+}
+
+func buildDefault() (*SOC, error) {
 	coeffs, err := digital.DesignLowPassFIR(13, 0.18, dsp.Hamming)
 	if err != nil {
 		return nil, err

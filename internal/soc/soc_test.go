@@ -2,15 +2,17 @@ package soc
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mstx/internal/resilient"
 )
 
-// defaultSOC builds the reference SOC once per test binary; tests
-// must not mutate it.
+// defaultSOC returns the test's own copy of the reference SOC.
 func defaultSOC(t testing.TB) *SOC {
 	t.Helper()
 	s, err := Default()
@@ -21,7 +23,52 @@ func defaultSOC(t testing.TB) *SOC {
 }
 
 func TestDefaultSOCShape(t *testing.T) {
+	checkDefaultShape(t, defaultSOC(t))
+}
+
+// TestDefaultReturnsCopy mutates the SOC Default returned: the next
+// Default must be unaffected, since the model is built once per
+// process and every caller gets its own copy.
+func TestDefaultReturnsCopy(t *testing.T) {
 	s := defaultSOC(t)
+	want := defaultSOC(t)
+	s.Cores[0].Tests[0].Cycles = 0
+	s.Cores[0].Tests[0].Resources[0] = "mutated"
+	s.Cores[1].Tests = s.Cores[1].Tests[:1]
+	s.Cores[2].ID = "mutated"
+	s.Cores = s.Cores[:1]
+
+	got := defaultSOC(t)
+	checkDefaultShape(t, got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Default after mutating an earlier result:\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestDefaultConcurrent has several goroutines take and mutate their
+// own Default at once, as concurrent soc jobs do (run under -race).
+func TestDefaultConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := Default()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			s.Cores[0].Tests[0].Resources[0] = "mutated"
+			s.Cores[0].Tests[0].Cycles++
+		}()
+	}
+	wg.Wait()
+	checkDefaultShape(t, defaultSOC(t))
+}
+
+// checkDefaultShape checks the reference SOC's structure.
+func checkDefaultShape(t *testing.T, s *SOC) {
+	t.Helper()
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +336,25 @@ func TestPlanCheckpointResume(t *testing.T) {
 		if got[i].String() != base[i].String() {
 			t.Fatalf("resumed schedule W=%d differs:\n%s\nvs\n%s", widths[i], got[i].String(), base[i].String())
 		}
+	}
+}
+
+// TestPlanCheckpointRefusesOtherIterations resumes a snapshot of a
+// 1-iteration sweep with a 400-iteration budget: the lanes hold
+// another optimization, so the resume must be refused, not published.
+func TestPlanCheckpointRefusesOtherIterations(t *testing.T) {
+	s := defaultSOC(t)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	widths := []int{1, 2, 3, 4}
+	short := Options{Seed: 3, Workers: 1, Iterations: 1, Checkpoint: &resilient.Checkpointer{Dir: dir, Every: 1}}
+	if _, err := PlanSweep(context.Background(), s, widths, short); err != nil {
+		t.Fatal(err)
+	}
+	long := Options{Seed: 3, Workers: 1, Iterations: 400, Checkpoint: &resilient.Checkpointer{Dir: dir, Every: 1, Resume: true}}
+	_, err := PlanSweep(context.Background(), s, widths, long)
+	var ce *resilient.CheckpointError
+	if !errors.As(err, &ce) {
+		t.Fatalf("resume at another iteration budget: err = %v, want a *resilient.CheckpointError", err)
 	}
 }
 
