@@ -136,6 +136,19 @@ func BenchmarkTable2(b *testing.B) {
 	b.ReportMetric(100*atLoose, "%FCL-IIP3-Tol+Err")
 }
 
+// BenchmarkTable2Service runs Table 2 at the service's mc default
+// (15 devices, 2048-sample captures, 200k-draw loss cross-check): the
+// study one cold mc job runs, including the per-study carrier-table
+// fills that BenchmarkTable2's smaller shape shares among fewer
+// devices.
+func BenchmarkTable2Service(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Table2(experiments.Table2Options{Devices: 15, N: 2048}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTable1Plan regenerates Table 1: the synthesized test plan.
 // Reported metric: how many of the requested parameters translate
 // (do not need DFT).

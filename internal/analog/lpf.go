@@ -94,20 +94,24 @@ func (l *LowPass) biquad(fs float64) (b0, b1, b2, a1, a2 float64) {
 // by the pass-band gain, plus clock feed-through, output noise, and
 // DC offset.
 func (l *LowPass) Process(x []float64, fs float64, rng *rand.Rand) []float64 {
-	return l.ProcessInto(make([]float64, len(x)), x, fs, rng, nil)
+	return l.ProcessInto(make([]float64, len(x)), x, fs, rng, nil, nil)
 }
 
 // ProcessInto is Process writing into dst (len(x) samples; dst may be
 // x itself) and returning it. The clock feed-through cosines depend
 // only on Spec.ClockHz, fs and len(x); clk keeps them across calls (a
-// nil clk fills a new table).
-func (l *LowPass) ProcessInto(dst, x []float64, fs float64, rng *rand.Rand, clk *msignal.CosTable) []float64 {
+// nil clk fills a new table), and on a miss in clk they come from set
+// when set holds them (see msignal.TableSet; nil keeps them private).
+func (l *LowPass) ProcessInto(dst, x []float64, fs float64, rng *rand.Rand, clk *msignal.CosTable, set *msignal.TableSet) []float64 {
 	b0, b1, b2, a1, a2 := l.biquad(fs)
 	g := l.Gain()
 	out := dst[:len(x)]
 	var spur []float64
 	if l.Spec.ClockSpurV > 0 {
-		spur = l.clockCarrier(clk, len(x), fs)
+		if clk == nil {
+			clk = new(msignal.CosTable)
+		}
+		spur = clk.Cosines(set, msignal.ClockExpr, l.Spec.ClockHz, 0, fs, len(x))
 	}
 	var x1, x2, y1, y2 float64
 	for i, v := range x {
@@ -124,22 +128,6 @@ func (l *LowPass) ProcessInto(dst, x []float64, fs float64, rng *rand.Rand, clk 
 		out[i] = o
 	}
 	return out
-}
-
-// clockCarrier returns the SC clock's per-sample cosines, cached in clk
-// under (ClockHz, fs, n).
-func (l *LowPass) clockCarrier(clk *msignal.CosTable, n int, fs float64) []float64 {
-	if clk == nil {
-		clk = new(msignal.CosTable)
-	}
-	c, hit := clk.Lookup(l.Spec.ClockHz, 0, fs, n)
-	if !hit {
-		wClk := 2 * math.Pi * l.Spec.ClockHz / fs
-		for i := range c {
-			c[i] = math.Cos(wClk * float64(i))
-		}
-	}
-	return c
 }
 
 // ResponseMag returns the instance's analog-prototype magnitude

@@ -62,23 +62,20 @@ func (o *Oscillator) phasesInto(th []float64, fs float64, rng *rand.Rand) []floa
 
 // carrier returns cos θ[i] for n samples at rate fs, drawing phase
 // noise from rng exactly as Phases does. Without a draw (nil rng or a
-// noiseless LO) the cosines depend only on FreqHz, fs and n, and tab
-// keeps them across calls; a jittered carrier is filled fresh into
-// tab's buffer every call. A nil tab fills a new buffer.
+// noiseless LO) θ[i] = w·i, the cosines depend only on FreqHz, fs and
+// n, and tab keeps them across calls as a msignal.ClockExpr table
+// (the same bits: adding a zero jitter changes no phase); a jittered
+// carrier is filled fresh into tab's buffer every call. The table is
+// never shared, since FreqHz is drawn per device. A nil tab fills a
+// new buffer.
 func (o *Oscillator) carrier(tab *msignal.CosTable, n int, fs float64, rng *rand.Rand) []float64 {
 	if tab == nil {
 		tab = new(msignal.CosTable)
 	}
-	var c []float64
-	if jitter := rng != nil && o.Spec.PhaseNoiseRadPerSample > 0; jitter {
-		c = tab.Reset(n)
-	} else {
-		var hit bool
-		if c, hit = tab.Lookup(o.FreqHz, 0, fs, n); hit {
-			return c
-		}
+	if rng == nil || o.Spec.PhaseNoiseRadPerSample <= 0 {
+		return tab.Cosines(nil, msignal.ClockExpr, o.FreqHz, 0, fs, n)
 	}
-	o.phasesInto(c, fs, rng)
+	c := o.phasesInto(tab.Reset(n), fs, rng)
 	for i, th := range c {
 		c[i] = math.Cos(th)
 	}

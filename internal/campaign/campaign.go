@@ -21,7 +21,9 @@
 // record identical to the good one the good record's own verdict,
 // Det.Detect(good, good), computed once. And verdicts are memoized:
 // structurally inequivalent faults often produce byte-identical
-// records, so each distinct record is detected at most once. The
+// records, so each distinct record is detected at most once — except
+// under fault.ExactDetector, whose compare costs less than hashing and
+// keeping the record, so exact campaigns skip the memo. The
 // screen and the memo are exact for any pure detector (one whose
 // verdict depends only on the two records): the good record is the
 // same for every lane, so a verdict is a function of the faulty record
@@ -101,7 +103,8 @@ type Stats struct {
 	// Screened counts lanes resolved by the zero-diff screen.
 	Screened int
 	// Memoized counts lanes resolved by record-verdict memoization (a
-	// byte-identical record was already detected).
+	// byte-identical record was already detected); always 0 under
+	// fault.ExactDetector, which runs without the memo.
 	Memoized int
 	// Spectra counts detector evaluations actually performed (spectra,
 	// for the spectral detector), including the one good-record
@@ -241,11 +244,17 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	// own bound detector (created on the worker's first batch). Lanes
 	// whose record matches the good record take the screened verdict
 	// without detecting, and byte-identical records share one memoized
-	// verdict.
+	// verdict. An exact compare is cheaper than hashing and keeping its
+	// record, so exact campaigns run without the memo.
 	workers := min(max(e.Opts.DetectWorkers, 1), nBatches)
 	dets := make([]fault.Detector, workers)
 	replays := make([]*digital.FaultReplay, workers)
-	memo := newMemoTable()
+	var memo *memoTable
+	switch e.Det.(type) {
+	case fault.ExactDetector, *fault.ExactDetector:
+	default:
+		memo = newMemoTable()
+	}
 	detect := func(det fault.Detector, lo int, lanes [][]int64) (batchResult, error) {
 		if err := resilient.Fire(fpDetBatch); err != nil {
 			return batchResult{}, err
@@ -260,11 +269,14 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 				out.screened++
 				continue
 			}
-			h := HashRecord(rec)
-			if d, ok := memo.lookup(h, rec); ok {
-				res.Detected = d
-				out.memoized++
-				continue
+			var h uint64
+			if memo != nil {
+				h = HashRecord(rec)
+				if d, ok := memo.lookup(h, rec); ok {
+					res.Detected = d
+					out.memoized++
+					continue
+				}
 			}
 			var t0 time.Time
 			if verdictHist != nil {
@@ -277,7 +289,9 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 			if err != nil {
 				return batchResult{}, err
 			}
-			memo.insert(h, rec, d)
+			if memo != nil {
+				memo.insert(h, rec, d)
+			}
 			res.Detected = d
 			out.spectra++
 		}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"mstx/internal/mcengine"
+	"mstx/internal/msignal"
 	"mstx/internal/obs"
 	"mstx/internal/params"
 	"mstx/internal/resilient"
@@ -73,7 +74,10 @@ func Fig4(opts Fig4Options) (*Fig4Result, error) {
 	// (BatchSize 1), so each device draw comes from its own substream
 	// and the study fans out across workers without losing
 	// reproducibility. Measurements run noiseless (nil rng), so each
-	// lane's [methods]error vector depends only on its device.
+	// lane's [methods]error vector depends only on its device. As in
+	// Table 2, the run shares one carrier-table set and each device's
+	// measurements share one sweep.
+	tabs := new(msignal.TableSet)
 	kernel := func(_, count int, rng *rand.Rand) ([][3]float64, error) {
 		out := make([][3]float64, 0, count)
 		for i := 0; i < count; i++ {
@@ -81,9 +85,10 @@ func Fig4(opts Fig4Options) (*Fig4Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			sw := params.NewSweep(tabs)
 			var e [3]float64
 			for j, m := range methods {
-				res, err := params.MeasureMixerIIP3(device, m, st, cfg, nil)
+				res, err := sw.MixerIIP3(device, m, st, cfg, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"mstx/internal/mcengine"
+	"mstx/internal/msignal"
 	"mstx/internal/obs"
 	"mstx/internal/params"
 	"mstx/internal/path"
@@ -77,7 +78,42 @@ type Table2Options struct {
 // is extracted (bias removed — the tester calibrates out systematic
 // bias), and the FCL/YL threshold sweep is computed against the
 // parameter's process distribution.
+//
+// Every device's stimulus tones and SC clock are the same (the tester
+// derives the tones from the nominal LO and snaps them to coherent
+// bins), so the study shares one msignal.TableSet across its device
+// lanes, and each lane measures its device's three parameters on one
+// params.Sweep.
 func Table2(opts Table2Options) (*Table2Result, error) {
+	tabs := new(msignal.TableSet)
+	return table2(opts, func(studies []e6Study, d *path.Path) (v [3]float64, err error) {
+		sw := params.NewSweep(tabs)
+		for j, s := range studies {
+			r, err := s.measure(sw, d)
+			if err != nil {
+				return v, fmt.Errorf("experiments: %s on device: %w", s.name, err)
+			}
+			v[j] = r.Delta()
+		}
+		return v, nil
+	})
+}
+
+// e6Study is one Table 2 parameter: its measurement procedure, run on
+// a caller's sweep, and the process distribution and spec limit its
+// losses are computed against.
+type e6Study struct {
+	name    string
+	unit    string
+	method  params.Method
+	measure func(sw *params.Sweep, p *path.Path) (params.Result, error)
+	dist    tolerance.Normal
+	spec    tolerance.SpecLimit
+}
+
+// table2 is Table2 with the per-device measurement supplied: device
+// returns the three studies' measurement errors on one device.
+func table2(opts Table2Options, device func(studies []e6Study, d *path.Path) ([3]float64, error)) (*Table2Result, error) {
 	if opts.Devices == 0 {
 		opts.Devices = 15
 	}
@@ -97,35 +133,27 @@ func Table2(opts Table2Options) (*Table2Result, error) {
 	cfg := params.Config{N: opts.N, Settle: 256}
 	st := params.DefaultIIP3Stimulus()
 
-	type study struct {
-		name    string
-		unit    string
-		method  params.Method
-		measure func(p *path.Path) (params.Result, error)
-		dist    tolerance.Normal
-		spec    tolerance.SpecLimit
-	}
-	studies := []study{
+	studies := []e6Study{
 		{
 			name: "P1dB", unit: "dBm", method: params.NominalGains,
-			measure: func(p *path.Path) (params.Result, error) {
-				return params.MeasureMixerP1dB(p, params.NominalGains, cfg, nil)
+			measure: func(sw *params.Sweep, p *path.Path) (params.Result, error) {
+				return sw.MixerP1dB(p, params.NominalGains, cfg, nil)
 			},
 			dist: tolerance.Normal{Mean: spec.Mixer.P1dBDBm.Nominal, Sigma: spec.Mixer.P1dBDBm.Sigma},
 			spec: tolerance.LowerLimit(spec.Mixer.P1dBDBm.Nominal - 2),
 		},
 		{
 			name: "IIP3", unit: "dBm", method: params.Adaptive,
-			measure: func(p *path.Path) (params.Result, error) {
-				return params.MeasureMixerIIP3(p, params.Adaptive, st, cfg, nil)
+			measure: func(sw *params.Sweep, p *path.Path) (params.Result, error) {
+				return sw.MixerIIP3(p, params.Adaptive, st, cfg, nil)
 			},
 			dist: tolerance.Normal{Mean: spec.Mixer.IIP3DBm.Nominal, Sigma: spec.Mixer.IIP3DBm.Sigma},
 			spec: tolerance.LowerLimit(spec.Mixer.IIP3DBm.Nominal - 2),
 		},
 		{
 			name: "fc", unit: "Hz", method: params.Adaptive,
-			measure: func(p *path.Path) (params.Result, error) {
-				return params.MeasureLPFCutoff(p, cfg, nil)
+			measure: func(sw *params.Sweep, p *path.Path) (params.Result, error) {
+				return sw.LPFCutoff(p, cfg, nil)
 			},
 			dist: tolerance.Normal{Mean: spec.LPF.CutoffHz.Nominal, Sigma: spec.LPF.CutoffHz.Sigma},
 			spec: tolerance.BandLimit(spec.LPF.CutoffHz.Nominal*0.92, spec.LPF.CutoffHz.Nominal*1.08),
@@ -153,13 +181,9 @@ func Table2(opts Table2Options) (*Table2Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			var v [3]float64
-			for j, s := range studies {
-				r, err := s.measure(d)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s on device: %w", s.name, err)
-				}
-				v[j] = r.Delta()
+			v, err := device(studies, d)
+			if err != nil {
+				return nil, err
 			}
 			out = append(out, v)
 		}

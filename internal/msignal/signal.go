@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Tone is one sinusoidal component of a multi-tone test signal.
@@ -278,17 +279,19 @@ func rss(a, b float64) float64 {
 // physically present at the node the attributes describe.
 func (s Signal) Render(n int, fs float64, rng *rand.Rand) []float64 {
 	out := make([]float64, n)
-	s.RenderInto(out, fs, rng, nil)
+	s.RenderInto(out, fs, rng, nil, nil)
 	return out
 }
 
 // RenderInto is Render writing len(dst) samples into dst. Component j
 // of the signal (the tones in order, then the spurs) takes its cosines
 // from table j of c, so a capture sweep that re-renders the same tones
-// evaluates each cosine once; a nil c uses fresh tables. Each sample
-// is accumulated in Render's order — DC, tones, spurs, noise — so the
-// result is bit-identical to Render, and rng is drawn the same way.
-func (s Signal) RenderInto(dst []float64, fs float64, rng *rand.Rand, c *Carriers) {
+// evaluates each cosine once; a nil c uses fresh tables. On a miss in
+// c, a table comes from set when set holds it (see TableSet); a nil set
+// keeps every table private to c. Each sample is accumulated in
+// Render's order — DC, tones, spurs, noise — so the result is
+// bit-identical to Render, and rng is drawn the same way.
+func (s Signal) RenderInto(dst []float64, fs float64, rng *rand.Rand, c *Carriers, set *TableSet) {
 	if c == nil {
 		c = new(Carriers)
 	}
@@ -298,7 +301,7 @@ func (s Signal) RenderInto(dst []float64, fs float64, rng *rand.Rand, c *Carrier
 	j := 0
 	for _, comp := range [2][]Tone{s.Tones, s.Spurs} {
 		for _, tone := range comp {
-			tab := c.table(j, tone, fs, len(dst))
+			tab := c.table(j, tone, fs, len(dst), set)
 			for i := range dst {
 				dst[i] += tone.Amp * tab[i]
 			}
@@ -312,42 +315,109 @@ func (s Signal) RenderInto(dst []float64, fs float64, rng *rand.Rand, c *Carrier
 	}
 }
 
-// CosTable caches one carrier's per-sample cosines under the exact
-// inputs that produced them: two carrier parameters (a frequency and
-// a phase, or a frequency and zero), the sample rate and the length,
-// compared bit for bit. The zero value is an empty table.
-type CosTable struct {
-	key  [3]uint64
-	ok   bool
-	vals []float64
-}
+// Expr names the expression that fills a carrier table. The fill
+// expression fixes every rendered bit (the goldens depend on it), so
+// neither may be rewritten, e.g. as a recurrence; and because the two
+// round differently, a table's key includes the expression that made
+// it.
+type Expr uint8
 
-// Lookup returns a length-n buffer and whether it already holds the
-// samples for (a, b, fs). On a miss the table records the new key and
-// the caller must fill the buffer before the next Lookup.
-func (t *CosTable) Lookup(a, b, fs float64, n int) ([]float64, bool) {
-	key := [3]uint64{math.Float64bits(a), math.Float64bits(b), math.Float64bits(fs)}
-	if t.ok && t.key == key && len(t.vals) == n {
-		return t.vals, true
+const (
+	// ToneExpr is a tone of frequency a and phase b:
+	// cos(2π·a·(i/fs) + b), as Render evaluates it.
+	ToneExpr Expr = iota + 1
+	// ClockExpr is a zero-phase carrier of frequency a (b is 0):
+	// cos((2π·a/fs)·i), as the SC clock feed-through and a jitter-free
+	// LO evaluate it.
+	ClockExpr
+)
+
+// fill writes the expression's cosines for (a, b, fs) into dst.
+func (e Expr) fill(dst []float64, a, b, fs float64) {
+	switch e {
+	case ToneExpr:
+		for i := range dst {
+			t := float64(i) / fs
+			dst[i] = math.Cos(2*math.Pi*a*t + b)
+		}
+	case ClockExpr:
+		w := 2 * math.Pi * a / fs
+		for i := range dst {
+			dst[i] = math.Cos(w * float64(i))
+		}
+	default:
+		panic(fmt.Sprintf("msignal: unknown carrier expression %d", e))
 	}
-	t.key, t.ok = key, true
-	return t.resize(n), false
 }
 
-// Reset forgets the cached key and returns a length-n buffer for a
-// one-off fill that no key describes (an LO carrier with drawn phase
-// noise), so the next Lookup refills.
+// tableKey identifies a carrier table by the exact bits of its inputs,
+// its length and the expression that filled it.
+type tableKey struct {
+	expr     Expr
+	a, b, fs uint64
+	n        int
+}
+
+// CosTable caches one carrier's per-sample cosines under the exact
+// inputs that produced them. The current table is either the
+// CosTable's own buffer or a table borrowed from a TableSet; a
+// borrowed table is never written, so a later miss fills the own
+// buffer instead. The zero value is an empty table.
+type CosTable struct {
+	key  tableKey
+	ok   bool
+	vals []float64 // the current table: own[:n] or a borrowed one
+	own  []float64
+}
+
+// Cosines returns the length-n table of expression e at (a, b, fs),
+// filling it only on a key miss. On a miss with a non-nil set, the
+// table is borrowed from the set when the set holds it; otherwise it
+// is filled into a new buffer and published to the set, which keeps
+// the first table published under a key. A set at its byte cap takes
+// no more tables, and the table is filled into the own buffer as
+// without a set. Every path yields the same bits.
+func (t *CosTable) Cosines(set *TableSet, e Expr, a, b, fs float64, n int) []float64 {
+	k := tableKey{expr: e, a: math.Float64bits(a), b: math.Float64bits(b), fs: math.Float64bits(fs), n: n}
+	if t.ok && t.key == k {
+		return t.vals
+	}
+	t.key, t.ok = k, true
+	if set != nil {
+		tab, room := set.lookup(k)
+		if tab == nil && room {
+			tab = make([]float64, n)
+			e.fill(tab, a, b, fs)
+			var published bool
+			if tab, published = set.publish(k, tab); !published {
+				t.own = tab
+			}
+		}
+		if tab != nil {
+			t.vals = tab
+			return tab
+		}
+	}
+	t.vals = t.resize(n)
+	e.fill(t.vals, a, b, fs)
+	return t.vals
+}
+
+// Reset forgets the cached key and returns the own buffer at length n
+// for a one-off fill that no key describes (an LO carrier with drawn
+// phase noise), so the next Cosines refills.
 func (t *CosTable) Reset(n int) []float64 {
 	t.ok = false
-	return t.resize(n)
+	t.vals = t.resize(n)
+	return t.vals
 }
 
 func (t *CosTable) resize(n int) []float64 {
-	if cap(t.vals) < n {
-		t.vals = make([]float64, n)
+	if cap(t.own) < n {
+		t.own = make([]float64, n)
 	}
-	t.vals = t.vals[:n]
-	return t.vals
+	t.own = t.own[:n]
+	return t.own
 }
 
 // Carriers is RenderInto's tone-table cache: one CosTable per signal
@@ -357,21 +427,63 @@ type Carriers struct {
 	tabs []CosTable
 }
 
-// table returns the cosines of component j, filling its table on a
-// key miss. The fill expression fixes every rendered bit (the goldens
-// depend on it), so it must not be rewritten, e.g. as a recurrence.
-func (c *Carriers) table(j int, tone Tone, fs float64, n int) []float64 {
+// table returns the cosines of component j.
+func (c *Carriers) table(j int, tone Tone, fs float64, n int, set *TableSet) []float64 {
 	for len(c.tabs) <= j {
 		c.tabs = append(c.tabs, CosTable{})
 	}
-	tab, hit := c.tabs[j].Lookup(tone.Freq, tone.Phase, fs, n)
-	if !hit {
-		for i := range tab {
-			t := float64(i) / fs
-			tab[i] = math.Cos(2*math.Pi*tone.Freq*t + tone.Phase)
-		}
+	return c.tabs[j].Cosines(set, ToneExpr, tone.Freq, tone.Phase, fs, n)
+}
+
+// TableSetBytes caps the cosines one TableSet holds, in bytes. A study
+// at the service default (2048-sample captures) publishes 51 tables of
+// 147 KiB; a 65536-sample capture needs 4.2 MB per table, so the
+// cap is what bounds a long-capture study.
+const TableSetBytes = 16 << 20
+
+// TableSet is a set of read-only carrier tables shared by the
+// goroutines of one study: the carriers that do not depend on the
+// device under test (stimulus tones, the SC clock). Each table is
+// filled outside the lock and published once; the first table
+// published under a key wins, and a published table is never written
+// again, so CosTables may alias it. Once the set holds TableSetBytes
+// it takes no more tables, and misses fall back to private fills. The
+// zero value is an empty set ready to use.
+type TableSet struct {
+	mu    sync.Mutex
+	tabs  map[tableKey][]float64
+	bytes int
+}
+
+// lookup returns the table published under k, or nil and whether the
+// set still has room for a table of k's length.
+func (s *TableSet) lookup(k tableKey) (tab []float64, room bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if tab := s.tabs[k]; tab != nil {
+		return tab, true
 	}
-	return tab
+	return nil, s.bytes+8*k.n <= TableSetBytes
+}
+
+// publish stores tab under k unless a table is already there, and
+// returns the table the set holds under k. It reports false, returning
+// tab itself, when the set has no room for tab.
+func (s *TableSet) publish(k tableKey, tab []float64) ([]float64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev := s.tabs[k]; prev != nil {
+		return prev, true
+	}
+	if s.bytes+8*len(tab) > TableSetBytes {
+		return tab, false
+	}
+	if s.tabs == nil {
+		s.tabs = make(map[tableKey][]float64)
+	}
+	s.tabs[k] = tab
+	s.bytes += 8 * len(tab)
+	return tab, true
 }
 
 // Frequencies returns the deliberate tone frequencies in ascending

@@ -127,19 +127,30 @@ func (c Config) validate() error {
 	return nil
 }
 
-// sweep is the capture state one Measure* call reuses across the
-// captures of its sweep: the path scratch (carrier tables and stage
-// buffers) and the spectrum scratch. It is never shared between calls,
-// so a Path stays safe for concurrent measurement.
-type sweep struct {
+// Sweep is the capture state reused across captures: the path scratch
+// (carrier tables and stage buffers) and the spectrum scratch. The
+// package-level Measure* functions each run on a new Sweep; the Sweep
+// methods run on the caller's, so a device's whole set of procedures
+// fills its buffers once. A Sweep is not safe for concurrent use —
+// keep one per goroutine; a Path stays safe for concurrent
+// measurement. The zero value is ready to use and keeps every carrier
+// table private.
+type Sweep struct {
 	path path.Scratch
 	spec *dsp.SpectrumScratch
+}
+
+// NewSweep returns a Sweep whose device-independent carriers (stimulus
+// tones, the SC clock) come from the shared set tabs, so the sweeps of
+// one study fill each of them once. A nil tabs is the zero Sweep.
+func NewSweep(tabs *msignal.TableSet) *Sweep {
+	return &Sweep{path: path.Scratch{Tables: tabs}}
 }
 
 // capture runs the path and returns the spectrum of the settled
 // filter-output window. The spectrum and the record alias the sweep
 // and are valid only until its next capture.
-func (sw *sweep) capture(p *path.Path, stim msignal.Signal, cfg Config, rng *rand.Rand) (*dsp.Spectrum, []float64, error) {
+func (sw *Sweep) capture(p *path.Path, stim msignal.Signal, cfg Config, rng *rand.Rand) (*dsp.Spectrum, []float64, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -186,11 +197,11 @@ func rfFor(p *path.Path, fIF float64) float64 {
 // a deep-pass-band tone (translation by composition). The digital
 // filter response is divided out exactly.
 func MeasurePathGain(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
-	return new(sweep).pathGain(p, cfg, rng)
+	return new(Sweep).pathGain(p, cfg, rng)
 }
 
 // pathGain is MeasurePathGain on the caller's sweep.
-func (sw *sweep) pathGain(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
+func (sw *Sweep) pathGain(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
 	fIF := ifBin(p, cfg, 200e3)
 	amp := 0.004
 	stim := msignal.NewTone(rfFor(p, fIF), amp)
@@ -215,7 +226,7 @@ func (sw *sweep) pathGain(p *path.Path, cfg Config, rng *rand.Rand) (Result, err
 // plus ADC offset; amplifier offset is rejected by the mixer) at the
 // primary output with a zero input.
 func MeasureDCOffset(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
-	_, rec, err := new(sweep).capture(p, msignal.Signal{}, cfg, rng)
+	_, rec, err := new(Sweep).capture(p, msignal.Signal{}, cfg, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -256,6 +267,11 @@ func DefaultIIP3Stimulus() IIP3Stimulus {
 // FullAccess bypasses the path: it drives the mixer input directly and
 // observes the mixer output, the DFT-style baseline.
 func MeasureMixerIIP3(p *path.Path, method Method, st IIP3Stimulus, cfg Config, rng *rand.Rand) (Result, error) {
+	return new(Sweep).MixerIIP3(p, method, st, cfg, rng)
+}
+
+// MixerIIP3 is MeasureMixerIIP3 on the caller's sweep.
+func (sw *Sweep) MixerIIP3(p *path.Path, method Method, st IIP3Stimulus, cfg Config, rng *rand.Rand) (Result, error) {
 	truth := p.Mixer.IIP3DBm
 	if method == FullAccess {
 		measured, err := fullAccessMixerIIP3(p, st, cfg, rng)
@@ -265,7 +281,6 @@ func MeasureMixerIIP3(p *path.Path, method Method, st IIP3Stimulus, cfg Config, 
 		return Result{Kind: MixerIIP3, Target: p.Mixer.Name(), Method: method,
 			Measured: measured, True: truth, Unit: "dBm"}, nil
 	}
-	sw := new(sweep)
 	f1 := ifBin(p, cfg, st.F1IF)
 	f2 := ifBin(p, cfg, st.F2IF)
 	fim := 2*f1 - f2
@@ -356,6 +371,11 @@ func fullAccessMixerIIP3(p *path.Path, st IIP3Stimulus, cfg Config, rng *rand.Ra
 // nominal gain (NominalGains) or through the measured small-signal
 // path gain minus nominal downstream gains (Adaptive).
 func MeasureMixerP1dB(p *path.Path, method Method, cfg Config, rng *rand.Rand) (Result, error) {
+	return new(Sweep).MixerP1dB(p, method, cfg, rng)
+}
+
+// MixerP1dB is MeasureMixerP1dB on the caller's sweep.
+func (sw *Sweep) MixerP1dB(p *path.Path, method Method, cfg Config, rng *rand.Rand) (Result, error) {
 	truth := trueMixerP1dB(p)
 	if method == FullAccess {
 		m, err := fullAccessMixerP1dB(p)
@@ -365,7 +385,6 @@ func MeasureMixerP1dB(p *path.Path, method Method, cfg Config, rng *rand.Rand) (
 		return Result{Kind: MixerP1dB, Target: p.Mixer.Name(), Method: method,
 			Measured: m, True: truth, Unit: "dBm"}, nil
 	}
-	sw := new(sweep)
 	fIF := ifBin(p, cfg, 900e3)
 	fRF := rfFor(p, fIF)
 	gd := digitalGain(p, fIF)
@@ -493,7 +512,11 @@ func fullAccessMixerP1dB(p *path.Path) (float64, error) {
 // reference, so block gains cancel and only the corner remains. The
 // digital filter response is divided out exactly.
 func MeasureLPFCutoff(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
-	sw := new(sweep)
+	return new(Sweep).LPFCutoff(p, cfg, rng)
+}
+
+// LPFCutoff is MeasureLPFCutoff on the caller's sweep.
+func (sw *Sweep) LPFCutoff(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
 	amp := 0.004
 	ref := ifBin(p, cfg, 200e3)
 	measure := func(fIF float64) (float64, error) {
@@ -563,7 +586,7 @@ func MeasureLPFCutoff(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) 
 func MeasureLOFreqError(p *path.Path, cfg Config, rng *rand.Rand) (Result, error) {
 	fIF := ifBin(p, cfg, 1.0e6)
 	stim := msignal.NewTone(rfFor(p, fIF), 0.004)
-	s, _, err := new(sweep).capture(p, stim, cfg, rng)
+	s, _, err := new(Sweep).capture(p, stim, cfg, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -600,7 +623,7 @@ func MeasureStopbandGain(p *path.Path, cfg Config, rng *rand.Rand) (Result, erro
 		return Result{}, fmt.Errorf("params: stop-band probe %g beyond Nyquist: %w", fStop, ErrUntranslatable)
 	}
 	const amp = 0.02
-	sw := new(sweep)
+	sw := new(Sweep)
 	measure := func(f float64) (float64, error) {
 		s, _, err := sw.capture(p, msignal.NewTone(rfFor(p, f), amp), cfg, rng)
 		if err != nil {
@@ -720,7 +743,7 @@ func MeasureDynamicRange(p *path.Path, cfg Config, rng *rand.Rand) (Result, erro
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	sw := new(sweep)
+	sw := new(Sweep)
 	small, err := sw.gainAtAmplitude(p, 0.002, cfg, rng)
 	if err != nil {
 		return Result{}, err
@@ -850,11 +873,11 @@ func MeasureLOIsolation(p *path.Path, cfg Config, rng *rand.Rand) (Result, error
 // boundary check); the LPF roll-off at the IF cancels in the
 // difference.
 func MeasureGainAtAmplitude(p *path.Path, piAmp float64, cfg Config, rng *rand.Rand) (float64, error) {
-	return new(sweep).gainAtAmplitude(p, piAmp, cfg, rng)
+	return new(Sweep).gainAtAmplitude(p, piAmp, cfg, rng)
 }
 
 // gainAtAmplitude is MeasureGainAtAmplitude on the caller's sweep.
-func (sw *sweep) gainAtAmplitude(p *path.Path, piAmp float64, cfg Config, rng *rand.Rand) (float64, error) {
+func (sw *Sweep) gainAtAmplitude(p *path.Path, piAmp float64, cfg Config, rng *rand.Rand) (float64, error) {
 	fIF := ifBin(p, cfg, 900e3)
 	s, _, err := sw.capture(p, msignal.NewTone(rfFor(p, fIF), piAmp), cfg, rng)
 	if err != nil {
@@ -894,11 +917,11 @@ func MeasureLOFreqErrorFit(p *path.Path, cfg Config, rng *rand.Rand) (Result, er
 // negative gain error shows up as SNR loss, at maximum amplitude a
 // positive gain error shows up as saturation distortion.
 func MeasureSNRAtAmplitude(p *path.Path, piAmp float64, cfg Config, rng *rand.Rand) (float64, error) {
-	return new(sweep).snrAtAmplitude(p, piAmp, cfg, rng)
+	return new(Sweep).snrAtAmplitude(p, piAmp, cfg, rng)
 }
 
 // snrAtAmplitude is MeasureSNRAtAmplitude on the caller's sweep.
-func (sw *sweep) snrAtAmplitude(p *path.Path, piAmp float64, cfg Config, rng *rand.Rand) (float64, error) {
+func (sw *Sweep) snrAtAmplitude(p *path.Path, piAmp float64, cfg Config, rng *rand.Rand) (float64, error) {
 	fIF := ifBin(p, cfg, 900e3)
 	s, _, err := sw.capture(p, msignal.NewTone(rfFor(p, fIF), piAmp), cfg, rng)
 	if err != nil {

@@ -188,6 +188,13 @@ func (p *Path) Run(stim msignal.Signal, n int, rng *rand.Rand) (*Capture, error)
 // goroutine; the Path itself stays shareable. The zero value is ready
 // to use.
 type Scratch struct {
+	// Tables, when non-nil, is the study's shared set of
+	// device-independent carriers: on a miss in the scratch's own
+	// tables, the stimulus tones and the SC clock are read from it
+	// (and published to it) instead of being filled privately. The
+	// LO carrier stays private: its frequency is drawn per device.
+	Tables *msignal.TableSet
+
 	tones   msignal.Carriers
 	lo, clk msignal.CosTable
 	sim     []float64 // SimRate record, processed stage by stage in place
@@ -215,10 +222,10 @@ func (p *Path) RunScratch(stim msignal.Signal, n int, rng *rand.Rand, sc *Scratc
 	fs := p.Spec.SimRate
 	sc.sim = grow(sc.sim, n*decim)
 	f := sc.sim
-	stim.RenderInto(f, fs, rng, &sc.tones)
+	stim.RenderInto(f, fs, rng, &sc.tones, sc.Tables)
 	p.Amp.ProcessInto(f, f, fs, rng)
 	p.Mixer.ProcessInto(f, f, fs, rng, &sc.lo)
-	p.LPF.ProcessInto(f, f, fs, rng, &sc.clk)
+	p.LPF.ProcessInto(f, f, fs, rng, &sc.clk, sc.Tables)
 	sc.held = grow(sc.held, n)
 	held := sc.held
 	if p.Spec.UseSigmaDelta {

@@ -193,15 +193,29 @@ func randomStimulus(rng *rand.Rand, lo float64, kind int) msignal.Signal {
 	}
 }
 
+// fullTableSet returns a table set filled to its byte cap, so every
+// table a capture asks it for falls back to a private fill.
+func fullTableSet() *msignal.TableSet {
+	set := new(msignal.TableSet)
+	n := msignal.TableSetBytes / 8 / 4
+	for i := 0; i < 4; i++ {
+		msignal.NewTone(float64(i+1), 1).RenderInto(make([]float64, n), 1e3, nil, nil, set)
+	}
+	return set
+}
+
 // TestRunScratchMatchesReference is the differential test of the
 // table-driven, buffer-reusing simulation against the allocating
 // reference chain: random sampled devices and stimuli, with and
 // without noise draws, LO phase noise and the sigma-delta converter,
-// one scratch reused across every capture of a device, and the
-// one-shot Run — all compared bit for bit.
+// one scratch reused across every capture of a device, scratches whose
+// stimulus and clock tables come from one table set shared by every
+// device or from a set at its byte cap, and the one-shot Run — all
+// compared bit for bit.
 func TestRunScratchMatchesReference(t *testing.T) {
 	const n = 192
 	gen := rand.New(rand.NewSource(2024))
+	shared, full := new(msignal.TableSet), fullTableSet()
 	for dev := 0; dev < 8; dev++ {
 		spec := testSpec(t)
 		if dev%2 == 1 {
@@ -216,6 +230,7 @@ func TestRunScratchMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sc Scratch
+		onShared, onFull := Scratch{Tables: shared}, Scratch{Tables: full}
 		var stim msignal.Signal
 		for k := 0; k < 6; k++ {
 			if k%3 == 2 {
@@ -247,6 +262,19 @@ func TestRunScratchMatchesReference(t *testing.T) {
 			if err := sameCapture(got, want); err != nil {
 				t.Fatalf("%s: RunScratch: %v", name, err)
 			}
+			for _, set := range []struct {
+				name string
+				sc   *Scratch
+			}{{"shared", &onShared}, {"full", &onFull}} {
+				_, rGot = rngs()
+				got, err := p.RunScratch(stim, n, rGot, set.sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameCapture(got, want); err != nil {
+					t.Fatalf("%s: RunScratch on the %s table set: %v", name, set.name, err)
+				}
+			}
 			_, rGot = rngs()
 			fresh, err := p.Run(stim, n, rGot)
 			if err != nil {
@@ -262,7 +290,8 @@ func TestRunScratchMatchesReference(t *testing.T) {
 // TestRunScratchCatchesStaleTables mutates the device between captures
 // on one scratch — the LO frequency, the SC clock, the capture length,
 // and a switch between jittered and jitter-free LO carriers — so a
-// table served under a stale key would show as a bit difference.
+// table served under a stale key would show as a bit difference. A
+// second scratch runs the same steps on a shared table set.
 func TestRunScratchCatchesStaleTables(t *testing.T) {
 	spec := testSpec(t)
 	p, err := spec.Sample(rand.New(rand.NewSource(7)))
@@ -270,7 +299,7 @@ func TestRunScratchCatchesStaleTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	stim := msignal.NewTone(spec.LO.FreqHz.Nominal+900e3, 0.01)
-	var sc Scratch
+	scs := []*Scratch{new(Scratch), {Tables: new(msignal.TableSet)}}
 	steps := []struct {
 		name   string
 		mutate func()
@@ -289,20 +318,22 @@ func TestRunScratchCatchesStaleTables(t *testing.T) {
 	}
 	for i, st := range steps {
 		st.mutate()
-		var rRef, rGot *rand.Rand
-		if st.seeded {
-			rRef, rGot = rand.New(rand.NewSource(int64(i))), rand.New(rand.NewSource(int64(i)))
-		}
-		want, err := refRun(p, stim, st.n, rRef)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.RunScratch(stim, st.n, rGot, &sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameCapture(got, want); err != nil {
-			t.Fatalf("step %s: %v", st.name, err)
+		for j, sc := range scs {
+			var rRef, rGot *rand.Rand
+			if st.seeded {
+				rRef, rGot = rand.New(rand.NewSource(int64(i))), rand.New(rand.NewSource(int64(i)))
+			}
+			want, err := refRun(p, stim, st.n, rRef)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.RunScratch(stim, st.n, rGot, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameCapture(got, want); err != nil {
+				t.Fatalf("step %s, scratch %d: %v", st.name, j, err)
+			}
 		}
 	}
 }

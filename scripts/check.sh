@@ -54,11 +54,11 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== concurrency suites (race, unshared cache) =="
-# The memo table, the MC engine merge path and the obs registry's
-# striped histograms / span ring are the places a scheduling-dependent
-# bug could hide; run them race-enabled with -count=2 so a cached
-# ./... result never masks them.
-go test -race -count=2 ./internal/campaign ./internal/mcengine ./internal/obs
+# The memo table, the MC engine merge path, the obs registry's
+# striped histograms / span ring and the E6 lanes' shared carrier-table
+# set are the places a scheduling-dependent bug could hide; run them
+# race-enabled with -count=2 so a cached ./... result never masks them.
+go test -race -count=2 ./internal/campaign ./internal/mcengine ./internal/obs ./internal/msignal
 
 echo "== chaos suite (failpoints, race) =="
 # Deterministic fault injection at the registered engine sites
@@ -235,15 +235,17 @@ go run ./cmd/benchrecord -out BENCH_soc.json -sha "$sha" -date "$now" \
 
 echo "== bench record + regression gate (E6 device-lane simulation) =="
 # The E6 study's hot path, recorded to BENCH_e6.json: BenchmarkTable2
-# (the whole study at bench size), BenchmarkPathCapture (one warmed
-# P1dB sweep capture on reused carrier tables and buffers — zero
-# allocs) and BenchmarkReferralMC1M (one cold translate job's 1M-draw
+# (the whole study at bench size), BenchmarkTable2Service (the study at
+# the service's mc default: 15 devices, 2048-sample captures, so the
+# per-study carrier-table fills weigh as in a cold mc job),
+# BenchmarkPathCapture (one warmed P1dB sweep capture on reused carrier
+# tables and buffers — zero allocs) and BenchmarkReferralMC1M (one cold translate job's 1M-draw
 # referral Monte Carlo, allocation-free per draw). The engine runs on
 # a goroutine pool, so the Table2 and referral alloc counts move by
 # about 1% with goroutine reuse; this gate takes 2% alloc slack,
 # which still leaves the zero-alloc PathCapture count exact and catches
 # any per-draw or per-capture allocation.
-go test -run '^$' -bench 'BenchmarkTable2$|BenchmarkReferralMC1M' -benchmem -benchtime 1s -count 5 \
+go test -run '^$' -bench 'BenchmarkTable2$|BenchmarkTable2Service$|BenchmarkReferralMC1M' -benchmem -benchtime 1s -count 5 \
     . >"$tmp/bench_e6.txt"
 go test -run '^$' -bench 'BenchmarkPathCapture' -benchmem -benchtime 1s -count 5 \
     ./internal/params >>"$tmp/bench_e6.txt"
