@@ -94,15 +94,14 @@ func (l *LowPass) biquad(fs float64) (b0, b1, b2, a1, a2 float64) {
 // by the pass-band gain, plus clock feed-through, output noise, and
 // DC offset.
 func (l *LowPass) Process(x []float64, fs float64, rng *rand.Rand) []float64 {
-	return l.ProcessInto(make([]float64, len(x)), x, fs, rng, nil, nil)
+	return l.ProcessInto(make([]float64, len(x)), x, fs, rng, nil)
 }
 
 // ProcessInto is Process writing into dst (len(x) samples; dst may be
 // x itself) and returning it. The clock feed-through cosines depend
 // only on Spec.ClockHz, fs and len(x); clk keeps them across calls (a
-// nil clk fills a new table), and on a miss in clk they come from set
-// when set holds them (see msignal.TableSet; nil keeps them private).
-func (l *LowPass) ProcessInto(dst, x []float64, fs float64, rng *rand.Rand, clk *msignal.CosTable, set *msignal.TableSet) []float64 {
+// nil clk fills a new table), reading clk.Set on a miss.
+func (l *LowPass) ProcessInto(dst, x []float64, fs float64, rng *rand.Rand, clk *msignal.CosTable) []float64 {
 	b0, b1, b2, a1, a2 := l.biquad(fs)
 	g := l.Gain()
 	out := dst[:len(x)]
@@ -111,7 +110,7 @@ func (l *LowPass) ProcessInto(dst, x []float64, fs float64, rng *rand.Rand, clk 
 		if clk == nil {
 			clk = new(msignal.CosTable)
 		}
-		spur = clk.Cosines(set, msignal.ClockExpr, l.Spec.ClockHz, 0, fs, len(x))
+		spur = clk.Cosines(msignal.ClockExpr, l.Spec.ClockHz, 0, fs, len(x))
 	}
 	var x1, x2, y1, y2 float64
 	for i, v := range x {

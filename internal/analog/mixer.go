@@ -73,7 +73,7 @@ func (o *Oscillator) carrier(tab *msignal.CosTable, n int, fs float64, rng *rand
 		tab = new(msignal.CosTable)
 	}
 	if rng == nil || o.Spec.PhaseNoiseRadPerSample <= 0 {
-		return tab.Cosines(nil, msignal.ClockExpr, o.FreqHz, 0, fs, n)
+		return tab.Cosines(msignal.ClockExpr, o.FreqHz, 0, fs, n)
 	}
 	c := o.phasesInto(tab.Reset(n), fs, rng)
 	for i, th := range c {

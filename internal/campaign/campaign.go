@@ -250,9 +250,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	dets := make([]fault.Detector, workers)
 	replays := make([]*digital.FaultReplay, workers)
 	var memo *memoTable
-	switch e.Det.(type) {
-	case fault.ExactDetector, *fault.ExactDetector:
-	default:
+	if _, exact := e.Det.(fault.ExactDetector); !exact {
 		memo = newMemoTable()
 	}
 	detect := func(det fault.Detector, lo int, lanes [][]int64) (batchResult, error) {

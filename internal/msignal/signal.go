@@ -279,19 +279,18 @@ func rss(a, b float64) float64 {
 // physically present at the node the attributes describe.
 func (s Signal) Render(n int, fs float64, rng *rand.Rand) []float64 {
 	out := make([]float64, n)
-	s.RenderInto(out, fs, rng, nil, nil)
+	s.RenderInto(out, fs, rng, nil)
 	return out
 }
 
 // RenderInto is Render writing len(dst) samples into dst. Component j
 // of the signal (the tones in order, then the spurs) takes its cosines
 // from table j of c, so a capture sweep that re-renders the same tones
-// evaluates each cosine once; a nil c uses fresh tables. On a miss in
-// c, a table comes from set when set holds it (see TableSet); a nil set
-// keeps every table private to c. Each sample is accumulated in
-// Render's order — DC, tones, spurs, noise — so the result is
-// bit-identical to Render, and rng is drawn the same way.
-func (s Signal) RenderInto(dst []float64, fs float64, rng *rand.Rand, c *Carriers, set *TableSet) {
+// evaluates each cosine once (and reads c.Set on a miss); a nil c
+// uses fresh tables. Each sample is accumulated in Render's order —
+// DC, tones, spurs, noise — so the result is bit-identical to Render,
+// and rng is drawn the same way.
+func (s Signal) RenderInto(dst []float64, fs float64, rng *rand.Rand, c *Carriers) {
 	if c == nil {
 		c = new(Carriers)
 	}
@@ -301,7 +300,7 @@ func (s Signal) RenderInto(dst []float64, fs float64, rng *rand.Rand, c *Carrier
 	j := 0
 	for _, comp := range [2][]Tone{s.Tones, s.Spurs} {
 		for _, tone := range comp {
-			tab := c.table(j, tone, fs, len(dst), set)
+			tab := c.table(j, tone, fs, len(dst))
 			for i := range dst {
 				dst[i] += tone.Amp * tab[i]
 			}
@@ -360,10 +359,14 @@ type tableKey struct {
 
 // CosTable caches one carrier's per-sample cosines under the exact
 // inputs that produced them. The current table is either the
-// CosTable's own buffer or a table borrowed from a TableSet; a
-// borrowed table is never written, so a later miss fills the own
-// buffer instead. The zero value is an empty table.
+// CosTable's own buffer or a table borrowed from Set; a borrowed
+// table is never written, so a later miss fills the own buffer
+// instead. The zero value is an empty table with no set.
 type CosTable struct {
+	// Set, when non-nil, is the shared set a key miss reads (and
+	// publishes to) before filling privately.
+	Set *TableSet
+
 	key  tableKey
 	ok   bool
 	vals []float64 // the current table: own[:n] or a borrowed one
@@ -371,19 +374,19 @@ type CosTable struct {
 }
 
 // Cosines returns the length-n table of expression e at (a, b, fs),
-// filling it only on a key miss. On a miss with a non-nil set, the
+// filling it only on a key miss. On a miss with a non-nil Set, the
 // table is borrowed from the set when the set holds it; otherwise it
 // is filled into a new buffer and published to the set, which keeps
 // the first table published under a key. A set at its byte cap takes
 // no more tables, and the table is filled into the own buffer as
 // without a set. Every path yields the same bits.
-func (t *CosTable) Cosines(set *TableSet, e Expr, a, b, fs float64, n int) []float64 {
+func (t *CosTable) Cosines(e Expr, a, b, fs float64, n int) []float64 {
 	k := tableKey{expr: e, a: math.Float64bits(a), b: math.Float64bits(b), fs: math.Float64bits(fs), n: n}
 	if t.ok && t.key == k {
 		return t.vals
 	}
 	t.key, t.ok = k, true
-	if set != nil {
+	if set := t.Set; set != nil {
 		tab, room := set.lookup(k)
 		if tab == nil && room {
 			tab = make([]float64, n)
@@ -422,17 +425,24 @@ func (t *CosTable) resize(n int) []float64 {
 
 // Carriers is RenderInto's tone-table cache: one CosTable per signal
 // component position. It is not safe for concurrent use — keep one per
-// goroutine. The zero value is ready to use.
+// goroutine. The zero value is ready to use and keeps every table
+// private.
 type Carriers struct {
+	// Set, when non-nil, is the shared set every component's table
+	// reads on a key miss (see CosTable.Set).
+	Set *TableSet
+
 	tabs []CosTable
 }
 
 // table returns the cosines of component j.
-func (c *Carriers) table(j int, tone Tone, fs float64, n int, set *TableSet) []float64 {
+func (c *Carriers) table(j int, tone Tone, fs float64, n int) []float64 {
 	for len(c.tabs) <= j {
 		c.tabs = append(c.tabs, CosTable{})
 	}
-	return c.tabs[j].Cosines(set, ToneExpr, tone.Freq, tone.Phase, fs, n)
+	tab := &c.tabs[j]
+	tab.Set = c.Set
+	return tab.Cosines(ToneExpr, tone.Freq, tone.Phase, fs, n)
 }
 
 // TableSetBytes caps the cosines one TableSet holds, in bytes. A study

@@ -43,7 +43,7 @@ func TestTableSetConcurrent(t *testing.T) {
 	}
 	want := make([][]float64, len(keys))
 	for i, k := range keys {
-		want[i] = new(CosTable).Cosines(nil, k.e, k.a, k.b, fs, k.n)
+		want[i] = new(CosTable).Cosines(k.e, k.a, k.b, fs, k.n)
 	}
 	// The two expressions round differently: a key without the
 	// expression would hand a clock table to a tone.
@@ -56,11 +56,11 @@ func TestTableSetConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var tabs [2]CosTable
+			tabs := [2]CosTable{{Set: set}, {Set: set}}
 			for r := 0; r < rounds; r++ {
 				i := (w*7 + r*3) % len(keys)
 				k := keys[i]
-				got := tabs[r%2].Cosines(set, k.e, k.a, k.b, fs, k.n)
+				got := tabs[r%2].Cosines(k.e, k.a, k.b, fs, k.n)
 				if !sameBits(got, want[i]) {
 					t.Errorf("worker %d: key %d differs from its private fill", w, i)
 					return
@@ -90,16 +90,16 @@ func TestTableSetConcurrent(t *testing.T) {
 func TestCosTableNeverWritesBorrowed(t *testing.T) {
 	const fs, n = 64e6, 1024
 	set := new(TableSet)
-	var tab CosTable
-	shared := tab.Cosines(set, ToneExpr, 1e6, 0, fs, n)
+	tab := CosTable{Set: set}
+	shared := tab.Cosines(ToneExpr, 1e6, 0, fs, n)
 	keep := append([]float64(nil), shared...)
-	if got := tab.Cosines(set, ToneExpr, 1e6, 0, fs, n); &got[0] != &shared[0] {
+	if got := tab.Cosines(ToneExpr, 1e6, 0, fs, n); &got[0] != &shared[0] {
 		t.Fatal("a key hit did not return the current table")
 	}
 	// A miss the set cannot serve: force the private path by filling
 	// the set to its cap.
 	set.bytes = TableSetBytes
-	priv := tab.Cosines(set, ToneExpr, 2e6, 0, fs, n)
+	priv := tab.Cosines(ToneExpr, 2e6, 0, fs, n)
 	if &priv[0] == &shared[0] {
 		t.Fatal("a private fill reused the borrowed table")
 	}
@@ -110,7 +110,7 @@ func TestCosTableNeverWritesBorrowed(t *testing.T) {
 	if !sameBits(shared, keep) {
 		t.Fatal("a shared table was written after it was published")
 	}
-	if !sameBits(tab.Cosines(set, ToneExpr, 1e6, 0, fs, n), keep) {
+	if !sameBits(tab.Cosines(ToneExpr, 1e6, 0, fs, n), keep) {
 		t.Fatal("re-borrowing the shared table after a Reset lost its bits")
 	}
 }
@@ -124,12 +124,12 @@ func TestTableSetCapFallback(t *testing.T) {
 	set := new(TableSet)
 	big := TableSetBytes / 8 / 4 // four tables fill the set exactly
 	for i := 0; i < 4; i++ {
-		NewTone(1e6*float64(i+1), 1).RenderInto(make([]float64, big), fs, nil, nil, set)
+		NewTone(1e6*float64(i+1), 1).RenderInto(make([]float64, big), fs, nil, &Carriers{Set: set})
 	}
 	if set.bytes != TableSetBytes || len(set.tabs) != 4 {
 		t.Fatalf("set holds %d tables, %d bytes; want 4 tables, %d bytes", len(set.tabs), set.bytes, TableSetBytes)
 	}
-	var c Carriers
+	c := Carriers{Set: set}
 	for _, r := range []struct {
 		s Signal
 		n int
@@ -140,7 +140,7 @@ func TestTableSetCapFallback(t *testing.T) {
 		{NewTone(1e6, 0.3), big}, // a table the full set still serves
 	} {
 		got := make([]float64, r.n)
-		r.s.RenderInto(got, fs, nil, &c, set)
+		r.s.RenderInto(got, fs, nil, &c)
 		if !sameBits(got, r.s.Render(r.n, fs, nil)) {
 			t.Fatalf("%v at n=%d: render on a full set differs from Render", r.s, r.n)
 		}

@@ -222,10 +222,11 @@ func (p *Path) RunScratch(stim msignal.Signal, n int, rng *rand.Rand, sc *Scratc
 	fs := p.Spec.SimRate
 	sc.sim = grow(sc.sim, n*decim)
 	f := sc.sim
-	stim.RenderInto(f, fs, rng, &sc.tones, sc.Tables)
+	sc.tones.Set, sc.clk.Set = sc.Tables, sc.Tables
+	stim.RenderInto(f, fs, rng, &sc.tones)
 	p.Amp.ProcessInto(f, f, fs, rng)
 	p.Mixer.ProcessInto(f, f, fs, rng, &sc.lo)
-	p.LPF.ProcessInto(f, f, fs, rng, &sc.clk, sc.Tables)
+	p.LPF.ProcessInto(f, f, fs, rng, &sc.clk)
 	sc.held = grow(sc.held, n)
 	held := sc.held
 	if p.Spec.UseSigmaDelta {

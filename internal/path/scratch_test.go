@@ -199,7 +199,7 @@ func fullTableSet() *msignal.TableSet {
 	set := new(msignal.TableSet)
 	n := msignal.TableSetBytes / 8 / 4
 	for i := 0; i < 4; i++ {
-		msignal.NewTone(float64(i+1), 1).RenderInto(make([]float64, n), 1e3, nil, nil, set)
+		msignal.NewTone(float64(i+1), 1).RenderInto(make([]float64, n), 1e3, nil, &msignal.Carriers{Set: set})
 	}
 	return set
 }
