@@ -572,11 +572,11 @@ func benchSpectralCampaign(b *testing.B, patterns int) {
 }
 
 // BenchmarkRecordsFromBaseline measures the campaign's record
-// generation alone: every 63-fault batch of the default E8 universe
-// propagated over one fault-free baseline capture of the realistic
-// stimulus on one replay (the per-fault event-driven propagation plus
-// the differing-bit decode, no detection). Reported metric: faults
-// simulated per second.
+// generation alone: every fault of the default E8 universe propagated
+// over one fault-free baseline capture of the realistic stimulus on
+// one replay (the per-fault event-driven propagation, the
+// differing-bit decode into the replay's record buffer and the diff
+// stats, no detection). Reported metric: faults simulated per second.
 func BenchmarkRecordsFromBaseline(b *testing.B) { benchRecordsFromBaseline(b, 1024) }
 
 func benchRecordsFromBaseline(b *testing.B, patterns int) {
@@ -592,9 +592,8 @@ func benchRecordsFromBaseline(b *testing.B, patterns int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for lo := 0; lo < len(u.Faults); lo += 63 {
-			hi := min(lo+63, len(u.Faults))
-			if _, err := fault.RecordsFromBaseline(replay, base, u.Faults[lo:hi]); err != nil {
+		for _, f := range u.Faults {
+			if _, _, _, err := replay.Record(base, f); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -773,17 +772,19 @@ func BenchmarkSpectralCampaignSeed(b *testing.B) {
 
 // seedCampaign grades u the way the first campaign did: full-netlist
 // fault.Records batches of 63 faults on mcengine.Execute, one
-// NewWorkerDetect scratch per pool worker, and a transform for every
-// lane — no parallel-pattern records, screen or memo.
+// reference-transform scratch per pool worker (the seed's worker path;
+// NewWorkerDetect now takes the fast spectrum), and a transform for
+// every lane — no parallel-pattern records, screen or memo.
 func seedCampaign(u *fault.Universe, xs []int64, det *spectest.Detector) (*fault.Report, error) {
 	const batch = 63
 	nf := len(u.Faults)
 	dets := make([]func(good, faulty []int64) (bool, error), min(runtime.GOMAXPROCS(0), (nf+batch-1)/batch))
 	for w := range dets {
-		var err error
-		if dets[w], err = det.NewWorkerDetect(); err != nil {
+		sc, err := det.NewScratch()
+		if err != nil {
 			return nil, err
 		}
+		dets[w] = func(_, faulty []int64) (bool, error) { return det.DetectRecord(faulty, sc) }
 	}
 	results := make([]fault.Result, nf)
 	results, _, err := mcengine.Execute(context.Background(), mcengine.Plan[[]fault.Result, []fault.Result]{

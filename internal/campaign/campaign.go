@@ -2,12 +2,13 @@
 // every campaign of the repository — exact output compare
 // (fault.ExactDetector) and spectral signature detection through the
 // analog path (spectest.Detector) alike — on one bounded worker pool
-// (mcengine.Execute, one 63-fault batch per lane). Each worker
-// generates a batch's gate-level records and detects them with its own
-// detector, bound through fault.BindWorker; for the spectral detector
-// that is a reusable FFT scratch, so once warm the record → FFT →
-// verdict path allocates nothing (pinned by AllocsPerRun tests in dsp
-// and spectest and by BENCH_campaign.json). Batches merge in order, so
+// (mcengine.Execute, one 63-fault batch per lane). Each worker grades
+// a batch lane by lane, building a fault's gate-level record and
+// detecting it with its own detector, bound through fault.BindWorker;
+// for the spectral detector that is a reusable fast-FFT scratch, so
+// once warm the record → FFT → verdict path allocates nothing (pinned
+// by AllocsPerRun tests in digital, dsp and spectest and by
+// BENCH_campaign.json). Batches merge in order, so
 // the Report is identical for any worker count, any kill/resume split,
 // and to fault.SerialSimulate with the same detector.
 //
@@ -41,13 +42,15 @@ import (
 	"mstx/internal/digital"
 	"mstx/internal/fault"
 	"mstx/internal/mcengine"
+	"mstx/internal/netlist"
 	"mstx/internal/obs"
 	"mstx/internal/resilient"
 )
 
 // Failpoint sites for the deterministic fault-injection harness: one
-// per batch stage (record generation, detection), fired once per
-// batch. Disabled (nil registry) they cost one atomic load.
+// per batch stage (record generation, detection), each fired once per
+// batch before its lanes are built and graded. Disabled (nil
+// registry) they cost one atomic load.
 var (
 	fpSimBatch = resilient.Site("campaign.sim_batch")
 	fpDetBatch = resilient.Site("campaign.detect_batch")
@@ -240,12 +243,14 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	}
 	stats.Spectra++
 
-	// One pool: each worker simulates a batch, then detects it with its
-	// own bound detector (created on the worker's first batch). Lanes
-	// whose record matches the good record take the screened verdict
-	// without detecting, and byte-identical records share one memoized
-	// verdict. An exact compare is cheaper than hashing and keeping its
-	// record, so exact campaigns run without the memo.
+	// One pool: each worker grades a batch lane by lane with its own
+	// bound detector (created on the worker's first batch), building
+	// each lane's record and detecting it before the next. Lanes whose
+	// record matches the good record take the screened verdict without
+	// detecting (on the parallel-pattern path they build no record at
+	// all), and byte-identical records share one memoized verdict. An
+	// exact compare is cheaper than hashing and keeping its record, so
+	// exact campaigns run without the memo.
 	workers := min(max(e.Opts.DetectWorkers, 1), nBatches)
 	dets := make([]fault.Detector, workers)
 	replays := make([]*digital.FaultReplay, workers)
@@ -253,46 +258,72 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	if _, exact := e.Det.(fault.ExactDetector); !exact {
 		memo = newMemoTable()
 	}
-	detect := func(det fault.Detector, lo int, lanes [][]int64) (batchResult, error) {
-		if err := resilient.Fire(fpDetBatch); err != nil {
-			return batchResult{}, err
+	// verdict resolves one lane whose diff stats are set; rec may be
+	// the worker's reused record buffer.
+	verdict := func(det fault.Detector, res *fault.Result, rec []int64, out *batchResult) error {
+		if res.MaxAbsDiff == 0 {
+			res.Detected = goodDetected
+			out.screened++
+			return nil
 		}
-		out := batchResult{results: make([]fault.Result, len(lanes))}
-		for i, rec := range lanes {
+		var h uint64
+		if memo != nil {
+			h = HashRecord(rec)
+			if d, ok := memo.lookup(h, rec); ok {
+				res.Detected = d
+				out.memoized++
+				return nil
+			}
+		}
+		var t0 time.Time
+		if verdictHist != nil {
+			t0 = time.Now()
+		}
+		d, err := det.Detect(good, rec)
+		if verdictHist != nil {
+			verdictHist.Observe(time.Since(t0).Seconds())
+		}
+		if err != nil {
+			return err
+		}
+		if memo != nil {
+			memo.insert(h, rec, d)
+		}
+		res.Detected = d
+		out.spectra++
+		return nil
+	}
+	// grade builds and detects the lanes of faults (universe index lo
+	// on): each record comes from the replay r (parallel-pattern) or,
+	// with r nil, from lanes (one full-netlist pass).
+	grade := func(det fault.Detector, r *digital.FaultReplay, lanes [][]int64, lo int, faults []netlist.Fault) (batchResult, error) {
+		out := batchResult{results: make([]fault.Result, len(faults))}
+		for i, f := range faults {
 			res := &out.results[i]
 			*res = e.blank(lo + i)
-			res.FirstDiff, res.MaxAbsDiff = fault.DiffStats(good, rec)
-			if res.MaxAbsDiff == 0 {
-				res.Detected = goodDetected
-				out.screened++
-				continue
-			}
-			var h uint64
-			if memo != nil {
-				h = HashRecord(rec)
-				if d, ok := memo.lookup(h, rec); ok {
-					res.Detected = d
-					out.memoized++
-					continue
+			var rec []int64
+			if r != nil {
+				var err error
+				if rec, res.FirstDiff, res.MaxAbsDiff, err = r.Record(base, f); err != nil {
+					return batchResult{}, err
 				}
+			} else {
+				rec = lanes[i]
+				res.FirstDiff, res.MaxAbsDiff = fault.DiffStats(good, rec)
 			}
-			var t0 time.Time
-			if verdictHist != nil {
-				t0 = time.Now()
+			var t time.Time
+			if reg != nil {
+				t = time.Now()
 			}
-			d, err := det.Detect(good, rec)
-			if verdictHist != nil {
-				verdictHist.Observe(time.Since(t0).Seconds())
+			err := verdict(det, res, rec, &out)
+			if reg != nil {
+				busyNanos.Add(int64(time.Since(t)))
 			}
 			if err != nil {
 				return batchResult{}, err
 			}
-			if memo != nil {
-				memo.insert(h, rec, d)
-			}
-			res.Detected = d
-			out.spectra++
 		}
+		genCounter.Add(int64(len(faults)))
 		return out, nil
 	}
 	plan := mcengine.Plan[runTotal, batchResult]{
@@ -304,6 +335,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		Ident: fmt.Sprintf("det=%T patterns=%d stim=%016x", e.Det, len(xs), HashRecord(xs)),
 		Kernel: func(w, lane, count int) (batchResult, error) {
 			lo := lane * lanesPerBatch
+			faults := e.U.Faults[lo : lo+count]
 			if err := resilient.Fire(fpSimBatch); err != nil {
 				return batchResult{}, err
 			}
@@ -317,32 +349,25 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 						return batchResult{}, err
 					}
 				}
-				// A panic mid-batch may leave the replay's propagator
-				// mid-walk (nets marked, gates scheduled), so the worker
-				// keeps it only once the batch returns.
-				r := replays[w]
-				replays[w] = nil
-				lanes, err = fault.RecordsFromBaseline(r, base, e.U.Faults[lo:lo+count])
-				replays[w] = r
-			} else {
-				_, lanes, err = fault.Records(e.U, xs, e.U.Faults[lo:lo+count])
-			}
-			if err != nil {
+			} else if _, lanes, err = fault.Records(e.U, xs, faults); err != nil {
 				return batchResult{}, err
 			}
-			genCounter.Add(int64(len(lanes)))
 			if dets[w] == nil {
 				if dets[w], err = fault.BindWorker(e.Det); err != nil {
 					return batchResult{}, err
 				}
 			}
-			if reg != nil {
-				t := time.Now()
-				out, err := detect(dets[w], lo, lanes)
-				busyNanos.Add(int64(time.Since(t)))
-				return out, err
+			if err := resilient.Fire(fpDetBatch); err != nil {
+				return batchResult{}, err
 			}
-			return detect(dets[w], lo, lanes)
+			// A panic mid-batch may leave the replay's propagator
+			// mid-walk (nets marked, gates scheduled), so the worker
+			// keeps it only once the batch returns.
+			r := replays[w]
+			replays[w] = nil
+			out, err := grade(dets[w], r, lanes, lo, faults)
+			replays[w] = r
+			return out, err
 		},
 		Merge: func(t runTotal, _ int, b batchResult) runTotal {
 			t.Results = append(t.Results, b.results...)
@@ -511,6 +536,7 @@ func (m *memoTable) insert(h uint64, rec []int64, detected bool) {
 			return
 		}
 	}
-	m.buckets[h] = append(m.buckets[h], memoEntry{rec: rec, detected: detected})
+	// rec may be a worker's reused buffer: keep a copy.
+	m.buckets[h] = append(m.buckets[h], memoEntry{rec: append([]int64(nil), rec...), detected: detected})
 	m.bytes += 8 * len(rec)
 }

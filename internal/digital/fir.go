@@ -422,12 +422,16 @@ func (s *FIRSim) runPacked(xs []int64, good []int64, view []uint64) error {
 // FaultReplay generates single-fault output records from a Baseline
 // by parallel-pattern single-fault propagation: the gates each fault
 // disturbs are re-evaluated over the baseline's time-packed view, and
-// only the output bits that differ from the good record are decoded. It holds
-// one netlist.Propagator and so is per-worker state, not safe for
-// concurrent use.
+// only the output bits that differ from the good record are decoded.
+// It holds one netlist.Propagator and the record buffer Record
+// writes, and so is per-worker state, not safe for concurrent use.
 type FaultReplay struct {
 	fir  *FIR
 	prop *netlist.Propagator
+	// rec is the record buffer; touched[w] bit k marks sample 64w+k
+	// as differing from the good record.
+	rec     []int64
+	touched []uint64
 }
 
 // NewFaultReplay returns a replay for f. It fails when the circuit
@@ -442,25 +446,54 @@ func NewFaultReplay(f *FIR) (*FaultReplay, error) {
 
 // Record returns the output record of the machine with fault f over
 // the stimulus base was captured from, bit-identical to that fault's
-// lane of RunLanesPeriodic. It starts as a copy of base.Good and flips
-// only the set bits of each reached output's difference words; a
-// flipped output MSB also flips the sign-extension bits above it.
-func (r *FaultReplay) Record(base *Baseline, f netlist.Fault) ([]int64, error) {
+// lane of RunLanesPeriodic, with its first differing sample and its
+// largest |faulty - good| difference (fault.DiffStats of base.Good and
+// the record). The record is a copy of base.Good in the replay's own
+// buffer with only the set bits of each reached output's difference
+// words flipped (a flipped output MSB also flips the sign-extension
+// bits above it); it is valid until the next Record call. A fault that
+// changes no output sample builds no record: Record returns nil, -1
+// and 0.
+//
+// The union of the difference words marks every sample the fault
+// touches, so the two statistics are read there alone: a touched
+// sample always differs, and the first set bit is the first
+// difference.
+func (r *FaultReplay) Record(base *Baseline, f netlist.Fault) (rec []int64, firstDiff int, maxAbs int64, err error) {
 	steps := len(base.Good)
 	outs, diff, err := r.prop.Propagate(base.View, steps, f)
 	if err != nil {
-		return nil, err
+		return nil, -1, 0, err
 	}
-	rec := append([]int64(nil), base.Good...)
+	words := (steps + 63) / 64
+	if cap(r.touched) < words {
+		r.touched = make([]uint64, words)
+	}
+	touched := r.touched[:words]
+	clear(touched)
+	var any uint64
+	for j, i := range outs {
+		if i >= 64 {
+			continue // past the int64 a sample decodes into
+		}
+		for w, d := range diff[j*words : (j+1)*words] {
+			touched[w] |= d
+			any |= d
+		}
+	}
+	if any == 0 {
+		return nil, -1, 0, nil
+	}
+	rec = append(r.rec[:0], base.Good...)
+	r.rec = rec
 	width := len(r.fir.Circuit.Outputs)
 	var signExt uint64
 	if width < 64 {
 		signExt = ^uint64(0) << uint(width)
 	}
-	words := (steps + 63) / 64
 	for j, i := range outs {
 		if i >= 64 {
-			continue // past the int64 a sample decodes into
+			continue
 		}
 		flip := uint64(1) << uint(i)
 		if i == width-1 {
@@ -473,7 +506,22 @@ func (r *FaultReplay) Record(base *Baseline, f netlist.Fault) ([]int64, error) {
 			}
 		}
 	}
-	return rec, nil
+	firstDiff = -1
+	for w, t := range touched {
+		for t != 0 {
+			n := 64*w + bits.TrailingZeros64(t)
+			t &= t - 1
+			d := rec[n] - base.Good[n]
+			if d < 0 {
+				d = -d
+			}
+			if d > 0 && firstDiff < 0 {
+				firstDiff = n
+			}
+			maxAbs = max(maxAbs, d)
+		}
+	}
+	return rec, firstDiff, maxAbs, nil
 }
 
 // RunLanes processes a whole record and returns one output record per

@@ -377,8 +377,10 @@ func e8FIR(t testing.TB, opts FIROptions) *FIR {
 
 // checkReplayMatchesFull injects faults[i] into lane i+1 of a full
 // simulation and requires FaultReplay to reproduce each fault's lane of
-// RunLanesPeriodic bit for bit. It returns how many faults differ from
-// the good lane anywhere.
+// RunLanesPeriodic bit for bit, with that lane's first difference and
+// largest |difference| from a full scan against the good lane (and no
+// record at all when the lane equals the good lane). It returns how
+// many faults differ from the good lane anywhere.
 func checkReplayMatchesFull(t *testing.T, name string, fir *FIR, xs []int64, faults []netlist.Fault) int {
 	t.Helper()
 	ref := NewFIRSim(fir)
@@ -401,26 +403,89 @@ func checkReplayMatchesFull(t *testing.T, name string, fir *FIR, xs []int64, fau
 	}
 	differing := 0
 	for i, f := range faults {
-		got, err := replay.Record(base, f)
+		got, first, maxAbs, err := replay.Record(base, f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lane := want[i+1]
+		wantFirst, wantMax := -1, int64(0)
+		for n := range lane {
+			d := lane[n] - want[0][n]
+			if d < 0 {
+				d = -d
+			}
+			if d > 0 && wantFirst < 0 {
+				wantFirst = n
+			}
+			wantMax = max(wantMax, d)
+		}
+		if first != wantFirst || maxAbs != wantMax {
+			t.Fatalf("%s: fault %v: replay diff stats (%d, %d), full scan (%d, %d)",
+				name, f, first, maxAbs, wantFirst, wantMax)
+		}
+		if wantFirst < 0 {
+			if got != nil {
+				t.Fatalf("%s: fault %v changes no sample but built a record", name, f)
+			}
+			continue
+		}
+		differing++
 		if len(got) != len(lane) {
 			t.Fatalf("%s: fault %v: replay record has %d samples, full %d", name, f, len(got), len(lane))
 		}
-		differs := false
 		for n := range lane {
 			if got[n] != lane[n] {
 				t.Fatalf("%s: fault %v sample %d: replay %d full %d", name, f, n, got[n], lane[n])
 			}
-			differs = differs || lane[n] != want[0][n]
-		}
-		if differs {
-			differing++
 		}
 	}
 	return differing
+}
+
+// TestFaultReplayWarmAllocFree pins the campaign worker's record
+// generation: once a replay has built one record at a length, further
+// records of any fault allocate nothing (the record and its
+// difference words live in the replay's own buffers).
+func TestFaultReplayWarmAllocFree(t *testing.T) {
+	e8 := e8FIR(t, FIROptions{})
+	stim := make([]int64, 1024)
+	for i := range stim {
+		ph := 2 * math.Pi * float64(i) / float64(len(stim))
+		stim[i] = int64(math.Round(900*math.Sin(9*ph) + 900*math.Sin(13*ph)))
+	}
+	base, err := NewFIRSim(e8).CaptureBaseline(stim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := NewFaultReplay(e8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := netlist.AllFaults(e8.Circuit)
+	faults := append(outputBusFaults(e8), all[:200]...)
+	records := 0
+	for _, f := range faults { // warm-up: every buffer at its largest
+		rec, _, _, err := replay.Record(base, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec != nil {
+			records++
+		}
+	}
+	if records == 0 {
+		t.Fatal("no fault built a record")
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		for _, f := range faults {
+			if _, _, _, err := replay.Record(base, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warmed replay: %v allocs per %d records, want 0", allocs, len(faults))
+	}
 }
 
 // batches splits faults into consecutive batches of at most 63.

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -49,6 +50,29 @@ func BenchmarkPowerSpectrumScratch1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sc.PowerSpectrum(x, 1e6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPowerSpectrumRealScratch1024 is the fast real-input path on
+// the same record as BenchmarkPowerSpectrumScratch1024, rounded to
+// integer codes (its input type): one 512-point transform plus the
+// split pass, window applied while packing.
+func BenchmarkPowerSpectrumRealScratch1024(b *testing.B) {
+	x := benchRecord(1024)
+	rec := make([]int64, len(x))
+	for i, v := range x {
+		rec[i] = int64(math.Round(v * 1000))
+	}
+	sc, err := NewRealSpectrumScratch(1024, BlackmanHarris)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sc.PowerSpectrum(rec, 1e6); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,9 @@
 // Package fault is the stuck-at fault model for gate-level FIR
 // filters: fault-universe management, detectors (exact output compare
 // here; spectral in package spectest), per-fault results and coverage
-// accounting, and the record generators campaigns are built from —
-// Records (up to 63 faults in one full-netlist pass) and
-// RecordsFromBaseline (parallel-pattern single-fault propagation over
+// accounting, and the full-netlist record generator campaigns fall
+// back on — Records, up to 63 faults in one pass (their main path is
+// digital.FaultReplay's parallel-pattern single-fault propagation over
 // a captured good pass). Campaigns run on package campaign's engine;
 // SerialSimulate, one fault per pass, is the reference it is tested
 // against.
@@ -203,7 +203,9 @@ func (d ExactDetector) Detect(good, faulty []int64) (bool, error) {
 // DiffStats returns the sample index of the first difference between
 // the good and faulty records (-1 when identical) and the largest
 // absolute difference. It is the shared diff accounting of the
-// campaign engine and the serial reference — the campaign zero-diff
+// campaign engine's full-netlist path and the serial reference (the
+// parallel-pattern path reads the same two figures off its difference
+// words, see digital.FaultReplay.Record) — the campaign zero-diff
 // screen keys off maxAbs == 0.
 func DiffStats(good, faulty []int64) (firstDiff int, maxAbs int64) {
 	firstDiff = -1
@@ -242,25 +244,6 @@ func Records(u *Universe, xs []int64, faults []netlist.Fault) (good []int64, fau
 		return nil, nil, err
 	}
 	return lanes[0], lanes[1:], nil
-}
-
-// RecordsFromBaseline is Records generated by parallel-pattern
-// single-fault propagation against a fault-free baseline captured
-// from the same periodic stimulus (see digital.CaptureBaseline): each
-// fault re-evaluates only the gates its effect reaches, 64 record
-// steps per gate evaluation, on the worker's replay r. The returned faulty
-// records are bit-identical to Records' (the good record is
-// base.Good).
-func RecordsFromBaseline(r *digital.FaultReplay, base *digital.Baseline, faults []netlist.Fault) ([][]int64, error) {
-	out := make([][]int64, len(faults))
-	for i, f := range faults {
-		rec, err := r.Record(base, f)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = rec
-	}
-	return out, nil
 }
 
 // SerialSimulate runs faults one at a time (one fault in all lanes per

@@ -305,20 +305,137 @@ func (d *Detector) Detect(good, faulty []int64) (bool, error) {
 	return d.DetectRecord(faulty, nil)
 }
 
-// NewWorkerDetect returns a Detect-shaped function bound to a fresh
-// per-worker Scratch, satisfying fault.WorkerDetector: verdicts are
-// bit-identical to Detect's, but the record → window → FFT → power-
-// spectrum → screen path reuses one buffer set and allocates nothing
-// in steady state. The returned function is not safe for concurrent
-// use — it owns its scratch; call NewWorkerDetect once per goroutine.
+// NewWorkerDetect returns a Detect-shaped function bound to fresh
+// per-worker state, satisfying fault.WorkerDetector: verdicts are
+// identical to Detect's, and the record → spectrum → screen path
+// reuses one buffer set and allocates nothing in steady state. The
+// returned function is not safe for concurrent use — it owns its
+// scratch; call NewWorkerDetect once per goroutine.
+//
+// The worker computes the deviation on dsp's fast real-input spectrum
+// (RealSpectrumScratch, built here and never in NewDetector, so a
+// detector that only serves Detect pays nothing for it). That spectrum
+// is not bit-identical to the reference, so a record whose fast
+// deviation lies within δ of the threshold is re-decided on the
+// reference transform (DetectRecord on a Scratch built at the first
+// such record). δ bounds |dev_fast − dev_ref| (see fastDeviation), so
+// outside it both deviations fall on the same side of the threshold
+// and the verdict is Detect's by construction.
 func (d *Detector) NewWorkerDetect() (func(good, faulty []int64) (bool, error), error) {
-	sc, err := d.NewScratch()
+	w, err := d.newWorker(deltaMargin)
 	if err != nil {
 		return nil, err
 	}
-	return func(good, faulty []int64) (bool, error) {
-		return d.DetectRecord(faulty, sc)
-	}, nil
+	return w.detect, nil
+}
+
+// deltaMargin multiplies the written-out bound on |dev_fast − dev_ref|
+// into the worker's δ. The bound is already worst-case (the dsp tests
+// see per-bin errors under 1% of it); the factor covers the
+// second-order terms the derivation rounds away.
+const deltaMargin = 4
+
+// worker is one goroutine's detection state behind NewWorkerDetect.
+type worker struct {
+	d    *Detector
+	fast *dsp.RealSpectrumScratch
+	// ref re-decides near-threshold records; built on the first one.
+	ref *Scratch
+	// margin scales δ: deltaMargin, or 0 in tests that show a verdict
+	// flips without the fallback.
+	margin float64
+	// fallbacks counts records re-decided on the reference transform.
+	fallbacks int
+}
+
+func (d *Detector) newWorker(margin float64) (*worker, error) {
+	fast, err := dsp.NewRealSpectrumScratch(d.n, dsp.BlackmanHarris)
+	if err != nil {
+		return nil, err
+	}
+	return &worker{d: d, fast: fast, margin: margin}, nil
+}
+
+func (w *worker) detect(_, faulty []int64) (bool, error) {
+	d := w.d
+	if len(faulty) != d.n {
+		return false, fmt.Errorf("spectest: record length %d != reference %d", len(faulty), d.n)
+	}
+	s, err := w.fast.PowerSpectrum(faulty, d.SampleRate)
+	if err != nil {
+		return false, err
+	}
+	thr := d.threshold()
+	if dev, delta, ok := d.fastDeviation(s, w.fast.ErrorBound(), w.margin); ok && math.Abs(dev-thr) > delta {
+		return dev > thr, nil
+	}
+	w.fallbacks++
+	if w.ref == nil {
+		if w.ref, err = d.NewScratch(); err != nil {
+			return false, err
+		}
+	}
+	return d.DetectRecord(faulty, w.ref)
+}
+
+// unitRoundoff is u, the float64 unit roundoff.
+const unitRoundoff = 0x1p-53
+
+// fastDeviation is deviationOf on a fast spectrum s whose every bin is
+// within ebin of the reference spectrum of the same record
+// (dsp.RealSpectrumScratch.ErrorBound). It returns the fast deviation
+// and δ = margin·(a bound on |dev_fast − dev_ref|), or ok = false when
+// no bound holds because the record's tone power is within twice its
+// error of zero (the reference might then skip the normalization the
+// fast path applies, or the reverse). s is left unnormalized.
+//
+// The bound follows the reference's arithmetic step by step (u is the
+// unit roundoff, T the tone count, subscripts f/r fast/reference):
+//
+//   - Tone power G = Σ_T P[tone bin]: |G_f − G_r| ≤ ΔG = T·ebin +
+//     2γ_T·(G_f + T·ebin), each path's sum rounding by γ_T.
+//   - Gain g = R/G (R the reference's tone power, the same in both): for
+//     G_f > 2ΔG, |g_f − g_r| ≤ ρ·g_f, ρ = ΔG/(G_f−ΔG)·(1+2u) + 3u. With
+//     R ≤ 0 neither path normalizes: g = 1, ρ = 0.
+//   - A compared bin Q = fl(g·P): with q the largest fast Q over the
+//     compared bins (so g_f·P_f ≤ q' = q(1+2u) and P_r ≤ P_f + ebin),
+//     |Q_f − Q_r| ≤ D = g_f·ebin + ρ·(q' + g_f·ebin) + u·(q' +
+//     (1+ρ)·(q' + g_f·ebin)).
+//   - dev = max |fl(Q − ref)|, each subtraction rounding by u:
+//     |dev_f − dev_r| ≤ D + u·(2·dev_f + D).
+//
+// ebin scales with the record's windowed energy (Parseval), so δ does.
+func (d *Detector) fastDeviation(s *dsp.Spectrum, ebin, margin float64) (dev, delta float64, ok bool) {
+	const u = unitRoundoff
+	var ref, got float64
+	for _, f := range d.ToneFreqs {
+		ref += d.ref.Power[d.ref.Bin(f)]
+		got += s.Power[s.Bin(f)]
+	}
+	g, rho := 1.0, 0.0
+	if ref > 0 {
+		t := float64(len(d.ToneFreqs))
+		gammaT := t * u / (1 - t*u)
+		dG := t*ebin + 2*gammaT*(got+t*ebin)
+		if got <= 2*dG {
+			return 0, 0, false
+		}
+		g = ref / got
+		rho = dG/(got-dG)*(1+2*u) + 3*u
+	}
+	var q float64
+	for k, p := range s.Power {
+		if d.excluded[k] {
+			continue
+		}
+		v := p * g
+		q = max(q, v)
+		dev = max(dev, math.Abs(v-d.ref.Power[k]))
+	}
+	q *= 1 + 2*u
+	ge := g * ebin
+	bound := ge + rho*(q+ge) + u*(q+(1+rho)*(q+ge))
+	return dev, margin * (bound + u*(2*dev+bound)), true
 }
 
 // ComparedBins returns how many spectrum bins participate in the

@@ -55,10 +55,13 @@ go test -race ./...
 
 echo "== concurrency suites (race, unshared cache) =="
 # The memo table, the MC engine merge path, the obs registry's
-# striped histograms / span ring and the E6 lanes' shared carrier-table
-# set are the places a scheduling-dependent bug could hide; run them
-# race-enabled with -count=2 so a cached ./... result never masks them.
-go test -race -count=2 ./internal/campaign ./internal/mcengine ./internal/obs ./internal/msignal
+# striped histograms / span ring, the E6 lanes' shared carrier-table
+# set and the process-wide FFT plan and split-twiddle caches behind
+# the spectral worker detectors are the places a scheduling-dependent
+# bug could hide; run them race-enabled with -count=2 so a cached ./...
+# result never masks them.
+go test -race -count=2 ./internal/campaign ./internal/mcengine ./internal/obs ./internal/msignal \
+    ./internal/dsp ./internal/spectest
 
 echo "== chaos suite (failpoints, race) =="
 # Deterministic fault injection at the registered engine sites
