@@ -774,7 +774,7 @@ func BenchmarkSpectralCampaignSeed(b *testing.B) {
 // fault.Records batches of 63 faults on mcengine.Execute, one
 // reference-transform scratch per pool worker (the seed's worker path;
 // NewWorkerDetect now takes the fast spectrum), and a transform for
-// every lane — no parallel-pattern records, screen or memo.
+// every lane — no parallel-pattern records and no screen.
 func seedCampaign(u *fault.Universe, xs []int64, det *spectest.Detector) (*fault.Report, error) {
 	const batch = 63
 	nf := len(u.Faults)

@@ -278,8 +278,8 @@ func runSpectral(ctx context.Context, w io.Writer, fir *digital.FIR, u *fault.Un
 	if stats.Differential {
 		mode = "parallel-pattern fault replay"
 	}
-	fmt.Fprintf(w, "engine: %d batches (%s), %d lanes zero-diff screened, %d memoized, %d spectra computed\n",
-		stats.Batches, mode, stats.Screened, stats.Memoized, stats.Spectra)
+	fmt.Fprintf(w, "engine: %d batches (%s), %d lanes zero-diff screened, %d spectra computed\n",
+		stats.Batches, mode, stats.Screened, stats.Spectra)
 	return nil
 }
 

@@ -12,7 +12,7 @@
 // the Report is identical for any worker count, any kill/resume split,
 // and to fault.SerialSimulate with the same detector.
 //
-// Three reuses exploit that every batch drives the same stimulus.
+// Two reuses exploit that every batch drives the same stimulus.
 // Record generation is parallel-pattern single-fault propagation: the
 // FIR netlist is combinational (its delay line lives outside it), so
 // one fault-free pass, 64 record steps per simulator word, captures
@@ -20,22 +20,18 @@
 // fault then re-evaluates only the gates its effect reaches, on its
 // worker's digital.FaultReplay. A zero-diff screen gives a faulty
 // record identical to the good one the good record's own verdict,
-// Det.Detect(good, good), computed once. And verdicts are memoized:
-// structurally inequivalent faults often produce byte-identical
-// records, so each distinct record is detected at most once — except
-// under fault.ExactDetector, whose compare costs less than hashing and
-// keeping the record, so exact campaigns skip the memo. The
-// screen and the memo are exact for any pure detector (one whose
-// verdict depends only on the two records): the good record is the
-// same for every lane, so a verdict is a function of the faulty record
-// alone.
+// Det.Detect(good, good), computed once; the screen is exact for any
+// pure detector (one whose verdict depends only on the two records).
+// Every other lane is detected on its own record, so Stats depends on
+// the universe, stimulus and detector alone: Spectra is the number of
+// non-zero-diff lanes plus one, for any worker count and across
+// kill/resume.
 package campaign
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,12 +66,6 @@ type Options struct {
 	// DetectWorkers bounds the campaign pool (one bound detector per
 	// worker). Defaults to GOMAXPROCS.
 	DetectWorkers int
-	// DisableDifferential turns parallel-pattern record generation
-	// off (every batch re-evaluates the full netlist per step). The
-	// parallel-pattern path is on by default whenever the circuit
-	// compiles and the baseline view fits the memory budget; it
-	// changes no record bit.
-	DisableDifferential bool
 	// Quarantine recovers a panicking batch (either stage), marks its
 	// faults Quarantined in the Report, and continues the campaign.
 	// Without it the recovered panic aborts the run as an ordinary
@@ -83,9 +73,8 @@ type Options struct {
 	Quarantine bool
 	// Checkpoint, when enabled, snapshots the merged batch prefix every
 	// Checkpoint.Every merged batches so a killed campaign resumes
-	// instead of restarting. The resumed Report is bit-identical; the
-	// Memoized/Spectra split in Stats may shift (the memo table is
-	// rebuilt on resume).
+	// instead of restarting. The resumed Report and Stats are
+	// identical to an uninterrupted run's.
 	Checkpoint *resilient.Checkpointer
 	// CheckpointName names this campaign's snapshot inside
 	// Checkpoint.Dir. Default "campaign".
@@ -97,7 +86,9 @@ type Options struct {
 // per-batch simulation rather than ballooning memory.
 const maxBaselineBytes = 256 << 20
 
-// Stats reports what the engine actually did.
+// Stats reports what the engine actually did. Every field is a
+// function of the universe, stimulus and detector (and of which
+// batches were quarantined): no worker count or resume split moves it.
 type Stats struct {
 	// Faults is the universe size.
 	Faults int
@@ -105,12 +96,13 @@ type Stats struct {
 	Batches int
 	// Screened counts lanes resolved by the zero-diff screen.
 	Screened int
-	// Memoized counts lanes resolved by record-verdict memoization (a
-	// byte-identical record was already detected); always 0 under
-	// fault.ExactDetector, which runs without the memo.
+	// Memoized always reads 0.
+	//
+	// Deprecated: the engine no longer memoizes verdicts; every lane
+	// the screen leaves is detected and counted in Spectra.
 	Memoized int
-	// Spectra counts detector evaluations actually performed (spectra,
-	// for the spectral detector), including the one good-record
+	// Spectra counts detector evaluations (spectra, for the spectral
+	// detector): one per non-zero-diff lane, plus the good-record
 	// evaluation backing the screen.
 	Spectra int
 	// Differential reports whether record generation propagated each
@@ -126,15 +118,20 @@ type Stats struct {
 // contributed. It is what a checkpoint saves. Spectra excludes the
 // good-record verdict (recomputed on every run, including resumes).
 type runTotal struct {
-	Results                                  []fault.Result
-	Screened, Memoized, Spectra, Quarantined int
+	Results                        []fault.Result
+	Screened, Spectra, Quarantined int
 }
 
 // batchResult is one detected batch, waiting for its in-order merge.
 type batchResult struct {
-	results                     []fault.Result
-	screened, memoized, spectra int
+	results           []fault.Result
+	screened, spectra int
 }
+
+// identTag leads the checkpoint identity. Snapshots written before it
+// counted memoized verdicts apart from Spectra; resuming one would
+// break Stats' exact accounting, so the changed identity refuses it.
+const identTag = "stats=exact"
 
 // Engine runs stuck-at campaigns for one universe/detector pair. It is
 // cheap to construct; all heavy state is per-Run.
@@ -142,6 +139,13 @@ type Engine struct {
 	U    *fault.Universe
 	Det  fault.Detector
 	Opts Options
+
+	// fullNetlist forces full per-batch simulation (every batch
+	// re-evaluates the whole netlist per step), the path Run otherwise
+	// takes only when the circuit does not compile or the baseline view
+	// exceeds maxBaselineBytes. Tests set it to pin both paths to one
+	// report.
+	fullNetlist bool
 }
 
 // New builds an engine. The detector must already be calibrated (a
@@ -221,7 +225,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	if reg != nil {
 		_, baseSp = reg.Span(runCtx, "campaign.baseline")
 	}
-	useDiff := !e.Opts.DisableDifferential && goodSim.Compiled() &&
+	useDiff := !e.fullNetlist && goodSim.Compiled() &&
 		digital.BaselineBytes(e.U.FIR, len(xs)) <= maxBaselineBytes
 	if useDiff {
 		base, err = goodSim.CaptureBaseline(xs)
@@ -248,32 +252,16 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	// each lane's record and detecting it before the next. Lanes whose
 	// record matches the good record take the screened verdict without
 	// detecting (on the parallel-pattern path they build no record at
-	// all), and byte-identical records share one memoized verdict. An
-	// exact compare is cheaper than hashing and keeping its record, so
-	// exact campaigns run without the memo.
+	// all).
 	workers := min(max(e.Opts.DetectWorkers, 1), nBatches)
 	dets := make([]fault.Detector, workers)
 	replays := make([]*digital.FaultReplay, workers)
-	var memo *memoTable
-	if _, exact := e.Det.(fault.ExactDetector); !exact {
-		memo = newMemoTable()
-	}
-	// verdict resolves one lane whose diff stats are set; rec may be
-	// the worker's reused record buffer.
+	// verdict resolves one lane whose diff stats are set.
 	verdict := func(det fault.Detector, res *fault.Result, rec []int64, out *batchResult) error {
 		if res.MaxAbsDiff == 0 {
 			res.Detected = goodDetected
 			out.screened++
 			return nil
-		}
-		var h uint64
-		if memo != nil {
-			h = HashRecord(rec)
-			if d, ok := memo.lookup(h, rec); ok {
-				res.Detected = d
-				out.memoized++
-				return nil
-			}
 		}
 		var t0 time.Time
 		if verdictHist != nil {
@@ -285,9 +273,6 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		}
 		if err != nil {
 			return err
-		}
-		if memo != nil {
-			memo.insert(h, rec, d)
 		}
 		res.Detected = d
 		out.spectra++
@@ -329,10 +314,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	plan := mcengine.Plan[runTotal, batchResult]{
 		Span: "campaign.pipeline", N: nf, BatchSize: lanesPerBatch, Workers: workers,
 		Checkpoint: e.Opts.Checkpoint, CheckpointName: e.Opts.CheckpointName,
-		// The detector's type is part of the identity: an exact and a
-		// spectral campaign over one stimulus must never resume each
-		// other's verdicts.
-		Ident: fmt.Sprintf("det=%T patterns=%d stim=%016x", e.Det, len(xs), HashRecord(xs)),
+		Ident: e.ident(xs),
 		Kernel: func(w, lane, count int) (batchResult, error) {
 			lo := lane * lanesPerBatch
 			faults := e.U.Faults[lo : lo+count]
@@ -372,7 +354,6 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		Merge: func(t runTotal, _ int, b batchResult) runTotal {
 			t.Results = append(t.Results, b.results...)
 			t.Screened += b.screened
-			t.Memoized += b.memoized
 			t.Spectra += b.spectra
 			return t
 		},
@@ -411,7 +392,6 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		total.Results = append(total.Results, e.blank(i))
 	}
 	stats.Screened = total.Screened
-	stats.Memoized = total.Memoized
 	stats.Spectra += total.Spectra
 	stats.Quarantined = total.Quarantined
 	rep := &fault.Report{Results: total.Results, Patterns: len(xs)}
@@ -426,10 +406,6 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		if total.Quarantined > 0 {
 			reg.Counter("campaign_quarantined_total").Add(int64(total.Quarantined))
 		}
-		reg.Counter("campaign_memo_hits_total").Add(int64(total.Memoized))
-		// A miss is a lane that paid its own detection — exactly the
-		// evaluations computed in the pool.
-		reg.Counter("campaign_memo_misses_total").Add(int64(total.Spectra))
 		reg.Counter("campaign_spectra_total").Add(int64(stats.Spectra))
 		if wall := time.Since(pipeStart).Seconds(); wall > 0 && workers > 0 {
 			busy := float64(busyNanos.Load()) / 1e9
@@ -437,6 +413,13 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 		}
 	}
 	return rep, stats, nil
+}
+
+// ident is the campaign's checkpoint identity over stimulus xs. The
+// detector's type is part of it: an exact and a spectral campaign over
+// one stimulus must never resume each other's verdicts.
+func (e *Engine) ident(xs []int64) string {
+	return fmt.Sprintf("%s det=%T patterns=%d stim=%016x", identTag, e.Det, len(xs), HashRecord(xs))
 }
 
 // blank is fault i's bare identity: no verdict, FirstDiff -1.
@@ -462,37 +445,9 @@ func (e *Engine) checkResumed(name string, results []fault.Result, complete bool
 	return nil
 }
 
-// memoTable memoizes detection verdicts by record content. Hash
-// collisions are resolved by full record comparison, so a hit is an
-// exact byte-identical match and reusing its verdict cannot change any
-// result (with the good record fixed, a pure detector's verdict is a
-// function of the faulty record). Two workers
-// racing on the same record may both compute it — the table then keeps
-// one entry and the campaign merely loses one skip, never correctness.
-type memoTable struct {
-	mu      sync.Mutex
-	buckets map[uint64][]memoEntry
-	bytes   int
-}
-
-type memoEntry struct {
-	rec      []int64
-	detected bool
-}
-
-// maxMemoBytes caps the records the table keeps alive; beyond it,
-// lookups continue but new records are no longer retained.
-const maxMemoBytes = 256 << 20
-
-func newMemoTable() *memoTable {
-	return &memoTable{buckets: make(map[uint64][]memoEntry)}
-}
-
-// HashRecord is FNV-1a over the record words. It doubles as the
-// engine-facing stimulus identity: checkpoint validation and the
-// service layer's content-addressed result cache key off it. For the
-// in-memory memo table collisions are fine (lookup compares records in
-// full), so word granularity suffices.
+// HashRecord is FNV-1a over the record words: the engine-facing
+// stimulus identity that checkpoint validation and the service layer's
+// content-addressed result cache key off.
 func HashRecord(rec []int64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range rec {
@@ -500,43 +455,4 @@ func HashRecord(rec []int64) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func recordsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *memoTable) lookup(h uint64, rec []int64) (detected, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, e := range m.buckets[h] {
-		if recordsEqual(e.rec, rec) {
-			return e.detected, true
-		}
-	}
-	return false, false
-}
-
-func (m *memoTable) insert(h uint64, rec []int64, detected bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.bytes+8*len(rec) > maxMemoBytes {
-		return
-	}
-	for _, e := range m.buckets[h] {
-		if recordsEqual(e.rec, rec) {
-			return
-		}
-	}
-	// rec may be a worker's reused buffer: keep a copy.
-	m.buckets[h] = append(m.buckets[h], memoEntry{rec: append([]int64(nil), rec...), detected: detected})
-	m.bytes += 8 * len(rec)
 }

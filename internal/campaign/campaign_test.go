@@ -3,10 +3,10 @@ package campaign
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -73,12 +73,10 @@ func rows(det *spectest.Detector) []detectorRow {
 // batchReference grades u the plain way the engine must agree with:
 // one full-netlist fault.Records pass per 63-fault batch, then
 // fault.DiffStats and det.Detect on every lane — no parallel-pattern
-// records, screen or memo. It also returns the faulty records, in
-// universe order.
-func batchReference(t testing.TB, u *fault.Universe, xs []int64, det fault.Detector) (*fault.Report, [][]int64) {
+// records and no screen.
+func batchReference(t testing.TB, u *fault.Universe, xs []int64, det fault.Detector) *fault.Report {
 	t.Helper()
 	rep := &fault.Report{Patterns: len(xs)}
-	var recs [][]int64
 	for lo := 0; lo < u.Size(); lo += lanesPerBatch {
 		batch := u.Faults[lo:min(lo+lanesPerBatch, u.Size())]
 		good, faulty, err := fault.Records(u, xs, batch)
@@ -93,9 +91,8 @@ func batchReference(t testing.TB, u *fault.Universe, xs []int64, det fault.Detec
 			}
 			rep.Results = append(rep.Results, res)
 		}
-		recs = append(recs, faulty...)
 	}
-	return rep, recs
+	return rep
 }
 
 func TestEngineMatchesSerialSimulate(t *testing.T) {
@@ -123,38 +120,38 @@ func TestEngineMatchesSerialSimulate(t *testing.T) {
 		if stats.Faults != u.Size() {
 			t.Errorf("%s: stats.Faults = %d, want %d", row.name, stats.Faults, u.Size())
 		}
-		// Every lane is either screened, memoized, or detected, plus the
-		// one good-record evaluation backing the screen.
-		if stats.Screened+stats.Memoized+stats.Spectra != stats.Faults+1 {
-			t.Errorf("%s: screened %d + memoized %d + spectra %d != faults %d + 1",
-				row.name, stats.Screened, stats.Memoized, stats.Spectra, stats.Faults)
+		// Every lane is either screened or detected, plus the one
+		// good-record evaluation backing the screen.
+		if stats.Screened+stats.Spectra != stats.Faults+1 {
+			t.Errorf("%s: screened %d + spectra %d != faults %d + 1",
+				row.name, stats.Screened, stats.Spectra, stats.Faults)
 		}
 	}
 }
 
 func TestEngineReusePathsChangeNothing(t *testing.T) {
-	// The campaign-level reuses — parallel-pattern fault replay,
-	// zero-diff screening and record-verdict memoization — must be
-	// invisible in the report: the engine with full per-batch
-	// simulation and with parallel-pattern records must both equal the
-	// plain batch reference, byte for byte.
+	// The campaign-level reuses — parallel-pattern fault replay and
+	// zero-diff screening — must be invisible in the report: the engine
+	// with full per-batch simulation and with parallel-pattern records
+	// must both equal the plain batch reference, byte for byte.
 	u, det, xs := buildCampaign(t, 512, 45)
 	for _, row := range rows(det) {
-		want, _ := batchReference(t, u, xs, row.det)
-		for _, disable := range []bool{true, false} {
-			eng, err := New(u, row.det, Options{DisableDifferential: disable})
+		want := batchReference(t, u, xs, row.det)
+		for _, full := range []bool{true, false} {
+			eng, err := New(u, row.det, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			eng.fullNetlist = full
 			rep, stats, err := eng.Run(context.Background(), xs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.Differential == disable {
-				t.Errorf("%s: DisableDifferential %v ran Differential %v", row.name, disable, stats.Differential)
+			if stats.Differential == full {
+				t.Errorf("%s: fullNetlist %v ran Differential %v", row.name, full, stats.Differential)
 			}
 			if !reflect.DeepEqual(rep, want) {
-				t.Fatalf("%s (DisableDifferential %v): campaign reuses changed the report", row.name, disable)
+				t.Fatalf("%s (fullNetlist %v): campaign reuses changed the report", row.name, full)
 			}
 		}
 	}
@@ -173,7 +170,7 @@ func TestEngineMatchesBatchSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := batchReference(t, u, xs, row.det); !reflect.DeepEqual(rep, want) {
+		if want := batchReference(t, u, xs, row.det); !reflect.DeepEqual(rep, want) {
 			t.Fatalf("%s: pooled report differs from the batch reference", row.name)
 		}
 	}
@@ -182,50 +179,42 @@ func TestEngineMatchesBatchSimulate(t *testing.T) {
 func TestZeroDiffScreenSkipsFFTsAndChangesNothing(t *testing.T) {
 	// A low-amplitude stimulus leaves the high-order input bits
 	// untoggled, so faults confined to their cones never perturb the
-	// output: prime zero-diff screen territory. One worker: with
-	// several, two workers can both miss the memo table on one record,
-	// and the Spectra count would depend on scheduling.
+	// output: prime zero-diff screen territory. The stats are exact at
+	// any worker count: every zero-diff lane is screened, every other
+	// lane is detected once, plus the good record's own evaluation.
 	u, det, xs := buildCampaign(t, 512, 4)
 	for _, row := range rows(det) {
-		eng, err := New(u, row.det, Options{DetectWorkers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, stats, err := eng.Run(context.Background(), xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, recs := batchReference(t, u, xs, row.det)
-		if !reflect.DeepEqual(rep, want) {
-			t.Fatalf("%s: screened report differs from the batch reference", row.name)
-		}
-		// Every zero-diff lane is screened; every distinct non-zero
-		// record is detected exactly once (the rest hit the memo), plus
-		// the good record's own evaluation. The exact detector runs
-		// without the memo: it detects every non-zero lane.
-		zero, distinct := 0, map[string]bool{}
-		for i, r := range want.Results {
+		want := batchReference(t, u, xs, row.det)
+		zero := 0
+		for _, r := range want.Results {
 			if r.MaxAbsDiff == 0 {
 				zero++
-				continue
 			}
-			distinct[fmt.Sprint(recs[i])] = true
 		}
 		if zero == 0 {
 			t.Fatal("low-amplitude stimulus produced no zero-diff lanes; screen untested")
 		}
-		if stats.Screened != zero {
-			t.Errorf("%s: screened %d lanes, want the %d zero-diff lanes", row.name, stats.Screened, zero)
-		}
-		detected := len(distinct)
-		if row.name == "exact" {
-			detected = u.Size() - zero
-		}
-		if stats.Spectra != detected+1 {
-			t.Errorf("%s: %d detector evaluations, want %d + 1", row.name, stats.Spectra, detected)
-		}
-		if stats.Memoized != u.Size()-zero-detected {
-			t.Errorf("%s: memoized %d lanes, want %d", row.name, stats.Memoized, u.Size()-zero-detected)
+		for _, workers := range []int{1, 4} {
+			eng, err := New(u, row.det, Options{DetectWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, stats, err := eng.Run(context.Background(), xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rep, want) {
+				t.Fatalf("%s, %d workers: screened report differs from the batch reference", row.name, workers)
+			}
+			if stats.Screened != zero {
+				t.Errorf("%s, %d workers: screened %d lanes, want the %d zero-diff lanes", row.name, workers, stats.Screened, zero)
+			}
+			if nonzero := u.Size() - zero; stats.Spectra != nonzero+1 {
+				t.Errorf("%s, %d workers: %d detector evaluations, want %d non-zero lanes + 1", row.name, workers, stats.Spectra, nonzero)
+			}
+			if stats.Memoized != 0 {
+				t.Errorf("%s, %d workers: deprecated Memoized reads %d, want 0", row.name, workers, stats.Memoized)
+			}
 		}
 	}
 }
@@ -261,7 +250,7 @@ func TestEngineSurfacesDetectorErrors(t *testing.T) {
 type errDetector struct{}
 
 func (errDetector) Detect(good, faulty []int64) (bool, error) {
-	if recordsEqual(good, faulty) {
+	if slices.Equal(good, faulty) {
 		return false, nil
 	}
 	return false, errors.New("detector exploded")
@@ -295,7 +284,7 @@ func (d *countingWorkerDetector) NewWorkerDetect() (func(good, faulty []int64) (
 
 func TestEngineBindsWorkerDetectors(t *testing.T) {
 	u, _, xs := buildCampaign(t, 256, 45)
-	want, _ := batchReference(t, u, xs, fault.ExactDetector{})
+	want := batchReference(t, u, xs, fault.ExactDetector{})
 	cd := &countingWorkerDetector{}
 	eng, err := New(u, cd, Options{DetectWorkers: 2})
 	if err != nil {

@@ -3,11 +3,14 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"mstx/internal/fault"
+	"mstx/internal/mcengine"
 	"mstx/internal/resilient"
 )
 
@@ -58,7 +61,7 @@ func TestRunEarlyErrorNoGoroutineLeak(t *testing.T) {
 type cancelingDetector struct{ cancel context.CancelFunc }
 
 func (d cancelingDetector) Detect(good, faulty []int64) (bool, error) {
-	if !recordsEqual(good, faulty) {
+	if !slices.Equal(good, faulty) {
 		d.cancel()
 	}
 	return fault.ExactDetector{}.Detect(good, faulty)
@@ -187,7 +190,11 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatalf("universe too small for a mid-run kill: %d batches", nBatches)
 	}
 	for _, row := range rows(det) {
-		ref, err := mustRun(t, u, row.det, Options{}, xs)
+		refEng, err := New(u, row.det, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, refStats, err := refEng.Run(context.Background(), xs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +247,10 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 				t.Fatalf("%s: lane %d: resumed %+v != reference %+v", row.name, i, rep.Results[i], ref.Results[i])
 			}
 		}
-		// Counter restoration: screened + memoized + spectra - 1 (good
-		// record) + quarantined must still account for every fault.
-		accounted := stats.Screened + stats.Memoized + (stats.Spectra - 1) + stats.Quarantined
-		if accounted != u.Size() {
-			t.Fatalf("%s: resumed stats account for %d faults, want %d (%+v)", row.name, accounted, u.Size(), stats)
+		// Counter restoration: the resumed Stats equal the
+		// uninterrupted run's, field by field.
+		if *stats != *refStats {
+			t.Fatalf("%s: resumed stats %+v != uninterrupted %+v", row.name, *stats, *refStats)
 		}
 
 		// A second resume finds everything done and recomputes nothing
@@ -258,8 +264,8 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 				t.Fatalf("%s: second resume diverged at lane %d", row.name, i)
 			}
 		}
-		if stats3.Spectra != stats.Spectra {
-			t.Fatalf("%s: second resume recomputed: %d vs %d evaluations", row.name, stats3.Spectra, stats.Spectra)
+		if *stats3 != *refStats {
+			t.Fatalf("%s: second resume stats %+v != uninterrupted %+v", row.name, *stats3, *refStats)
 		}
 
 		// A different stimulus must be rejected loudly.
@@ -283,6 +289,72 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 	var ce *resilient.CheckpointError
 	if _, err := mustRun(t, u, fault.ExactDetector{}, ck(true), xs); !errors.As(err, &ce) {
 		t.Fatalf("exact campaign resumed a spectral checkpoint (err %v)", err)
+	}
+}
+
+// memoEraTotal is the merged prefix a campaign checkpointed while it
+// memoized verdicts: memo hits were counted apart from Spectra.
+type memoEraTotal struct {
+	Results                                  []fault.Result
+	Screened, Memoized, Spectra, Quarantined int
+}
+
+// TestRunRefusesMemoEraCheckpoint: a snapshot saved under the identity
+// string campaigns used while they memoized verdicts is refused, since
+// resuming its counters would break Stats' exact accounting. The same
+// snapshot under the current identity resumes, so the identity alone
+// refuses it.
+func TestRunRefusesMemoEraCheckpoint(t *testing.T) {
+	u, det, xs := buildCampaign(t, 512, 45)
+	dir := t.TempDir()
+	eng, err := New(u, det, Options{
+		DetectWorkers: 1,
+		Checkpoint:    &resilient.Checkpointer{Dir: dir, Every: 1, Resume: true}, CheckpointName: "t",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// save writes a complete snapshot under ident whose results carry
+	// each fault's bare identity and whose counters split memo hits
+	// from spectra.
+	save := func(ident string) {
+		plan := mcengine.Plan[memoEraTotal, []fault.Result]{
+			N: u.Size(), BatchSize: lanesPerBatch, Workers: 1,
+			Checkpoint: &resilient.Checkpointer{Dir: dir, Every: 1}, CheckpointName: "t", Ident: ident,
+			Kernel: func(_, lane, count int) ([]fault.Result, error) {
+				var b []fault.Result
+				for i := lane * lanesPerBatch; i < lane*lanesPerBatch+count; i++ {
+					b = append(b, eng.blank(i))
+				}
+				return b, nil
+			},
+			Merge: func(t memoEraTotal, _ int, b []fault.Result) memoEraTotal {
+				t.Results = append(t.Results, b...)
+				t.Memoized += len(b)
+				return t
+			},
+		}
+		if _, _, err := mcengine.Execute(context.Background(), plan, memoEraTotal{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	save(fmt.Sprintf("det=%T patterns=%d stim=%016x", det, len(xs), HashRecord(xs)))
+	var ce *resilient.CheckpointError
+	if _, _, err := eng.Run(context.Background(), xs); !errors.As(err, &ce) {
+		t.Fatalf("memo-era checkpoint resumed (err %v), want a CheckpointError", err)
+	}
+
+	save(eng.ident(xs))
+	fp := resilient.NewFailpoints()
+	resilient.Install(fp)
+	_, _, err = eng.Run(context.Background(), xs)
+	resilient.Install(nil)
+	if err != nil {
+		t.Fatalf("snapshot under the current identity did not resume: %v", err)
+	}
+	if n := fp.Hits("campaign.sim_batch"); n != 0 {
+		t.Fatalf("resume from a complete snapshot ran %d batches", n)
 	}
 }
 

@@ -44,11 +44,10 @@ type PathFaultResult struct {
 	LSBConfined float64
 	// UniverseSize is the collapsed fault count.
 	UniverseSize int
-	// ScreenedLanes, MemoizedLanes and SpectraComputed report the
-	// long-record campaign engine's transform reuse: lanes resolved by
-	// the zero-diff screen, lanes resolved by record-verdict
-	// memoization, and spectral evaluations actually performed.
-	ScreenedLanes, MemoizedLanes, SpectraComputed int
+	// ScreenedLanes and SpectraComputed report the long-record
+	// campaign engine's transform reuse: lanes resolved by the
+	// zero-diff screen, and spectral evaluations actually performed.
+	ScreenedLanes, SpectraComputed int
 }
 
 // PathFaultOptions configures the campaign sizes.
@@ -152,7 +151,6 @@ func PathFaultSim(opts PathFaultOptions) (*PathFaultResult, error) {
 		return nil, err
 	}
 	res.ScreenedLanes = stats.Screened
-	res.MemoizedLanes = stats.Memoized
 	res.SpectraComputed = stats.Spectra
 	res.Rows = append(res.Rows, PathFaultRow{
 		Label: "spectral, 4x patterns", Patterns: opts.LongPatterns,
@@ -213,7 +211,7 @@ func (r *PathFaultResult) Format() string {
 	out += fmt.Sprintf("\nfilter-input signal: SFDR %.1f dB, SNR %.1f dB\n", r.InputSFDRdB, r.InputSNRdB)
 	out += fmt.Sprintf("%s of spectrally-undetected faults confined to the 5 LSBs\n", fpct(r.LSBConfined))
 	out += fmt.Sprintf("collapsed stuck-at universe: %d faults\n", r.UniverseSize)
-	out += fmt.Sprintf("campaign engine (long record): %d lanes zero-diff screened, %d memoized, %d spectra computed\n",
-		r.ScreenedLanes, r.MemoizedLanes, r.SpectraComputed)
+	out += fmt.Sprintf("campaign engine (long record): %d lanes zero-diff screened, %d spectra computed\n",
+		r.ScreenedLanes, r.SpectraComputed)
 	return out
 }

@@ -109,7 +109,6 @@ type CampaignResult struct {
 	Detected    int     `json:"detected"`
 	Coverage    float64 `json:"coverage_pct"`
 	Screened    int     `json:"screened"`
-	Memoized    int     `json:"memoized"`
 	Spectra     int     `json:"spectra"`
 	Quarantined int     `json:"quarantined,omitempty"`
 }
@@ -441,7 +440,6 @@ func (t *campaignTask) report(rep *fault.Report, stats *campaign.Stats, partial 
 			Detected:    rep.Detected(),
 			Coverage:    rep.Coverage(),
 			Screened:    stats.Screened,
-			Memoized:    stats.Memoized,
 			Spectra:     stats.Spectra,
 			Quarantined: stats.Quarantined,
 		},
@@ -449,10 +447,10 @@ func (t *campaignTask) report(rep *fault.Report, stats *campaign.Stats, partial 
 	var b strings.Builder
 	fmt.Fprintf(&b, "spectral campaign: %d patterns, %d faults, %d detected (%.1f%% coverage)\n",
 		t.spec.Patterns, len(rep.Results), rep.Detected(), rep.Coverage())
-	// The memoized/spectra split stays out of the text (it is in the
-	// JSON fields): it depends on detect-worker scheduling and on the
-	// memo table a resumed retry rebuilds, and the text must be a
-	// function of the spec alone.
+	// The spectra count stays out of the text (it is in the JSON
+	// fields) so the text stays byte-identical to results cached and
+	// ledgered before the count became exact: a resumed or cached job
+	// must print what a fresh run prints.
 	fmt.Fprintf(&b, "engine: %d lanes zero-diff screened\n", stats.Screened)
 	if stats.Quarantined > 0 {
 		fmt.Fprintf(&b, "PARTIAL: %d faults quarantined (no verdict)\n", stats.Quarantined)

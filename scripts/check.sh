@@ -54,7 +54,7 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== concurrency suites (race, unshared cache) =="
-# The memo table, the MC engine merge path, the obs registry's
+# The campaign pool, the MC engine merge path, the obs registry's
 # striped histograms / span ring, the E6 lanes' shared carrier-table
 # set and the process-wide FFT plan and split-twiddle caches behind
 # the spectral worker detectors are the places a scheduling-dependent
