@@ -19,7 +19,7 @@ func TestListFlag(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "nakedgo ctxflow determinism failpointreg obsnil leakjoin"
+	want := "nakedgo ctxflow determinism failpointreg obsnil"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list catalog = %s, want %s:\n%s", got, want, out.String())
 	}

@@ -19,15 +19,14 @@
 //   - obsnil: obs calls on possibly-nil registries stay on the
 //     nil-safe fast path, and metric name literals are globally
 //     consistent (one kind, one geometry, one owning package).
-//   - leakjoin: every goroutine spawned in the engine/server packages
-//     reaches a join point (WaitGroup.Wait, channel drain, ctx-cancel
-//     select) on all paths of the per-function CFG (cfg.go).
 //
 // An invariant the compiler or a test can hold is left to them: the
 // server's job state and error class are defined types rather than
 // strings policed here, a server test checks that every job kind
-// writes engine checkpoints, and deadlocks are left to -race, the
-// chaos suites and the soak.
+// writes engine checkpoints, goroutine joins are pinned by tests (the
+// server's shutdown join by TestShutdownJoinsWorkers; mcengine's pool
+// by every engine test, since its workers merge the results), and
+// deadlocks are left to -race, the chaos suites and the soak.
 //
 // The cmd/mstxvet driver runs the catalog over ./... with vet-style
 // file:line diagnostics; scripts/check.sh gates merges on a clean run.
@@ -93,7 +92,6 @@ func Catalog() []*Analyzer {
 		newDeterminism(),
 		newFailpointreg(),
 		newObsnil(),
-		newLeakjoin(),
 	}
 }
 

@@ -163,8 +163,8 @@ func TestVetRealPackagesClean(t *testing.T) {
 // per-Vet state never leaks between runs.
 func TestCatalogFresh(t *testing.T) {
 	a, b := Catalog(), Catalog()
-	if len(a) != 6 || len(b) != 6 {
-		t.Fatalf("catalog size = %d, %d; want 6", len(a), len(b))
+	if len(a) != 5 || len(b) != 5 {
+		t.Fatalf("catalog size = %d, %d; want 5", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] == b[i] {

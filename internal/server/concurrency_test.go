@@ -2,9 +2,12 @@ package server
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mstx/internal/resilient"
 )
 
 // TestConcurrentIdenticalSubmits is the single-flight race test: N
@@ -147,5 +150,76 @@ func TestConcurrentDistinctSubmits(t *testing.T) {
 	if c["server_cache_misses_total"] != 12 || c["server_cache_hits_total"] != 0 {
 		t.Fatalf("distinct identities shared compute: misses %d hits %d",
 			c["server_cache_misses_total"], c["server_cache_hits_total"])
+	}
+}
+
+// liveWorkers returns the stacks of goroutines still running
+// (*Server).worker. A worker already inside its deferred wg.Done has
+// been joined, only its return is left, so it is not counted.
+func liveWorkers() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var live []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "\nmstx/internal/server.(*Server).worker(") &&
+			!strings.Contains(g, "sync.(*WaitGroup).Done(") {
+			live = append(live, g)
+		}
+	}
+	return live
+}
+
+// TestShutdownJoinsWorkers pins shutdown's join: neither the first
+// stop nor a second one racing it may return while a scheduler worker
+// is still running. A failpoint holds one engine lane, and with it the
+// worker running its job, for well past stop(); the goroutine stacks
+// are read straight after each call returns, without settling, so a
+// missing wg.Wait on either of shutdown's paths shows as the held
+// worker.
+func TestShutdownJoinsWorkers(t *testing.T) {
+	defer resilient.Install(nil)
+	before := len(liveWorkers())
+	srv, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := resilient.NewFailpoints()
+	fp.Set("mcengine.lane", resilient.Action{Delay: 500 * time.Millisecond, Times: 1})
+	resilient.Install(fp)
+	j, err := srv.Submit("", quickTranslate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fp.Applied("mcengine.lane") == 0 {
+		select {
+		case <-j.Done():
+			t.Fatalf("job finished without reaching the held lane: %+v", srv.Snapshot(j))
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	// The first stop runs on its own goroutine and takes shutdown's
+	// main path; once it has marked the server stopping, Kill takes
+	// the already-stopping path while the worker is still held.
+	first := make(chan []string, 1)
+	go func() {
+		srv.Close()
+		first <- liveWorkers()
+	}()
+	stopping := func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.stopping
+	}
+	for !stopping() {
+		time.Sleep(time.Millisecond)
+	}
+	srv.Kill()
+	second := liveWorkers()
+	for name, live := range map[string][]string{"Close": <-first, "Kill after Close": second} {
+		if len(live) > before {
+			t.Errorf("%s returned with %d scheduler workers running (%d before New):\n%s",
+				name, len(live), before, strings.Join(live, "\n\n"))
+		}
 	}
 }

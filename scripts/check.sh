@@ -28,11 +28,10 @@ go vet ./...
 
 echo "== mstxvet (project invariants) =="
 # The internal/analysis catalog: panic quarantine, context threading,
-# determinism, failpoint registry coverage, obs nil-safety, plus the
-# goroutine-join analyzer built on the per-function CFG. Job state and
-# error class are compiler-checked types in internal/server, retry
-# checkpointing is a server test, and deadlocks are left to -race, the
-# chaos suites and the soak.
+# determinism, failpoint registry coverage and obs nil-safety. Job
+# state and error class are compiler-checked types in internal/server;
+# retry checkpointing and the shutdown goroutine join are server tests;
+# deadlocks are left to -race, the chaos suites and the soak.
 # Must be self-clean over the whole repo; ./... skips the nested
 # mstxbench module, as go list does (suppressions need an audited
 # //mstxvet:ignore <analyzer> <reason>).
