@@ -548,10 +548,13 @@ func benchDigitalTest(b *testing.B, patterns int) *core.DigitalTest {
 
 // BenchmarkSpectralCampaign measures the pooled campaign engine on the
 // default E8 universe: one worker pool, each worker generating a
-// 63-lane batch and detecting it on its own reusable FFT scratch, with
+// 63-lane batch and detecting it on its own reusable scratch, with
 // the zero-diff screen (compare with BenchmarkSpectralCampaignSeed).
-// Reported metrics: faults simulated per second and the fraction of
-// lanes the screen resolved without a transform.
+// Reported metrics: faults simulated per second, the fraction of
+// lanes the screen resolved without a transform, and how the
+// detected records split over the worker detector's routes (bound
+// screen, aliased probe, full spectrum), counted after the timed runs
+// by replaying the universe's records through one counting worker.
 func BenchmarkSpectralCampaign(b *testing.B) { benchSpectralCampaign(b, 1024) }
 
 func benchSpectralCampaign(b *testing.B, patterns int) {
@@ -569,6 +572,42 @@ func benchSpectralCampaign(b *testing.B, patterns int) {
 	faults := float64(dt.Universe.Size()) * float64(b.N)
 	b.ReportMetric(faults/b.Elapsed().Seconds(), "faults/s")
 	b.ReportMetric(100*screened, "%screened")
+	r := detectorRoutes(b, dt)
+	n := float64(r.Bound + r.Probe + r.Full)
+	b.ReportMetric(100*float64(r.Bound)/n, "%bound")
+	b.ReportMetric(100*float64(r.Probe)/n, "%probe")
+	b.ReportMetric(100*float64(r.Full)/n, "%full")
+}
+
+// detectorRoutes runs every non-zero-diff record of dt's universe
+// (on the realistic stimulus, as the campaign grades it) through one
+// counting worker detector and returns its route counts.
+func detectorRoutes(b *testing.B, dt *core.DigitalTest) spectest.Routes {
+	b.Helper()
+	base, err := digital.NewFIRSim(dt.FIR).CaptureBaseline(dt.RealisticCodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	replay, err := digital.NewFaultReplay(dt.FIR)
+	if err != nil {
+		b.Fatal(err)
+	}
+	detect, routes, err := dt.Detector.NewCountingWorkerDetect()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range dt.Universe.Faults {
+		rec, _, _, err := replay.Record(base, f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rec != nil {
+			if _, err := detect(base.Good, rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return routes()
 }
 
 // BenchmarkRecordsFromBaseline measures the campaign's record

@@ -101,9 +101,11 @@ type Stats struct {
 	// Deprecated: the engine no longer memoizes verdicts; every lane
 	// the screen leaves is detected and counted in Spectra.
 	Memoized int
-	// Spectra counts detector evaluations (spectra, for the spectral
-	// detector): one per non-zero-diff lane, plus the good-record
-	// evaluation backing the screen.
+	// Spectra counts detector evaluations: one per non-zero-diff lane,
+	// plus the good-record evaluation backing the screen. The name
+	// predates the spectral detector's screens, which decide most
+	// records without a full spectrum; the engine line still reports
+	// the count as "spectra computed".
 	Spectra int
 	// Differential reports whether record generation propagated each
 	// fault over a shared baseline (false: full per-batch runs).

@@ -50,26 +50,54 @@ func (p *Plan) Len() int { return p.n }
 
 // Transform computes the in-place forward FFT of x using the cached
 // tables. len(x) must equal the plan length.
+//
+// The size-2 and size-4 stages are unrolled and every stage works on
+// resliced blocks, so the loops carry no bounds checks; each butterfly
+// still computes even ± odd·w with odd·w one complex multiply by the
+// stage's table entry, so the result is bit-identical to the plain
+// triple loop (transformOracle in the tests).
 func (p *Plan) Transform(x []complex128) error {
 	if len(x) != p.n {
 		return fmt.Errorf("dsp: plan length %d, input %d", p.n, len(x))
 	}
+	x = x[:len(p.rev)]
 	for i, j := range p.rev {
 		if int(j) > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	idx := 0
-	for size := 2; size <= p.n; size <<= 1 {
+	n := p.n
+	if n >= 2 {
+		w := p.tw[0]
+		for i := 0; i+1 < n; i += 2 {
+			b := x[i : i+2 : i+2]
+			even, odd := b[0], b[1]*w
+			b[0], b[1] = even+odd, even-odd
+		}
+	}
+	if n >= 4 {
+		w0, w1 := p.tw[1], p.tw[2]
+		for i := 0; i+3 < n; i += 4 {
+			b := x[i : i+4 : i+4]
+			e0, o0 := b[0], b[2]*w0
+			e1, o1 := b[1], b[3]*w1
+			b[0], b[2] = e0+o0, e0-o0
+			b[1], b[3] = e1+o1, e1-o1
+		}
+	}
+	idx := 3
+	for size := 8; size <= n; size <<= 1 {
 		half := size >> 1
-		tw := p.tw[idx : idx+half]
+		tw := p.tw[idx : idx+half : idx+half]
 		idx += half
-		for start := 0; start < p.n; start += size {
-			for k := 0; k < half; k++ {
-				even := x[start+k]
-				odd := x[start+k+half] * tw[k]
-				x[start+k] = even + odd
-				x[start+k+half] = even - odd
+		for start := 0; start < n; start += size {
+			lo := x[start : start+half : start+half]
+			hi := x[start+half : start+size : start+size]
+			hi, tw := hi[:len(lo)], tw[:len(lo)]
+			for k, even := range lo {
+				odd := hi[k] * tw[k]
+				lo[k] = even + odd
+				hi[k] = even - odd
 			}
 		}
 	}

@@ -118,18 +118,45 @@ func fftRelError(stages int) float64 {
 //   - The computed Σx² is within γ_{N+2} of exact, and forming W
 //     rounds a few more times: both are folded in as (1+γ_{N+8}).
 func realBound(nfft int) float64 {
-	stages := 0
+	return powerBound(splitError(nfft), ReferenceBinError(nfft), nfft)
+}
+
+// stages returns log2 of the power of two nfft.
+func stages(nfft int) int {
+	s := 0
 	for m := 1; m < nfft; m <<= 1 {
-		stages++
+		s++
 	}
-	eRef := fftRelError(stages)
-	eFast := 0.0
-	if stages > 0 {
-		cHalf := fftRelError(stages - 1)
-		eFast = cHalf + (10*unitRoundoff+twiddleError)*(1+cHalf)
+	return s
+}
+
+// ReferenceBinError returns c_N = fftRelError(log2 nfft), the per-bin
+// bound on the reference transform (SharedPlan(nfft), which
+// PowerSpectrum and SpectrumScratch.PowerSpectrum run): every bin of
+// the computed transform of x is within c_N·√nfft·‖x‖₂ of the exact
+// DFT, since a bin's error is at most the error vector's 2-norm.
+func ReferenceBinError(nfft int) float64 {
+	return fftRelError(stages(nfft))
+}
+
+// splitError is the fast path's per-bin error as a fraction of
+// S = √N·‖x‖₂ (realBound's derivation): c_{N/2} from the half-length
+// transform plus the split's own rounding.
+func splitError(nfft int) float64 {
+	st := stages(nfft)
+	if st == 0 {
+		return 0
 	}
-	a := eFast + eRef
-	k := (2+a)*a + gamma(4)*((1+eFast)*(1+eFast)+(1+eRef)*(1+eRef))
+	cHalf := fftRelError(st - 1)
+	return cHalf + (10*unitRoundoff+twiddleError)*(1+cHalf)
+}
+
+// powerBound turns per-bin transform errors e₁·S and e₂·S of two paths
+// into the bound on their power difference as a fraction of
+// W = 2·scale²·N·Σx² (realBound's last two steps).
+func powerBound(e1, e2 float64, nfft int) float64 {
+	a := e1 + e2
+	k := (2+a)*a + gamma(4)*((1+e1)*(1+e1)+(1+e2)*(1+e2))
 	return k * (1 + gamma(float64(nfft)+8))
 }
 
@@ -190,41 +217,51 @@ func (s *RealSpectrumScratch) PowerSpectrum(rec []int64, sampleRate float64) (*S
 	}
 	// Pack with the window applied. The explicit conversions keep each
 	// product rounded, so the transform input is exactly the
-	// reference's windowed record.
+	// reference's windowed record. The energy is summed as two
+	// interleaved partial sums, so the loop is not one long chain of
+	// dependent adds.
 	buf, win := s.buf, s.win
-	var e float64
+	var e0, e1 float64
 	i := 0
 	for ; 2*i+1 < s.n; i++ {
 		a := float64(float64(rec[2*i]) * win[2*i])
 		b := float64(float64(rec[2*i+1]) * win[2*i+1])
-		e += a*a + b*b
+		e0 += a * a
+		e1 += b * b
 		buf[i] = complex(a, b)
 	}
 	if 2*i < s.n {
 		a := float64(float64(rec[2*i]) * win[2*i])
-		e += a * a
+		e0 += a * a
 		buf[i] = complex(a, 0)
 		i++
 	}
 	clear(buf[i:])
-	s.energy = e
+	s.energy = e0 + e1
 	if err := s.rp.half.Transform(buf); err != nil {
 		return nil, err
 	}
+	splitPower(p, buf, s.rp.tw, s.scale*s.scale)
+	return &s.spec, nil
+}
 
-	// Split: with a = Z_k and b = Z_{M-k} (M = NFFT/2),
-	// E = (a + conj b)/2 and O = -j(a - conj b)/2 are the DFTs of the
-	// even and odd samples, X_k = E + W^k·O and X_{M-k} =
-	// conj(E - W^k·O). X_0 and X_M come from Z_0 alone, and
-	// X_{M/2} = conj(Z_{M/2}).
+// splitPower writes the power of the real record whose M samples are
+// packed two to a value in the transformed buf (M = 2·len(buf)):
+// p[k] for k = 0..M/2, scaled by c2 (twice that off DC and M/2), with
+// tw[k] = e^{-2πik/M} for k ≤ M/4 the split twiddles.
+//
+// Split: with a = Z_k and b = Z_{H-k} (H = len(buf)),
+// E = (a + conj b)/2 and O = -j(a - conj b)/2 are the DFTs of the
+// even and odd samples, X_k = E + W^k·O and X_{H-k} =
+// conj(E - W^k·O). X_0 and X_H come from Z_0 alone, and
+// X_{H/2} = conj(Z_{H/2}).
+func splitPower(p []float64, buf, tw []complex128, c2 float64) {
 	m := len(buf)
-	c2 := s.scale * s.scale
 	c2x2 := 2 * c2
 	z0 := buf[0]
 	dc, ny := real(z0)+imag(z0), real(z0)-imag(z0)
 	p[0] = (dc * dc) * c2
 	p[m] = (ny * ny) * c2
-	tw := s.rp.tw
 	for k := 1; k < m-k; k++ {
 		a, b := buf[k], buf[m-k]
 		er, ei := 0.5*(real(a)+real(b)), 0.5*(imag(a)-imag(b))
@@ -241,7 +278,6 @@ func (s *RealSpectrumScratch) PowerSpectrum(rec []int64, sampleRate float64) (*S
 		mid := buf[m/2]
 		p[m/2] = (real(mid)*real(mid) + imag(mid)*imag(mid)) * c2x2
 	}
-	return &s.spec, nil
 }
 
 // ErrorBound returns a bound on |P_fast[k] - P_ref[k]| that holds for

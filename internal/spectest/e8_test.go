@@ -43,7 +43,7 @@ func TestWorkerVerdictsMatchDetectE8(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			detect, fallbacks, err := dt.Detector.NewCountingWorkerDetect()
+			detect, routes, err := dt.Detector.NewCountingWorkerDetect()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,8 +76,15 @@ func TestWorkerVerdictsMatchDetectE8(t *testing.T) {
 					check(f.String(), rec)
 				}
 			}
-			t.Logf("%d faults, %d records checked (%d detected), %d re-decided on the reference transform",
-				len(dt.Universe.Faults), checked, detected, fallbacks())
+			r := routes()
+			t.Logf("%d faults, %d records checked (%d detected): %d bound screen, %d probe, %d full (%d re-decided on the reference transform)",
+				len(dt.Universe.Faults), checked, detected, r.Bound, r.Probe, r.Full, r.Fallback)
+			if r.Bound+r.Probe+r.Full != checked {
+				t.Errorf("routes %+v do not add up to %d records", r, checked)
+			}
+			if patterns == 1024 && (r.Bound == 0 || r.Probe == 0) {
+				t.Errorf("at %d patterns a screen decided no record: %+v", patterns, r)
+			}
 		})
 	}
 }

@@ -12,6 +12,7 @@ package spectest
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mstx/internal/dsp"
 )
@@ -40,11 +41,13 @@ type Detector struct {
 	MarginDB float64
 
 	ref *dsp.Spectrum
-	// excluded[k] marks bin k as left out of the comparison; nExcluded
-	// counts the marked bins.
-	excluded  []bool
-	nExcluded int
-	n         int
+	// toneBins[i] is ToneFreqs[i]'s bin and refTone the reference's
+	// power summed over them in that order: gain's fixed half.
+	toneBins []int
+	refTone  float64
+	// compared lists the bins the comparison reads, ascending.
+	compared []int
+	n        int
 }
 
 // NewDetector builds a detector from the good-circuit record produced
@@ -73,6 +76,16 @@ func NewDetector(goodIdeal []int64, fs float64, toneFreqs []float64, guardBins i
 		ref:        ref,
 		n:          len(goodIdeal),
 	}
+	// One allocation holds both bin lists.
+	bins := make([]int, len(toneFreqs)+len(ref.Power))
+	d.toneBins, d.compared = bins[:len(toneFreqs):len(toneFreqs)], bins[len(toneFreqs):]
+	for i, f := range toneFreqs {
+		d.toneBins[i] = ref.Bin(f)
+		d.refTone += ref.Power[d.toneBins[i]]
+	}
+	for k := range d.compared {
+		d.compared[k] = k
+	}
 	d.buildExclusions()
 	return d, nil
 }
@@ -91,19 +104,14 @@ func spectrumOf(rec []int64, fs float64) (*dsp.Spectrum, error) {
 	return dsp.PowerSpectrum(f, fs, dsp.BlackmanHarris)
 }
 
-// exclude marks the bins within GuardBins of bin k, counting each bin
-// once however many bands overlap it.
+// exclude drops the bins within GuardBins of bin k from the compared
+// list.
 func (d *Detector) exclude(k int) {
-	for i := max(k-d.GuardBins, 0); i <= k+d.GuardBins && i < len(d.excluded); i++ {
-		if !d.excluded[i] {
-			d.excluded[i] = true
-			d.nExcluded++
-		}
-	}
+	lo, hi := k-d.GuardBins, k+d.GuardBins
+	d.compared = slices.DeleteFunc(d.compared, func(b int) bool { return lo <= b && b <= hi })
 }
 
 func (d *Detector) buildExclusions() {
-	d.excluded = make([]bool, len(d.ref.Power))
 	d.exclude(0)
 	for _, f := range d.ToneFreqs {
 		d.exclude(d.ref.Bin(f))
@@ -155,26 +163,13 @@ func (d *Detector) CalibrateFloor(noisyGood []int64, safety float64) error {
 		return fmt.Errorf("spectest: calibration record length %d != reference %d",
 			len(noisyGood), d.n)
 	}
-	d.normalize(s)
-	devs := make([]float64, 0, len(s.Power))
-	for k := range s.Power {
-		if d.excluded[k] {
-			continue
-		}
-		devs = append(devs, math.Abs(s.Power[k]-d.ref.Power[k]))
-	}
-	if len(devs) == 0 {
+	if len(d.compared) == 0 {
 		return fmt.Errorf("spectest: every bin excluded")
 	}
 	// Use the largest observed deviation as the floor so a healthy
 	// noisy device can never flag on its own noise, then apply the
 	// safety factor for device-to-device spread.
-	worst := 0.0
-	for _, v := range devs {
-		if v > worst {
-			worst = v
-		}
-	}
+	worst, _ := d.deviationOf(s)
 	d.FloorPower = worst * safety
 	return nil
 }
@@ -184,24 +179,21 @@ func (d *Detector) threshold() float64 {
 	return d.FloorPower * math.Pow(10, d.MarginDB/10)
 }
 
-// normalize scales a record's spectrum so its total stimulus-tone
-// power matches the reference — the paper's elimination of analog
-// gain variance through spectral analysis. Without this, a healthy
-// device's slightly different path gain leaves a residual on the tone
-// skirts that masquerades as an uncertainty floor.
-func (d *Detector) normalize(s *dsp.Spectrum) {
-	var ref, got float64
-	for _, f := range d.ToneFreqs {
-		ref += d.ref.Power[d.ref.Bin(f)]
-		got += s.Power[s.Bin(f)]
+// gain returns the factor that scales a record's spectrum p so its
+// total stimulus-tone power matches the reference — the paper's
+// elimination of analog gain variance through spectral analysis.
+// Without it, a healthy device's slightly different path gain leaves
+// a residual on the tone skirts that masquerades as an uncertainty
+// floor. It is 1 (no scaling) when either tone power is not positive.
+func (d *Detector) gain(p []float64) float64 {
+	var got float64
+	for _, k := range d.toneBins {
+		got += p[k]
 	}
-	if got <= 0 || ref <= 0 {
-		return
+	if got <= 0 || d.refTone <= 0 {
+		return 1
 	}
-	g := ref / got
-	for k := range s.Power {
-		s.Power[k] *= g
-	}
+	return d.refTone / got
 }
 
 // Scratch holds the per-worker reusable buffers for allocation-free
@@ -239,16 +231,13 @@ func (d *Detector) spectrumFor(rec []int64, sc *Scratch) (*dsp.Spectrum, error) 
 	return sc.ss.PowerSpectrum(sc.f, d.SampleRate)
 }
 
-// deviationOf normalizes s in place and returns the largest per-bin
-// deviation from the reference over the compared bins and its bin.
+// deviationOf returns the largest per-bin deviation of the normalized
+// spectrum s from the reference over the compared bins, and its bin.
 func (d *Detector) deviationOf(s *dsp.Spectrum) (float64, int) {
-	d.normalize(s)
+	g := d.gain(s.Power)
 	worst, worstBin := 0.0, -1
-	for k := range s.Power {
-		if d.excluded[k] {
-			continue
-		}
-		dev := math.Abs(s.Power[k] - d.ref.Power[k])
+	for _, k := range d.compared {
+		dev := math.Abs(s.Power[k]*g - d.ref.Power[k])
 		if dev > worst {
 			worst, worstBin = dev, k
 		}
@@ -307,79 +296,361 @@ func (d *Detector) Detect(good, faulty []int64) (bool, error) {
 
 // NewWorkerDetect returns a Detect-shaped function bound to fresh
 // per-worker state, satisfying fault.WorkerDetector: verdicts are
-// identical to Detect's, and the record → spectrum → screen path
-// reuses one buffer set and allocates nothing in steady state. The
-// returned function is not safe for concurrent use — it owns its
-// scratch; call NewWorkerDetect once per goroutine.
+// identical to Detect's, and the record → verdict path reuses one
+// buffer set and allocates nothing in steady state. The returned
+// function is not safe for concurrent use — it owns its scratch; call
+// NewWorkerDetect once per goroutine.
 //
-// The worker computes the deviation on dsp's fast real-input spectrum
-// (RealSpectrumScratch, built here and never in NewDetector, so a
-// detector that only serves Detect pays nothing for it). That spectrum
-// is not bit-identical to the reference, so a record whose fast
-// deviation lies within δ of the threshold is re-decided on the
-// reference transform (DetectRecord on a Scratch built at the first
-// such record). δ bounds |dev_fast − dev_ref| (see fastDeviation), so
-// outside it both deviations fall on the same side of the threshold
-// and the verdict is Detect's by construction.
+// Most records do not need a full spectrum, so the worker first tries
+// two certified screens (DESIGN §6), each of which decides a
+// record only when a written-out error bound puts the verdict beyond
+// doubt:
+//
+//   - the bound screen (clearMiss) bounds every compared bin of the
+//     record's reference spectrum from the good record's reference
+//     amplitudes and the L1 norm of the windowed difference; when no
+//     bin can reach the threshold the record is undetected, with no
+//     transform at all;
+//   - the aliased probe (clearHit) reads every probeStride-th bin from
+//     the record folded mod NFFT/probeStride and the tone bins by
+//     direct DFT (dsp.ProbeScratch); when a probed bin exceeds the
+//     threshold by more than the probe's error, the record is detected.
+//
+// A record neither screen decides takes the full path: the deviation
+// on dsp's fast real-input spectrum (RealSpectrumScratch), and a
+// record whose fast deviation lies within δ of the threshold is
+// re-decided on the reference transform (DetectRecord). δ bounds
+// |dev_fast − dev_ref| (see fastDeviation), so outside it both
+// deviations fall on the same side of the threshold. Every route's
+// verdict is therefore Detect's by construction. The worker's scratch
+// is built here and never in NewDetector, so a detector that only
+// serves Detect pays nothing for it.
 func (d *Detector) NewWorkerDetect() (func(good, faulty []int64) (bool, error), error) {
-	w, err := d.newWorker(deltaMargin)
+	w, err := d.newWorker(workerMargins)
 	if err != nil {
 		return nil, err
 	}
 	return w.detect, nil
 }
 
-// deltaMargin multiplies the written-out bound on |dev_fast − dev_ref|
-// into the worker's δ. The bound is already worst-case (the dsp tests
-// see per-bin errors under 1% of it); the factor covers the
-// second-order terms the derivation rounds away.
-const deltaMargin = 4
+// Routes counts how a worker detector decided its records.
+type Routes struct {
+	// Bound counts records the bound screen certified undetected.
+	Bound int
+	// Probe counts records the aliased probe certified detected.
+	Probe int
+	// Full counts records decided on a full spectrum; Fallback counts
+	// those among them re-decided on the reference transform.
+	Full, Fallback int
+}
+
+// NewCountingWorkerDetect is NewWorkerDetect with a reader of the
+// worker's route counts, for tests and benchmarks that report how
+// records were decided.
+func (d *Detector) NewCountingWorkerDetect() (detect func(good, faulty []int64) (bool, error), routes func() Routes, err error) {
+	w, err := d.newWorker(workerMargins)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w.detect, func() Routes { return w.routes }, nil
+}
+
+// margins multiply each route's written-out error bound: the bound
+// screen's rounding terms, the probe's bound on |dev_probe − dev_ref|
+// and the full path's δ. The bounds are already worst-case (the dsp
+// tests see per-bin errors under 1% of them); the factor covers the
+// second-order terms the derivations round away. Tests set one to 0
+// to show that route's verdict flips without it.
+type margins struct{ bound, probe, delta float64 }
+
+var workerMargins = margins{bound: 4, probe: 4, delta: 4}
+
+// probeStride is the aliased probe's bin stride m: it reads the
+// compared bins k ≡ 0 (mod m) from one NFFT/(2m)-point transform. On
+// the 1024-pattern E8 universe m = 8 (50 compared bins) shows a clear
+// hit on 1,819 of 1,939 detected records; m = 4 adds 59 for twice the
+// transform, m = 16 loses 38 and m = 32 loses 72.
+const probeStride = 8
 
 // worker is one goroutine's detection state behind NewWorkerDetect.
 type worker struct {
 	d    *Detector
 	fast *dsp.RealSpectrumScratch
-	// ref re-decides near-threshold records; built on the first one.
+	// ref is the reference transform: it re-decides near-threshold
+	// records and computes the good record's amplitudes. Built on
+	// first use.
 	ref *Scratch
-	// margin scales δ: deltaMargin, or 0 in tests that show a verdict
-	// flips without the fallback.
-	margin float64
-	// fallbacks counts records re-decided on the reference transform.
-	fallbacks int
+	// probe windows each record and reads the probed bins; nil (no
+	// screens) when the record is too short to fold.
+	probe *dsp.ProbeScratch
+	// probed lists the compared bins that are multiples of
+	// probeStride, taken when the compared list had nCompared bins.
+	// ExcludeFrequency only ever shortens that list, so a length change
+	// is what tells a worker to take it again.
+	probed    []int
+	nCompared int
+	// The bound screen's base, rebuilt whenever a call's good record
+	// differs from good by content (a caller may refill one slice) or
+	// the compared list changed: the codes, their windowed samples xb
+	// and energy eb, and √P of their reference spectrum at each tone
+	// bin (ampTone) and at compared[i] (amp[i]).
+	good    []int64
+	xb      []float64
+	eb      float64
+	ampTone []float64
+	amp     []float64
+	based   bool
+	m       margins
+	routes  Routes
+	// rebases counts base rebuilds.
+	rebases int
 }
 
-func (d *Detector) newWorker(margin float64) (*worker, error) {
+func (d *Detector) newWorker(m margins) (*worker, error) {
 	fast, err := dsp.NewRealSpectrumScratch(d.n, dsp.BlackmanHarris)
 	if err != nil {
 		return nil, err
 	}
-	return &worker{d: d, fast: fast, margin: margin}, nil
+	w := &worker{d: d, fast: fast, m: m}
+	if d.ref.NFFT < 2*probeStride {
+		return w, nil
+	}
+	if w.probe, err = dsp.NewProbeScratch(d.n, dsp.BlackmanHarris, probeStride, d.toneBins); err != nil {
+		return nil, err
+	}
+	w.probed = make([]int, 0, len(d.compared)/probeStride+1)
+	w.takeBins()
+	w.good = make([]int64, d.n)
+	t := len(d.toneBins)
+	floats := make([]float64, d.n+t+len(d.compared))
+	w.xb, w.ampTone, w.amp = floats[:d.n:d.n], floats[d.n:d.n+t:d.n+t], floats[d.n+t:]
+	return w, nil
 }
 
-func (w *worker) detect(_, faulty []int64) (bool, error) {
+// takeBins takes the detector's compared list: the probed bins, and a
+// base to rebuild.
+func (w *worker) takeBins() {
+	w.probed = w.probed[:0]
+	for _, k := range w.d.compared {
+		if k%probeStride == 0 {
+			w.probed = append(w.probed, k)
+		}
+	}
+	w.nCompared = len(w.d.compared)
+	w.based = false
+}
+
+func (w *worker) detect(good, faulty []int64) (bool, error) {
 	d := w.d
 	if len(faulty) != d.n {
 		return false, fmt.Errorf("spectest: record length %d != reference %d", len(faulty), d.n)
 	}
+	thr := d.threshold()
+	if w.probe != nil {
+		if len(d.compared) != w.nCompared {
+			w.takeBins()
+		}
+		var base []float64
+		if len(good) == d.n {
+			if !w.based || !sameCodes(good, w.good) {
+				if err := w.rebase(good); err != nil {
+					return false, err
+				}
+			}
+			base = w.xb
+		}
+		l1, err := w.probe.Load(faulty, base)
+		if err != nil {
+			return false, err
+		}
+		if base != nil && w.clearMiss(l1, thr) {
+			w.routes.Bound++
+			return false, nil
+		}
+		strided, direct, err := w.probe.Probe()
+		if err != nil {
+			return false, err
+		}
+		if w.clearHit(strided, direct, thr) {
+			w.routes.Probe++
+			return true, nil
+		}
+	}
+	w.routes.Full++
 	s, err := w.fast.PowerSpectrum(faulty, d.SampleRate)
 	if err != nil {
 		return false, err
 	}
-	thr := d.threshold()
-	if dev, delta, ok := d.fastDeviation(s, w.fast.ErrorBound(), w.margin); ok && math.Abs(dev-thr) > delta {
+	if dev, delta, ok := d.fastDeviation(s, w.fast.ErrorBound(), w.m.delta); ok && math.Abs(dev-thr) > delta {
 		return dev > thr, nil
 	}
-	w.fallbacks++
-	if w.ref == nil {
-		if w.ref, err = d.NewScratch(); err != nil {
-			return false, err
-		}
+	w.routes.Fallback++
+	if err := w.buildRef(); err != nil {
+		return false, err
 	}
 	return d.DetectRecord(faulty, w.ref)
 }
 
+func (w *worker) buildRef() (err error) {
+	if w.ref == nil {
+		w.ref, err = w.d.NewScratch()
+	}
+	return err
+}
+
+// rebase makes good the bound screen's base.
+func (w *worker) rebase(good []int64) error {
+	d := w.d
+	w.based = false
+	if err := w.buildRef(); err != nil {
+		return err
+	}
+	s, err := d.spectrumFor(good, w.ref)
+	if err != nil {
+		return err
+	}
+	for i, k := range d.toneBins {
+		w.ampTone[i] = math.Sqrt(s.Power[k])
+	}
+	for i, k := range d.compared {
+		w.amp[i] = math.Sqrt(s.Power[k])
+	}
+	if w.eb, err = w.probe.Window(w.xb, good); err != nil {
+		return err
+	}
+	copy(w.good, good)
+	w.based = true
+	w.rebases++
+	return nil
+}
+
 // unitRoundoff is u, the float64 unit roundoff.
 const unitRoundoff = 0x1p-53
+
+// gammaOf is Higham's γ_k = ku/(1-ku).
+func gammaOf(k float64) float64 { return k * unitRoundoff / (1 - k*unitRoundoff) }
+
+// clearMiss reports whether the loaded record (w.probe), at windowed
+// L1 distance l1 from the base, is certainly undetected: whether, in
+// every compared bin, every power its reference spectrum can take
+// given the base lies within thr of the reference. The bound, with
+// x_f and x_b the windowed record and base
+// as the reference transform reads them (so X_f − X_b is the exact
+// DFT of x_f − x_b), S = √N·‖x‖₂, c_N = dsp.ReferenceBinError and the
+// margin M multiplying every rounding term:
+//
+//   - In exact arithmetic |X_f[k] − X_b[k]| ≤ L1 = Σ_t |x_f,t − x_b,t|
+//     for every bin. The reference transforms of both records are
+//     within c_N·S_f and c_N·S_b of exact, so the computed
+//     |X̂_f[k]| is within E = L1 + c_N·(S_f + S_b) of |X̂_b[k]|.
+//   - In amplitude units (√P, P = 2·scale²·|X̂|², halved at DC and
+//     Nyquist, where √2 over-covers) a_k = √P_b[k] and e = √2·scale·E,
+//     so √P_f[k] ∈ [(a_k − e)₊, a_k + e]. Each end is widened by
+//     ε = 8u·M for a_k's and P_f's rounding.
+//   - Gain: the tone powers bound G = Σ_T P_f[tone] in [G_lo, G_hi]
+//     (widened by γ_{T+1}); with R = refTone > 0 and G_lo > 0,
+//     g = R/G ∈ [R/G_hi, R/G_lo] (widened by 4u). With R ≤ 0, g = 1;
+//     with G_lo ≤ 0 the reference may skip normalizing, and the screen
+//     declines.
+//   - Each compared bin's deviation |fl(g·P) − R_k| is then at most
+//     max(g_hi·P_hi − R_k, R_k − g_lo·P_lo), the products widened by
+//     2u; the record is undetected when that stays under
+//     thr·(1 − 3u) in every bin, covering the subtraction's rounding on
+//     both sides.
+//
+// L1's own summation is covered by γ_{N+2}, and S's by the same
+// factor under the root.
+func (w *worker) clearMiss(l1, thr float64) bool {
+	d, mg := w.d, w.m.bound
+	const u = unitRoundoff
+	nfft := float64(d.ref.NFFT)
+	gN := gammaOf(nfft + 2)
+	sf := math.Sqrt(nfft * w.probe.Energy() * (1 + gN))
+	sb := math.Sqrt(nfft * w.eb * (1 + gN))
+	bigE := l1*(1+mg*gN) + mg*dsp.ReferenceBinError(d.ref.NFFT)*(sf+sb)
+	scale := 1 / (d.ref.ProcessingGain * float64(d.n))
+	e := math.Sqrt2 * scale * bigE * (1 + mg*4*u)
+	up, down := 1+mg*8*u, 1-mg*8*u
+
+	gLo, gHi := 1.0, 1.0
+	if r := d.refTone; r > 0 {
+		var lo, hi float64
+		for _, a := range w.ampTone {
+			h, l := (a+e)*up, max(a-e, 0)*down
+			hi += h * h
+			lo += l * l
+		}
+		gT := mg * gammaOf(float64(len(d.toneBins)+1))
+		lo *= 1 - gT
+		hi *= 1 + gT
+		if lo <= 0 {
+			return false
+		}
+		gLo, gHi = r/hi*(1-mg*4*u), r/lo*(1+mg*4*u)
+	}
+	gLo *= 1 - mg*2*u
+	gHi *= 1 + mg*2*u
+	lim := thr * (1 - mg*3*u)
+	ref := d.ref.Power
+	amp := w.amp[:len(d.compared)]
+	for i, k := range d.compared {
+		a, r := amp[i], ref[k]
+		h := (a + e) * up
+		if gHi*(h*h)-r > lim {
+			return false
+		}
+		// The low side can pass lim only where the reference does.
+		if r > lim {
+			if l := (a - e) * down; l <= 0 || r-gLo*(l*l) > lim {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameCodes reports whether a and b hold the same codes; len(a) ≤
+// len(b).
+func sameCodes(a, b []int64) bool {
+	b = b[:len(a)]
+	var diff int64
+	i := 0
+	for ; i+3 < len(a); i += 4 {
+		diff |= (a[i] ^ b[i]) | (a[i+1] ^ b[i+1]) | (a[i+2] ^ b[i+2]) | (a[i+3] ^ b[i+3])
+	}
+	for ; i < len(a); i++ {
+		diff |= a[i] ^ b[i]
+	}
+	return diff == 0
+}
+
+// clearHit reports whether the probed bins of the loaded record
+// certainly show a detection: whether some probed compared bin's
+// deviation exceeds thr by more than margin·(the bound on
+// |dev_probe − dev_ref| at that bin). The bound is fastDeviation's,
+// with the probe's per-bin error (dsp.ProbeScratch.ErrorBound, which
+// covers the direct tone bins too) as ebin and q the largest
+// normalized probed power. The reference's deviation at that bin then
+// exceeds thr, and Detect's maximum over all compared bins with it.
+func (w *worker) clearHit(strided, direct []float64, thr float64) bool {
+	d := w.d
+	ebin := w.probe.ErrorBound()
+	var got float64
+	for _, p := range direct {
+		got += p
+	}
+	g, rho, ok := d.gainBound(got, ebin)
+	if !ok {
+		return false
+	}
+	var dev, q float64
+	for _, k := range w.probed {
+		v := strided[k/probeStride] * g
+		q = max(q, v)
+		dev = max(dev, math.Abs(v-d.ref.Power[k]))
+	}
+	return dev-w.m.probe*deviationError(dev, q, g, rho, ebin) > thr
+}
 
 // fastDeviation is deviationOf on a fast spectrum s whose every bin is
 // within ebin of the reference spectrum of the same record
@@ -387,7 +658,7 @@ const unitRoundoff = 0x1p-53
 // and δ = margin·(a bound on |dev_fast − dev_ref|), or ok = false when
 // no bound holds because the record's tone power is within twice its
 // error of zero (the reference might then skip the normalization the
-// fast path applies, or the reverse). s is left unnormalized.
+// fast path applies, or the reverse).
 //
 // The bound follows the reference's arithmetic step by step (u is the
 // unit roundoff, T the tone count, subscripts f/r fast/reference):
@@ -406,54 +677,61 @@ const unitRoundoff = 0x1p-53
 //
 // ebin scales with the record's windowed energy (Parseval), so δ does.
 func (d *Detector) fastDeviation(s *dsp.Spectrum, ebin, margin float64) (dev, delta float64, ok bool) {
-	const u = unitRoundoff
-	var ref, got float64
-	for _, f := range d.ToneFreqs {
-		ref += d.ref.Power[d.ref.Bin(f)]
-		got += s.Power[s.Bin(f)]
+	var got float64
+	for _, k := range d.toneBins {
+		got += s.Power[k]
 	}
-	g, rho := 1.0, 0.0
-	if ref > 0 {
-		t := float64(len(d.ToneFreqs))
-		gammaT := t * u / (1 - t*u)
-		dG := t*ebin + 2*gammaT*(got+t*ebin)
-		if got <= 2*dG {
-			return 0, 0, false
-		}
-		g = ref / got
-		rho = dG/(got-dG)*(1+2*u) + 3*u
+	g, rho, ok := d.gainBound(got, ebin)
+	if !ok {
+		return 0, 0, false
 	}
 	var q float64
-	for k, p := range s.Power {
-		if d.excluded[k] {
-			continue
-		}
-		v := p * g
+	for _, k := range d.compared {
+		v := s.Power[k] * g
 		q = max(q, v)
 		dev = max(dev, math.Abs(v-d.ref.Power[k]))
 	}
+	return dev, margin * deviationError(dev, q, g, rho, ebin), true
+}
+
+// gainBound is fastDeviation's gain step: g for a spectrum whose tone
+// bins sum to got, each within ebin of the reference spectrum's, and ρ
+// with |g − g_ref| ≤ ρ·g; ok = false when got is within 2ΔG of zero.
+func (d *Detector) gainBound(got, ebin float64) (g, rho float64, ok bool) {
+	const u = unitRoundoff
+	if d.refTone <= 0 {
+		return 1, 0, true
+	}
+	t := float64(len(d.toneBins))
+	dG := t*ebin + 2*gammaOf(t)*(got+t*ebin)
+	if got <= 2*dG {
+		return 0, 0, false
+	}
+	return d.refTone / got, dG/(got-dG)*(1+2*u) + 3*u, true
+}
+
+// deviationError is fastDeviation's last two steps: the bound on
+// |dev − dev_ref| over bins whose largest normalized power is q.
+func deviationError(dev, q, g, rho, ebin float64) float64 {
+	const u = unitRoundoff
 	q *= 1 + 2*u
 	ge := g * ebin
 	bound := ge + rho*(q+ge) + u*(q+(1+rho)*(q+ge))
-	return dev, margin * (bound + u*(2*dev+bound)), true
+	return bound + u*(2*dev+bound)
 }
 
 // ComparedBins returns how many spectrum bins participate in the
 // comparison.
 func (d *Detector) ComparedBins() int {
-	return len(d.ref.Power) - d.nExcluded
+	return len(d.compared)
 }
 
 // FloorDBFS returns the calibrated floor power in dB relative to the
 // reference's total stimulus power — a readable summary of how much
 // analog uncertainty the test must tolerate.
 func (d *Detector) FloorDBFS() float64 {
-	var sig float64
-	for _, f := range d.ToneFreqs {
-		sig += d.ref.Power[d.ref.Bin(f)]
-	}
-	if sig <= 0 {
+	if d.refTone <= 0 {
 		return math.Inf(1)
 	}
-	return dsp.DB(d.FloorPower / sig)
+	return dsp.DB(d.FloorPower / d.refTone)
 }
