@@ -227,8 +227,7 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 	if reg != nil {
 		_, baseSp = reg.Span(runCtx, "campaign.baseline")
 	}
-	useDiff := !e.fullNetlist && goodSim.Compiled() &&
-		digital.BaselineBytes(e.U.FIR, len(xs)) <= maxBaselineBytes
+	useDiff := !e.fullNetlist && digital.BaselineBytes(e.U.FIR, len(xs)) <= maxBaselineBytes
 	if useDiff {
 		base, err = goodSim.CaptureBaseline(xs)
 		if err != nil {

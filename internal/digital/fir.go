@@ -198,10 +198,6 @@ func (s *FIRSim) Reset() {
 // ClearFaults removes all injected faults.
 func (s *FIRSim) ClearFaults() { s.sim.ClearFaults() }
 
-// Compiled reports whether the circuit compiles, which FaultReplay
-// requires.
-func (s *FIRSim) Compiled() bool { return s.sim.Compiled() }
-
 // InjectFault injects a stuck-at fault into the given lanes.
 func (s *FIRSim) InjectFault(f netlist.Fault, laneMask uint64) error {
 	return s.sim.InjectFault(f, laneMask)

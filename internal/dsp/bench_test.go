@@ -55,24 +55,27 @@ func BenchmarkPowerSpectrumScratch1024(b *testing.B) {
 	}
 }
 
-// BenchmarkPowerSpectrumRealScratch1024 is the fast real-input path on
-// the same record as BenchmarkPowerSpectrumScratch1024, rounded to
-// integer codes (its input type): one 512-point transform plus the
-// split pass, window applied while packing.
-func BenchmarkPowerSpectrumRealScratch1024(b *testing.B) {
+// BenchmarkRecordScratchSpectrum1024 is the fast real-input spectrum
+// on the same record as BenchmarkPowerSpectrumScratch1024, rounded to
+// integer codes (its input type): Load windows the codes, and Spectrum
+// runs one 512-point transform plus the split pass.
+func BenchmarkRecordScratchSpectrum1024(b *testing.B) {
 	x := benchRecord(1024)
 	rec := make([]int64, len(x))
 	for i, v := range x {
 		rec[i] = int64(math.Round(v * 1000))
 	}
-	sc, err := NewRealSpectrumScratch(1024, BlackmanHarris)
+	sc, err := NewRecordScratch(1024, BlackmanHarris, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sc.PowerSpectrum(rec, 1e6); err != nil {
+		if _, err := sc.Load(rec, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sc.Spectrum(); err != nil {
 			b.Fatal(err)
 		}
 	}

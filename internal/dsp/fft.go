@@ -4,13 +4,15 @@
 // ENOB, tone and harmonic power) that a mixed-signal tester's DSP
 // pipeline would compute.
 //
-// All routines are pure functions over float64/complex128 slices and
-// are deterministic; they use no global state and are safe for
-// concurrent use.
+// All routines are deterministic and safe for concurrent use. The
+// only global state is three process-wide caches of immutable tables,
+// each filled on first use of a length: transform plans (SharedPlan),
+// window tables, and the real-input split plans behind RecordScratch.
+// A cached table is bit-identical to a freshly built one, so results
+// never depend on what ran before.
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -36,122 +38,9 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// FFT computes the in-place radix-2 decimation-in-time fast Fourier
-// transform of x. len(x) must be a power of two. The transform follows
-// the engineering convention X[k] = sum_n x[n]·exp(-j2πkn/N) with no
-// normalization on the forward pass.
-func FFT(x []complex128) error {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if !IsPowerOfTwo(n) {
-		return fmt.Errorf("dsp: FFT length %d is not a power of two", n)
-	}
-	bitReverse(x)
-	// Iterative Cooley–Tukey butterflies.
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := -2 * math.Pi / float64(size)
-		// Twiddle for this stage computed incrementally to avoid a
-		// sin/cos per butterfly.
-		wStep := complex(math.Cos(step), math.Sin(step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				even := x[start+k]
-				odd := x[start+k+half] * w
-				x[start+k] = even + odd
-				x[start+k+half] = even - odd
-				w *= wStep
-			}
-		}
-	}
-	return nil
-}
-
-// IFFT computes the in-place inverse FFT of x, including the 1/N
-// normalization, so that IFFT(FFT(x)) == x up to rounding.
-func IFFT(x []complex128) error {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if !IsPowerOfTwo(n) {
-		return fmt.Errorf("dsp: IFFT length %d is not a power of two", n)
-	}
-	for i := range x {
-		x[i] = complex(real(x[i]), -imag(x[i]))
-	}
-	if err := FFT(x); err != nil {
-		return err
-	}
-	inv := 1 / float64(n)
-	for i := range x {
-		x[i] = complex(real(x[i])*inv, -imag(x[i])*inv)
-	}
-	return nil
-}
-
-// bitReverse permutes x into bit-reversed index order.
-func bitReverse(x []complex128) {
-	n := len(x)
-	shift := 64 - uint(bits.Len(uint(n-1)))
-	if n < 2 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-}
-
-// FFTReal transforms a real-valued sequence and returns the full
-// complex spectrum of length NextPowerOfTwo(len(x)). The input is
-// zero-padded to a power of two if necessary. Transforms use shared
-// cached plans (bit-reversal tables and twiddles), so repeated
-// same-length calls — the spectral fault campaigns — pay no setup.
-func FFTReal(x []float64) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, nil
-	}
-	n := NextPowerOfTwo(len(x))
-	buf := make([]complex128, n)
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	p, err := cachedPlan(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Transform(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// DFT computes the discrete Fourier transform by direct summation.
-// It is O(N²) and exists as an oracle for testing the FFT and for
-// lengths that are not powers of two.
-func DFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for i := 0; i < n; i++ {
-			ang := -2 * math.Pi * float64(k) * float64(i) / float64(n)
-			sum += x[i] * complex(math.Cos(ang), math.Sin(ang))
-		}
-		out[k] = sum
-	}
-	return out
-}
-
 // Goertzel evaluates the DFT of real input x at a single bin k using
-// the Goertzel recurrence. It returns the same value FFT would place
-// in bin k. Useful when only a handful of tone bins are needed.
+// the Goertzel recurrence: DFT bin k, up to rounding. Useful when only
+// a handful of tone bins are needed.
 func Goertzel(x []float64, k int) complex128 {
 	n := len(x)
 	if n == 0 {
@@ -167,7 +56,7 @@ func Goertzel(x []float64, k int) complex128 {
 	}
 	// With v[m] = x[m] + 2cos(w)·v[m-1] - v[m-2], the DFT bin under the
 	// engineering convention X[k] = Σ x[n]·e^{-j2πkn/N} (the same one
-	// FFT uses) is X[k] = e^{jw}·s1 - s2.
+	// Plan uses) is X[k] = e^{jw}·s1 - s2.
 	re := s1*math.Cos(w) - s2
 	im := s1 * math.Sin(w)
 	return complex(re, im)

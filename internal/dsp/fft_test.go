@@ -20,6 +20,31 @@ func complexSlicesClose(t *testing.T, got, want []complex128, tol float64) {
 	}
 }
 
+// dft computes the discrete Fourier transform by direct summation: the
+// O(N²) oracle the FFT and Goertzel are tested against.
+func dft(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for i := 0; i < n; i++ {
+			ang := -2 * math.Pi * float64(k) * float64(i) / float64(n)
+			sum += x[i] * complex(math.Cos(ang), math.Sin(ang))
+		}
+		out[k] = sum
+	}
+	return out
+}
+
+// fft transforms x in place on the shared plan of its length.
+func fft(x []complex128) error {
+	p, err := SharedPlan(len(x))
+	if err != nil {
+		return err
+	}
+	return p.Transform(x)
+}
+
 func TestIsPowerOfTwo(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 1024, 1 << 20} {
 		if !IsPowerOfTwo(n) {
@@ -60,56 +85,30 @@ func TestFFTMatchesDFT(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		want := DFT(x)
+		want := dft(x)
 		got := append([]complex128(nil), x...)
-		if err := FFT(got); err != nil {
-			t.Fatalf("FFT(n=%d): %v", n, err)
+		if err := fft(got); err != nil {
+			t.Fatalf("fft(n=%d): %v", n, err)
 		}
 		complexSlicesClose(t, got, want, 1e-9*float64(n))
 	}
 }
 
 func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
-	x := make([]complex128, 3)
-	if err := FFT(x); err == nil {
-		t.Fatal("FFT accepted length 3")
-	}
-	if err := IFFT(x); err == nil {
-		t.Fatal("IFFT accepted length 3")
-	}
-}
-
-func TestFFTEmptyIsNoop(t *testing.T) {
-	if err := FFT(nil); err != nil {
-		t.Fatalf("FFT(nil): %v", err)
-	}
-	if err := IFFT(nil); err != nil {
-		t.Fatalf("IFFT(nil): %v", err)
-	}
-}
-
-func TestIFFTRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 2, 8, 128, 1024} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	for _, n := range []int{0, 3, 7, 12} {
+		if _, err := NewPlan(n); err == nil {
+			t.Errorf("NewPlan accepted length %d", n)
 		}
-		y := append([]complex128(nil), x...)
-		if err := FFT(y); err != nil {
-			t.Fatal(err)
+		if _, err := SharedPlan(n); err == nil {
+			t.Errorf("SharedPlan accepted length %d", n)
 		}
-		if err := IFFT(y); err != nil {
-			t.Fatal(err)
-		}
-		complexSlicesClose(t, y, x, 1e-9*float64(n))
 	}
 }
 
 func TestFFTKnownValues(t *testing.T) {
 	// Impulse transforms to all-ones.
 	x := []complex128{1, 0, 0, 0}
-	if err := FFT(x); err != nil {
+	if err := fft(x); err != nil {
 		t.Fatal(err)
 	}
 	complexSlicesClose(t, x, []complex128{1, 1, 1, 1}, 1e-12)
@@ -120,7 +119,7 @@ func TestFFTKnownValues(t *testing.T) {
 	for i := range y {
 		y[i] = complex(math.Cos(2*math.Pi*float64(i)/float64(n)), 0)
 	}
-	if err := FFT(y); err != nil {
+	if err := fft(y); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]complex128, n)
@@ -146,13 +145,13 @@ func TestFFTLinearityProperty(t *testing.T) {
 		for i := range sum {
 			sum[i] = a*x[i] + y[i]
 		}
-		if err := FFT(sum); err != nil {
+		if err := fft(sum); err != nil {
 			return false
 		}
-		if err := FFT(x); err != nil {
+		if err := fft(x); err != nil {
 			return false
 		}
-		if err := FFT(y); err != nil {
+		if err := fft(y); err != nil {
 			return false
 		}
 		for i := range sum {
@@ -177,7 +176,7 @@ func TestFFTParsevalProperty(t *testing.T) {
 			x[i] = complex(r.NormFloat64(), 0)
 			timePower += real(x[i]) * real(x[i])
 		}
-		if err := FFT(x); err != nil {
+		if err := fft(x); err != nil {
 			return false
 		}
 		var freqPower float64
@@ -192,28 +191,6 @@ func TestFFTParsevalProperty(t *testing.T) {
 	}
 }
 
-func TestFFTRealZeroPads(t *testing.T) {
-	x := []float64{1, 2, 3}
-	spec, err := FFTReal(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spec) != 4 {
-		t.Fatalf("FFTReal length = %d, want 4", len(spec))
-	}
-	// DC bin is the plain sum.
-	if math.Abs(real(spec[0])-6) > 1e-12 || math.Abs(imag(spec[0])) > 1e-12 {
-		t.Errorf("DC bin = %v, want 6", spec[0])
-	}
-}
-
-func TestFFTRealEmpty(t *testing.T) {
-	spec, err := FFTReal(nil)
-	if err != nil || spec != nil {
-		t.Fatalf("FFTReal(nil) = %v, %v; want nil, nil", spec, err)
-	}
-}
-
 func TestGoertzelMatchesDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{4, 16, 100, 256} {
@@ -223,7 +200,7 @@ func TestGoertzelMatchesDFT(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			cx[i] = complex(x[i], 0)
 		}
-		want := DFT(cx)
+		want := dft(cx)
 		for k := 0; k < n; k += 1 + n/8 {
 			got := Goertzel(x, k)
 			if cmplx.Abs(got-want[k]) > 1e-7*float64(n) {
@@ -266,22 +243,6 @@ func TestGoertzelPowerOnBinTone(t *testing.T) {
 	}
 }
 
-func BenchmarkFFT1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	x := make([]complex128, 1024)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), 0)
-	}
-	buf := make([]complex128, len(x))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		if err := FFT(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGoertzelSingleBin1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	x := make([]float64, 1024)
@@ -291,32 +252,6 @@ func BenchmarkGoertzelSingleBin1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Goertzel(x, 100)
-	}
-}
-
-func TestPlanMatchesFFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(200))
-	for _, n := range []int{1, 2, 8, 64, 1024} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		want := append([]complex128(nil), x...)
-		if err := FFT(want); err != nil {
-			t.Fatal(err)
-		}
-		p, err := NewPlan(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Len() != n {
-			t.Fatalf("Len = %d", p.Len())
-		}
-		got := append([]complex128(nil), x...)
-		if err := p.Transform(got); err != nil {
-			t.Fatal(err)
-		}
-		complexSlicesClose(t, got, want, 1e-9*float64(n))
 	}
 }
 
@@ -334,18 +269,18 @@ func TestPlanValidation(t *testing.T) {
 }
 
 func TestCachedPlanShared(t *testing.T) {
-	a, err := cachedPlan(256)
+	a, err := SharedPlan(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cachedPlan(256)
+	b, err := SharedPlan(256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("cache returned distinct plans")
 	}
-	if _, err := cachedPlan(7); err == nil {
+	if _, err := SharedPlan(7); err == nil {
 		t.Error("bad length accepted by cache")
 	}
 }
@@ -365,22 +300,6 @@ func BenchmarkFFTPlanned4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
 		if err := p.Transform(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFFTUnplanned4096(b *testing.B) {
-	rng := rand.New(rand.NewSource(201))
-	x := make([]complex128, 4096)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), 0)
-	}
-	buf := make([]complex128, len(x))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		if err := FFT(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

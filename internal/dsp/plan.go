@@ -112,11 +112,6 @@ var planCache sync.Map // int -> *Plan
 // goroutines, so campaign workers key their scratch buffers off this
 // cache instead of rebuilding twiddle tables per worker.
 func SharedPlan(n int) (*Plan, error) {
-	return cachedPlan(n)
-}
-
-// cachedPlan returns the shared plan for length n.
-func cachedPlan(n int) (*Plan, error) {
 	if v, ok := planCache.Load(n); ok {
 		return v.(*Plan), nil
 	}

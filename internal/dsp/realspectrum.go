@@ -1,39 +1,9 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
-
-// RealSpectrumScratch is the fast power-spectrum path for records of
-// integer codes: an N-point real spectrum from one N/2-point complex
-// transform (SharedPlan(N/2)) plus a split pass, with the window
-// applied while the codes are packed two to a complex value (even
-// samples in the real part, odd in the imaginary). It does about half
-// the butterflies of SpectrumScratch.PowerSpectrum and has no separate
-// float conversion loop.
-//
-// It is NOT bit-identical to PowerSpectrum: the two transforms round
-// differently. ErrorBound bounds the difference per bin, so a caller
-// that thresholds the spectrum can tell when a decision is too close
-// to call and re-decide it on the reference path (spectest's worker
-// detector does). Every exported dsp function stays on the reference
-// transform.
-//
-// A RealSpectrumScratch is not safe for concurrent use — create one per
-// worker goroutine. Scratches of one length share the immutable window
-// table, the half-length plan and the split twiddles, so per-worker
-// setup allocates only the packing and power buffers.
-type RealSpectrumScratch struct {
-	n      int
-	win    []float64
-	scale  float64 // 1/(cg·n), computed as SpectrumScratch does
-	rp     *realPlan
-	buf    []complex128 // the NFFT/2 packed samples, transformed in place
-	spec   Spectrum
-	energy float64 // Σx² of the last windowed record
-}
 
 // realPlan is the length-keyed, immutable state every scratch of one
 // FFT length shares.
@@ -41,7 +11,7 @@ type realPlan struct {
 	half *Plan
 	// tw[k] = exp(-j2πk/NFFT) for k = 0..NFFT/4, the split twiddles.
 	tw []complex128
-	// rel is ErrorBound's factor on 2·scale²·NFFT·Σx².
+	// rel is RecordScratch.SpectrumBound's factor on 2·scale²·NFFT·Σx².
 	rel float64
 }
 
@@ -160,91 +130,6 @@ func powerBound(e1, e2 float64, nfft int) float64 {
 	return k * (1 + gamma(float64(nfft)+8))
 }
 
-// NewRealSpectrumScratch builds a fast-path scratch for records of n
-// codes windowed by w. The FFT length is NextPowerOfTwo(n) and the
-// spectrum's scaling is PowerSpectrum's.
-func NewRealSpectrumScratch(n int, w WindowType) (*RealSpectrumScratch, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("dsp: RealSpectrumScratch length %d must be positive", n)
-	}
-	nfft := NextPowerOfTwo(n)
-	rp, err := sharedRealPlan(nfft)
-	if err != nil {
-		return nil, err
-	}
-	win := sharedWindow(w, n)
-	cg := CoherentGain(win)
-	if cg == 0 {
-		return nil, fmt.Errorf("dsp: window %v has zero coherent gain", w)
-	}
-	return &RealSpectrumScratch{
-		n:     n,
-		win:   win,
-		scale: 1 / (cg * float64(n)),
-		rp:    rp,
-		buf:   make([]complex128, nfft/2),
-		spec: Spectrum{
-			Power:          make([]float64, nfft/2+1),
-			NFFT:           nfft,
-			Window:         w,
-			ProcessingGain: cg,
-			ENBW:           NoiseBandwidth(win),
-		},
-	}, nil
-}
-
-// PowerSpectrum computes the single-sided power spectrum of the codes
-// rec, scaled as PowerSpectrum scales it, within ErrorBound of
-// SpectrumScratch.PowerSpectrum on the same codes as float64 in every
-// bin. len(rec) must equal the scratch length. The returned Spectrum
-// aliases scratch memory and is only valid until the next call.
-func (s *RealSpectrumScratch) PowerSpectrum(rec []int64, sampleRate float64) (*Spectrum, error) {
-	if len(rec) != s.n {
-		return nil, fmt.Errorf("dsp: scratch length %d, input %d", s.n, len(rec))
-	}
-	if sampleRate <= 0 {
-		return nil, fmt.Errorf("dsp: PowerSpectrum sample rate %g must be positive", sampleRate)
-	}
-	s.spec.SampleRate = sampleRate
-	p := s.spec.Power
-	if s.spec.NFFT == 1 {
-		// One point: the transform is the identity, as in the
-		// reference.
-		x := float64(float64(rec[0]) * s.win[0])
-		s.energy = x * x
-		p[0] = (x * x) * s.scale * s.scale
-		return &s.spec, nil
-	}
-	// Pack with the window applied. The explicit conversions keep each
-	// product rounded, so the transform input is exactly the
-	// reference's windowed record. The energy is summed as two
-	// interleaved partial sums, so the loop is not one long chain of
-	// dependent adds.
-	buf, win := s.buf, s.win
-	var e0, e1 float64
-	i := 0
-	for ; 2*i+1 < s.n; i++ {
-		a := float64(float64(rec[2*i]) * win[2*i])
-		b := float64(float64(rec[2*i+1]) * win[2*i+1])
-		e0 += a * a
-		e1 += b * b
-		buf[i] = complex(a, b)
-	}
-	if 2*i < s.n {
-		a := float64(float64(rec[2*i]) * win[2*i])
-		e0 += a * a
-		buf[i] = complex(a, 0)
-		i++
-	}
-	clear(buf[i:])
-	s.energy = e0 + e1
-	if err := s.rp.half.Transform(buf); err != nil {
-		return nil, err
-	}
-	splitPower(p, buf, s.rp.tw, s.scale*s.scale)
-	return &s.spec, nil
-}
-
 // splitPower writes the power of the real record whose M samples are
 // packed two to a value in the transformed buf (M = 2·len(buf)):
 // p[k] for k = 0..M/2, scaled by c2 (twice that off DC and M/2), with
@@ -278,15 +163,4 @@ func splitPower(p []float64, buf, tw []complex128, c2 float64) {
 		mid := buf[m/2]
 		p[m/2] = (real(mid)*real(mid) + imag(mid)*imag(mid)) * c2x2
 	}
-}
-
-// ErrorBound returns a bound on |P_fast[k] - P_ref[k]| that holds for
-// every bin k of the spectrum last computed, where P_ref is
-// SpectrumScratch.PowerSpectrum on the same record (as float64, same
-// window and length). It is realBound's fraction of the record's
-// normalized windowed energy 2·scale²·NFFT·Σx², so it scales with the
-// record: about 1e-13 of that energy at NFFT 1024, and 0 for an
-// all-zero record (both paths then give exact zeros).
-func (s *RealSpectrumScratch) ErrorBound() float64 {
-	return s.rp.rel * 2 * s.scale * s.scale * float64(s.spec.NFFT) * s.energy
 }

@@ -103,19 +103,7 @@ func (s *SpectrumScratch) PowerSpectrum(x []float64, sampleRate float64) (*Spect
 	if err := s.plan.Transform(s.buf); err != nil {
 		return nil, err
 	}
-	n := len(s.buf)
-	scale := 1 / (s.cg * float64(s.n))
-	half := n/2 + 1
-	p := s.spec.Power[:half]
-	for k := 0; k < half; k++ {
-		re, im := real(s.buf[k]), imag(s.buf[k])
-		mag2 := (re*re + im*im) * scale * scale
-		if k == 0 || k == n/2 {
-			p[k] = mag2
-		} else {
-			p[k] = 2 * mag2
-		}
-	}
+	refPower(s.spec.Power, s.buf, 1/(s.cg*float64(s.n)))
 	s.spec.SampleRate = sampleRate
 	return &s.spec, nil
 }

@@ -46,28 +46,25 @@ func PowerSpectrum(x []float64, sampleRate float64, w WindowType) (*Spectrum, er
 	if err != nil {
 		return nil, err
 	}
-	spec, err := FFTReal(xw)
+	n := NextPowerOfTwo(len(x))
+	plan, err := SharedPlan(n)
 	if err != nil {
 		return nil, err
 	}
-	n := len(spec)
+	buf := make([]complex128, n)
+	for i, v := range xw {
+		buf[i] = complex(v, 0)
+	}
+	if err := plan.Transform(buf); err != nil {
+		return nil, err
+	}
 	cg := CoherentGain(win)
 	if cg == 0 {
 		return nil, fmt.Errorf("dsp: window %v has zero coherent gain", w)
 	}
+	p := make([]float64, n/2+1)
 	// The zero padding dilutes the coherent gain by len(x)/n.
-	scale := 1 / (cg * float64(len(x)))
-	half := n/2 + 1
-	p := make([]float64, half)
-	for k := 0; k < half; k++ {
-		re, im := real(spec[k]), imag(spec[k])
-		mag2 := (re*re + im*im) * scale * scale
-		if k == 0 || k == n/2 {
-			p[k] = mag2
-		} else {
-			p[k] = 2 * mag2
-		}
-	}
+	refPower(p, buf, 1/(cg*float64(len(x))))
 	return &Spectrum{
 		Power:          p,
 		SampleRate:     sampleRate,
@@ -76,6 +73,25 @@ func PowerSpectrum(x []float64, sampleRate float64, w WindowType) (*Spectrum, er
 		ProcessingGain: cg,
 		ENBW:           NoiseBandwidth(win),
 	}, nil
+}
+
+// refPower writes the single-sided power of the transformed record buf
+// into p[0..len(buf)/2]: |buf[k]|²·scale², doubled off DC and Nyquist.
+// PowerSpectrum, SpectrumScratch.PowerSpectrum and
+// RecordScratch.Reference all square through it, so they agree bit for
+// bit.
+func refPower(p []float64, buf []complex128, scale float64) {
+	n := len(buf)
+	p = p[:n/2+1]
+	for k := range p {
+		re, im := real(buf[k]), imag(buf[k])
+		mag2 := (re*re + im*im) * scale * scale
+		if k == 0 || k == n/2 {
+			p[k] = mag2
+		} else {
+			p[k] = 2 * mag2
+		}
+	}
 }
 
 // BinFrequency returns the center frequency of bin k in Hz.

@@ -56,8 +56,7 @@ type program struct {
 }
 
 // compileProgram lowers c.Gates. It returns nil when the circuit holds
-// a gate type the compiler does not know, in which case the simulator
-// falls back to interpreting the Gate slice directly.
+// a gate type the compiler does not know (one Validate rejects).
 func compileProgram(c *Circuit) *program {
 	p := &program{
 		ins:    make([]instr, 0, len(c.Gates)),

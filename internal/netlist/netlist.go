@@ -75,8 +75,6 @@ func (g GateType) arity() (int, int) {
 		return 1, 1
 	case Const0, Const1:
 		return 0, 0
-	case Xor, Xnor:
-		return 2, -1
 	default:
 		return 2, -1
 	}
@@ -246,9 +244,9 @@ func (c *Circuit) Driver(n NetID) (int, bool) {
 	return g, ok
 }
 
-// Validate checks structural sanity: every gate input is driven by an
-// earlier gate or is a primary input, every output net exists, and no
-// net has two drivers. The builder maintains these invariants; this
+// Validate checks structural sanity: every gate has a known type and
+// arity, every gate input is driven by an earlier gate or is a primary
+// input, every output net exists, and no net has two drivers. The builder maintains these invariants; this
 // re-checks circuits that were assembled or mutated by hand.
 func (c *Circuit) Validate() error {
 	isPI := make(map[NetID]bool, len(c.Inputs))
@@ -267,6 +265,9 @@ func (c *Circuit) Validate() error {
 	}
 	driven := make(map[NetID]bool, len(c.Gates))
 	for gi, g := range c.Gates {
+		if g.Type < And || g.Type > Const1 {
+			return fmt.Errorf("netlist: gate %d has unknown type %v", gi, g.Type)
+		}
 		lo, hi := g.Type.arity()
 		if len(g.In) < lo || (hi >= 0 && len(g.In) > hi) {
 			return fmt.Errorf("netlist: gate %d (%v) has %d inputs", gi, g.Type, len(g.In))

@@ -226,6 +226,31 @@ func TestValidateCatchesHandMadeErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnknownGateType hands Validate gates of types
+// outside And…Const1 with an arity that would suit a two-input gate:
+// each must be refused, since no simulator evaluates them, and
+// NewSimulator must panic on such a circuit rather than simulate it.
+func TestValidateRejectsUnknownGateType(t *testing.T) {
+	for _, typ := range []GateType{GateType(99), Const1 + 1, And - 1} {
+		c := New()
+		a, b := c.Input("a"), c.Input("b")
+		out := c.newNet()
+		c.Gates = append(c.Gates, Gate{Type: typ, In: []NetID{a, b}, Out: out})
+		c.MarkOutput(out, "y")
+		if err := c.Validate(); err == nil {
+			t.Errorf("gate type %v accepted", typ)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSimulator built a simulator for gate type %v", typ)
+				}
+			}()
+			NewSimulator(c)
+		}()
+	}
+}
+
 func TestNames(t *testing.T) {
 	c := New()
 	a := c.Input("alpha")

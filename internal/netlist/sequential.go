@@ -109,9 +109,7 @@ func (s *SequentialSimulator) Step(inputs []uint64) ([]uint64, error) {
 	for i, ff := range c.FFs {
 		s.sim.values[ff.Q] = s.sim.apply(ff.Q, s.state[i])
 	}
-	if err := s.sim.runGates(); err != nil {
-		return nil, err
-	}
+	s.sim.runCompiled()
 	out := make([]uint64, len(c.Outputs))
 	for i, n := range c.Outputs {
 		out[i] = s.sim.values[n]

@@ -46,30 +46,29 @@ type Simulator struct {
 	forced1 []uint64
 	// dirtyNets tracks nets with nonzero masks so Clear is O(active).
 	dirtyNets []NetID
-	// prog is the compiled instruction stream (see compiled.go); nil
-	// when the circuit holds a gate type the compiler does not know,
-	// which routes runGates through the interpreting fallback.
+	// prog is the compiled instruction stream (see compiled.go).
 	prog *program
 }
 
 // NewSimulator returns a simulator for c. The circuit must be valid
-// (builder-produced circuits always are).
+// (builder-produced circuits always are); it panics on a gate type
+// Validate rejects.
 func NewSimulator(c *Circuit) *Simulator {
+	prog := compileProgram(c)
+	if prog == nil {
+		panic("netlist: NewSimulator on a circuit with an unknown gate type")
+	}
 	return &Simulator{
 		c:       c,
 		values:  make([]uint64, c.NumNets()),
 		forced0: make([]uint64, c.NumNets()),
 		forced1: make([]uint64, c.NumNets()),
-		prog:    compileProgram(c),
+		prog:    prog,
 	}
 }
 
 // Circuit returns the simulated circuit.
 func (s *Simulator) Circuit() *Circuit { return s.c }
-
-// Compiled reports whether the circuit was lowered to the compiled
-// instruction stream (which a Propagator requires as well).
-func (s *Simulator) Compiled() bool { return s.prog != nil }
 
 // HasFaults reports whether any fault is injected.
 func (s *Simulator) HasFaults() bool { return len(s.dirtyNets) > 0 }
@@ -79,9 +78,7 @@ func (s *Simulator) ClearFaults() {
 	for _, n := range s.dirtyNets {
 		s.forced0[n] = 0
 		s.forced1[n] = 0
-		if s.prog != nil {
-			s.prog.setForced(n, false)
-		}
+		s.prog.setForced(n, false)
 	}
 	s.dirtyNets = s.dirtyNets[:0]
 }
@@ -96,9 +93,7 @@ func (s *Simulator) InjectFault(f Fault, laneMask uint64) error {
 	if s.forced0[f.Net] == 0 && s.forced1[f.Net] == 0 {
 		s.dirtyNets = append(s.dirtyNets, f.Net)
 	}
-	if s.prog != nil {
-		s.prog.setForced(f.Net, true)
-	}
+	s.prog.setForced(f.Net, true)
 	if f.Stuck == StuckAt0 {
 		s.forced0[f.Net] |= laneMask
 	} else {
@@ -123,65 +118,12 @@ func (s *Simulator) Run(inputs []uint64) ([]uint64, error) {
 	for i, n := range s.c.Inputs {
 		s.values[n] = s.apply(n, inputs[i])
 	}
-	if err := s.runGates(); err != nil {
-		return nil, err
-	}
+	s.runCompiled()
 	out := make([]uint64, len(s.c.Outputs))
 	for i, n := range s.c.Outputs {
 		out[i] = s.values[n]
 	}
 	return out, nil
-}
-
-// runGates evaluates the combinational gates in topological order,
-// applying fault overrides. The compiled stream is the hot path; the
-// Gate-slice interpreter below remains as the fallback for circuits
-// the compiler refused (and is the reference the compiled path is
-// tested against).
-func (s *Simulator) runGates() error {
-	if s.prog != nil {
-		s.runCompiled()
-		return nil
-	}
-	for _, g := range s.c.Gates {
-		var v uint64
-		switch g.Type {
-		case And, Nand:
-			v = ^uint64(0)
-			for _, in := range g.In {
-				v &= s.values[in]
-			}
-			if g.Type == Nand {
-				v = ^v
-			}
-		case Or, Nor:
-			for _, in := range g.In {
-				v |= s.values[in]
-			}
-			if g.Type == Nor {
-				v = ^v
-			}
-		case Xor, Xnor:
-			for _, in := range g.In {
-				v ^= s.values[in]
-			}
-			if g.Type == Xnor {
-				v = ^v
-			}
-		case Not:
-			v = ^s.values[g.In[0]]
-		case Buf:
-			v = s.values[g.In[0]]
-		case Const0:
-			v = 0
-		case Const1:
-			v = ^uint64(0)
-		default:
-			return fmt.Errorf("netlist: unknown gate type %v", g.Type)
-		}
-		s.values[g.Out] = s.apply(g.Out, v)
-	}
-	return nil
 }
 
 // Value returns the current word on net n after the last Run.

@@ -42,11 +42,14 @@ func TestWorkerReDecidesNearThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := probe.fast.PowerSpectrum(r, fs)
+		if _, err := probe.rs.Load(r, nil); err != nil {
+			t.Fatal(err)
+		}
+		p, err := probe.rs.Spectrum()
 		if err != nil {
 			t.Fatal(err)
 		}
-		devFast, _, ok := det.fastDeviation(s, probe.fast.ErrorBound(), 0)
+		devFast, _, ok := det.fastDeviation(p, probe.rs.SpectrumBound(), 0)
 		devRef, _, err := det.Deviation(r)
 		if err != nil {
 			t.Fatal(err)

@@ -169,7 +169,7 @@ func (d *Detector) CalibrateFloor(noisyGood []int64, safety float64) error {
 	// Use the largest observed deviation as the floor so a healthy
 	// noisy device can never flag on its own noise, then apply the
 	// safety factor for device-to-device spread.
-	worst, _ := d.deviationOf(s)
+	worst, _ := d.deviationOf(s.Power)
 	d.FloorPower = worst * safety
 	return nil
 }
@@ -232,12 +232,13 @@ func (d *Detector) spectrumFor(rec []int64, sc *Scratch) (*dsp.Spectrum, error) 
 }
 
 // deviationOf returns the largest per-bin deviation of the normalized
-// spectrum s from the reference over the compared bins, and its bin.
-func (d *Detector) deviationOf(s *dsp.Spectrum) (float64, int) {
-	g := d.gain(s.Power)
+// power spectrum p from the reference over the compared bins, and its
+// bin.
+func (d *Detector) deviationOf(p []float64) (float64, int) {
+	g := d.gain(p)
 	worst, worstBin := 0.0, -1
 	for _, k := range d.compared {
-		dev := math.Abs(s.Power[k]*g - d.ref.Power[k])
+		dev := math.Abs(p[k]*g - d.ref.Power[k])
 		if dev > worst {
 			worst, worstBin = dev, k
 		}
@@ -262,7 +263,7 @@ func (d *Detector) DeviationScratch(rec []int64, sc *Scratch) (float64, int, err
 	if err != nil {
 		return 0, 0, err
 	}
-	worst, worstBin := d.deviationOf(s)
+	worst, worstBin := d.deviationOf(s.Power)
 	return worst, worstBin, nil
 }
 
@@ -313,18 +314,19 @@ func (d *Detector) Detect(good, faulty []int64) (bool, error) {
 //     transform at all;
 //   - the aliased probe (clearHit) reads every probeStride-th bin from
 //     the record folded mod NFFT/probeStride and the tone bins by
-//     direct DFT (dsp.ProbeScratch); when a probed bin exceeds the
-//     threshold by more than the probe's error, the record is detected.
+//     direct DFT; when a probed bin exceeds the threshold by more than
+//     the probe's error, the record is detected.
 //
 // A record neither screen decides takes the full path: the deviation
-// on dsp's fast real-input spectrum (RealSpectrumScratch), and a
-// record whose fast deviation lies within δ of the threshold is
-// re-decided on the reference transform (DetectRecord). δ bounds
+// on the fast real-input spectrum, and a record whose fast deviation
+// lies within δ of the threshold is re-decided on the reference
+// transform, with DetectRecord's arithmetic. δ bounds
 // |dev_fast − dev_ref| (see fastDeviation), so outside it both
 // deviations fall on the same side of the threshold. Every route's
-// verdict is therefore Detect's by construction. The worker's scratch
-// is built here and never in NewDetector, so a detector that only
-// serves Detect pays nothing for it.
+// verdict is therefore Detect's by construction. Every route reads the
+// one windowed record of a dsp.RecordScratch. The worker's scratch is
+// built here and never in NewDetector, so a detector that only serves
+// Detect pays nothing for it.
 func (d *Detector) NewWorkerDetect() (func(good, faulty []int64) (bool, error), error) {
 	w, err := d.newWorker(workerMargins)
 	if err != nil {
@@ -374,15 +376,14 @@ const probeStride = 8
 
 // worker is one goroutine's detection state behind NewWorkerDetect.
 type worker struct {
-	d    *Detector
-	fast *dsp.RealSpectrumScratch
-	// ref is the reference transform: it re-decides near-threshold
-	// records and computes the good record's amplitudes. Built on
-	// first use.
-	ref *Scratch
-	// probe windows each record and reads the probed bins; nil (no
-	// screens) when the record is too short to fold.
-	probe *dsp.ProbeScratch
+	d *Detector
+	// rs windows each record once and serves every route's view of
+	// it: the bound screen's L1 and energy, the probe, the fast
+	// spectrum and the reference spectrum.
+	rs *dsp.RecordScratch
+	// screens is false when the record is too short to fold: every
+	// record then takes the full path.
+	screens bool
 	// probed lists the compared bins that are multiples of
 	// probeStride, taken when the compared list had nCompared bins.
 	// ExcludeFrequency only ever shortens that list, so a length change
@@ -407,16 +408,17 @@ type worker struct {
 }
 
 func (d *Detector) newWorker(m margins) (*worker, error) {
-	fast, err := dsp.NewRealSpectrumScratch(d.n, dsp.BlackmanHarris)
-	if err != nil {
+	w := &worker{d: d, m: m, screens: d.ref.NFFT >= 2*probeStride}
+	stride, bins := 0, []int(nil)
+	if w.screens {
+		stride, bins = probeStride, d.toneBins
+	}
+	var err error
+	if w.rs, err = dsp.NewRecordScratch(d.n, dsp.BlackmanHarris, stride, bins); err != nil {
 		return nil, err
 	}
-	w := &worker{d: d, fast: fast, m: m}
-	if d.ref.NFFT < 2*probeStride {
+	if !w.screens {
 		return w, nil
-	}
-	if w.probe, err = dsp.NewProbeScratch(d.n, dsp.BlackmanHarris, probeStride, d.toneBins); err != nil {
-		return nil, err
 	}
 	w.probed = make([]int, 0, len(d.compared)/probeStride+1)
 	w.takeBins()
@@ -446,11 +448,11 @@ func (w *worker) detect(good, faulty []int64) (bool, error) {
 		return false, fmt.Errorf("spectest: record length %d != reference %d", len(faulty), d.n)
 	}
 	thr := d.threshold()
-	if w.probe != nil {
+	var base []float64
+	if w.screens {
 		if len(d.compared) != w.nCompared {
 			w.takeBins()
 		}
-		var base []float64
 		if len(good) == d.n {
 			if !w.based || !sameCodes(good, w.good) {
 				if err := w.rebase(good); err != nil {
@@ -459,15 +461,17 @@ func (w *worker) detect(good, faulty []int64) (bool, error) {
 			}
 			base = w.xb
 		}
-		l1, err := w.probe.Load(faulty, base)
-		if err != nil {
-			return false, err
-		}
+	}
+	l1, err := w.rs.Load(faulty, base)
+	if err != nil {
+		return false, err
+	}
+	if w.screens {
 		if base != nil && w.clearMiss(l1, thr) {
 			w.routes.Bound++
 			return false, nil
 		}
-		strided, direct, err := w.probe.Probe()
+		strided, direct, err := w.rs.Probe()
 		if err != nil {
 			return false, err
 		}
@@ -477,47 +481,42 @@ func (w *worker) detect(good, faulty []int64) (bool, error) {
 		}
 	}
 	w.routes.Full++
-	s, err := w.fast.PowerSpectrum(faulty, d.SampleRate)
+	p, err := w.rs.Spectrum()
 	if err != nil {
 		return false, err
 	}
-	if dev, delta, ok := d.fastDeviation(s, w.fast.ErrorBound(), w.m.delta); ok && math.Abs(dev-thr) > delta {
+	if dev, delta, ok := d.fastDeviation(p, w.rs.SpectrumBound(), w.m.delta); ok && math.Abs(dev-thr) > delta {
 		return dev > thr, nil
 	}
 	w.routes.Fallback++
-	if err := w.buildRef(); err != nil {
+	ref, err := w.rs.Reference()
+	if err != nil {
 		return false, err
 	}
-	return d.DetectRecord(faulty, w.ref)
+	dev, _ := d.deviationOf(ref)
+	return dev > thr, nil
 }
 
-func (w *worker) buildRef() (err error) {
-	if w.ref == nil {
-		w.ref, err = w.d.NewScratch()
-	}
-	return err
-}
-
-// rebase makes good the bound screen's base.
+// rebase makes good the bound screen's base. It leaves good loaded in
+// the scratch; the caller loads its record next.
 func (w *worker) rebase(good []int64) error {
 	d := w.d
 	w.based = false
-	if err := w.buildRef(); err != nil {
+	if _, err := w.rs.Load(good, nil); err != nil {
 		return err
 	}
-	s, err := d.spectrumFor(good, w.ref)
+	p, err := w.rs.Reference()
 	if err != nil {
 		return err
 	}
 	for i, k := range d.toneBins {
-		w.ampTone[i] = math.Sqrt(s.Power[k])
+		w.ampTone[i] = math.Sqrt(p[k])
 	}
 	for i, k := range d.compared {
-		w.amp[i] = math.Sqrt(s.Power[k])
+		w.amp[i] = math.Sqrt(p[k])
 	}
-	if w.eb, err = w.probe.Window(w.xb, good); err != nil {
-		return err
-	}
+	copy(w.xb, w.rs.Windowed())
+	w.eb = w.rs.Energy()
 	copy(w.good, good)
 	w.based = true
 	w.rebases++
@@ -530,7 +529,7 @@ const unitRoundoff = 0x1p-53
 // gammaOf is Higham's γ_k = ku/(1-ku).
 func gammaOf(k float64) float64 { return k * unitRoundoff / (1 - k*unitRoundoff) }
 
-// clearMiss reports whether the loaded record (w.probe), at windowed
+// clearMiss reports whether the loaded record (w.rs), at windowed
 // L1 distance l1 from the base, is certainly undetected: whether, in
 // every compared bin, every power its reference spectrum can take
 // given the base lies within thr of the reference. The bound, with
@@ -565,7 +564,7 @@ func (w *worker) clearMiss(l1, thr float64) bool {
 	const u = unitRoundoff
 	nfft := float64(d.ref.NFFT)
 	gN := gammaOf(nfft + 2)
-	sf := math.Sqrt(nfft * w.probe.Energy() * (1 + gN))
+	sf := math.Sqrt(nfft * w.rs.Energy() * (1 + gN))
 	sb := math.Sqrt(nfft * w.eb * (1 + gN))
 	bigE := l1*(1+mg*gN) + mg*dsp.ReferenceBinError(d.ref.NFFT)*(sf+sb)
 	scale := 1 / (d.ref.ProcessingGain * float64(d.n))
@@ -628,13 +627,13 @@ func sameCodes(a, b []int64) bool {
 // certainly show a detection: whether some probed compared bin's
 // deviation exceeds thr by more than margin·(the bound on
 // |dev_probe − dev_ref| at that bin). The bound is fastDeviation's,
-// with the probe's per-bin error (dsp.ProbeScratch.ErrorBound, which
+// with the probe's per-bin error (dsp.RecordScratch.ProbeBound, which
 // covers the direct tone bins too) as ebin and q the largest
 // normalized probed power. The reference's deviation at that bin then
 // exceeds thr, and Detect's maximum over all compared bins with it.
 func (w *worker) clearHit(strided, direct []float64, thr float64) bool {
 	d := w.d
-	ebin := w.probe.ErrorBound()
+	ebin := w.rs.ProbeBound()
 	var got float64
 	for _, p := range direct {
 		got += p
@@ -652,9 +651,9 @@ func (w *worker) clearHit(strided, direct []float64, thr float64) bool {
 	return dev-w.m.probe*deviationError(dev, q, g, rho, ebin) > thr
 }
 
-// fastDeviation is deviationOf on a fast spectrum s whose every bin is
-// within ebin of the reference spectrum of the same record
-// (dsp.RealSpectrumScratch.ErrorBound). It returns the fast deviation
+// fastDeviation is deviationOf on a fast power spectrum p whose every
+// bin is within ebin of the reference spectrum of the same record
+// (dsp.RecordScratch.SpectrumBound). It returns the fast deviation
 // and δ = margin·(a bound on |dev_fast − dev_ref|), or ok = false when
 // no bound holds because the record's tone power is within twice its
 // error of zero (the reference might then skip the normalization the
@@ -676,10 +675,10 @@ func (w *worker) clearHit(strided, direct []float64, thr float64) bool {
 //     |dev_f − dev_r| ≤ D + u·(2·dev_f + D).
 //
 // ebin scales with the record's windowed energy (Parseval), so δ does.
-func (d *Detector) fastDeviation(s *dsp.Spectrum, ebin, margin float64) (dev, delta float64, ok bool) {
+func (d *Detector) fastDeviation(p []float64, ebin, margin float64) (dev, delta float64, ok bool) {
 	var got float64
 	for _, k := range d.toneBins {
-		got += s.Power[k]
+		got += p[k]
 	}
 	g, rho, ok := d.gainBound(got, ebin)
 	if !ok {
@@ -687,7 +686,7 @@ func (d *Detector) fastDeviation(s *dsp.Spectrum, ebin, margin float64) (dev, de
 	}
 	var q float64
 	for _, k := range d.compared {
-		v := s.Power[k] * g
+		v := p[k] * g
 		q = max(q, v)
 		dev = max(dev, math.Abs(v-d.ref.Power[k]))
 	}
