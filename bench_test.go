@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -283,38 +282,6 @@ func BenchmarkFaultCollapse(b *testing.B) {
 		ratio = float64(coll.Size()) / float64(full.Size())
 	}
 	b.ReportMetric(ratio, "collapsed/full")
-}
-
-// BenchmarkFFTvsGoertzelFFT measures full-spectrum FFT tone
-// measurement (compare with BenchmarkFFTvsGoertzelGoertzel for the
-// sparse two-bin case).
-func BenchmarkFFTvsGoertzelFFT(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, 4096)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := dsp.PowerSpectrum(x, 1e6, dsp.Rectangular)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = s.Power[100] + s.Power[200]
-	}
-}
-
-// BenchmarkFFTvsGoertzelGoertzel measures two Goertzel bins directly.
-func BenchmarkFFTvsGoertzelGoertzel(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, 4096)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = dsp.GoertzelPower(x, 100) + dsp.GoertzelPower(x, 200)
-	}
 }
 
 // BenchmarkLossAnalyticVsMC compares the closed-form loss integration

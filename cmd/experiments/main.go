@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "experiments: debug server on http://%s (metrics, trace, debug/pprof)\n", addr)
 		}
 		defer func() {
-			if err := writeObsReport(reg, stderr, *metrics || *obsOut != "", *trace, *obsOut); err != nil {
+			if err := reg.WriteReport(stderr, *metrics || *obsOut != "", *trace, *obsOut); err != nil {
 				fmt.Fprintln(stderr, "experiments:", err)
 			}
 		}()
@@ -202,29 +202,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// writeObsReport emits the -metrics and/or -trace run report to
-// stderr, or to the -obs-out file when given (metrics implied then).
-func writeObsReport(reg *obs.Registry, stderr io.Writer, metrics, trace bool, outPath string) error {
-	w := stderr
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if metrics {
-		if err := reg.WriteText(w); err != nil {
-			return err
-		}
-	}
-	if trace {
-		if err := reg.WriteTrace(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -130,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "mstx: debug server on http://%s (metrics, trace, debug/pprof)\n", addr)
 		}
 		defer func() {
-			if err := writeObsReport(reg, stderr, *metrics || *obsOut != "", *trace, *obsOut); err != nil {
+			if err := reg.WriteReport(stderr, *metrics || *obsOut != "", *trace, *obsOut); err != nil {
 				fmt.Fprintln(stderr, "mstx:", err)
 			}
 		}()
@@ -284,31 +284,6 @@ func printMCLosses(ctx context.Context, w io.Writer, plan *translate.Plan, sampl
 		fmt.Fprintf(w, ")\n")
 	}
 	fmt.Fprintln(w)
-	return nil
-}
-
-// writeObsReport emits the -metrics and/or -trace run report to
-// stderr, or to the -obs-out file when given (metrics implied then).
-func writeObsReport(reg *obs.Registry, stderr io.Writer, metrics, trace bool, outPath string) error {
-	w := stderr
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if metrics {
-		if err := reg.WriteText(w); err != nil {
-			return err
-		}
-	}
-	if trace {
-		if err := reg.WriteTrace(w); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

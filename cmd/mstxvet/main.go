@@ -64,10 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	diags, err := analysis.Vet(analysis.Config{
-		Root:         *root,
-		Dirs:         dirs,
-		WholeProgram: true,
-		Workers:      *workers,
+		Root:    *root,
+		Dirs:    dirs,
+		Workers: *workers,
 	}, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "mstxvet: %v\n", err)

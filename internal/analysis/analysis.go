@@ -13,12 +13,8 @@
 //   - determinism: no wall-clock reads, global math/rand draws, or
 //     map-iteration-ordered slice writes inside the engine packages
 //     whose state feeds the bit-identical checkpoint/resume contract.
-//   - failpointreg: every failpoint site is registered exactly once
-//     with a string literal and every registered site is fired, so
-//     chaos coverage can be derived instead of hand-pinned.
-//   - obsnil: obs calls on possibly-nil registries stay on the
-//     nil-safe fast path, and metric name literals are globally
-//     consistent (one kind, one geometry, one owning package).
+//   - obsnil: metric name literals are globally consistent (one kind,
+//     one geometry, one owning package).
 //
 // An invariant the compiler or a test can hold is left to them: the
 // server's job state and error class are defined types rather than
@@ -27,6 +23,12 @@
 // server's shutdown join by TestShutdownJoinsWorkers; mcengine's pool
 // by every engine test, since its workers merge the results), and
 // deadlocks are left to -race, the chaos suites and the soak.
+// Failpoints are the resilient.Failpoint type, which only
+// resilient.Site makes and which panics on a name registered twice;
+// the chaos soak (internal/server TestChaosSoak) arms every site
+// resilient.Sites lists and fails on one never hit. That disabled
+// observability is free is internal/obs TestNilReceiversAreNoOps,
+// which calls every exported obs method on a nil receiver.
 //
 // The cmd/mstxvet driver runs the catalog over ./... with vet-style
 // file:line diagnostics; scripts/check.sh gates merges on a clean run.
@@ -90,7 +92,6 @@ func Catalog() []*Analyzer {
 		newNakedgo(),
 		newCtxflow(),
 		newDeterminism(),
-		newFailpointreg(),
 		newObsnil(),
 	}
 }

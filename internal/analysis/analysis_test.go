@@ -114,35 +114,6 @@ func TestExpandDirsSkipsNestedModules(t *testing.T) {
 	}
 }
 
-// TestFailpointSites: the static site extraction the chaos suite
-// builds its completeness assertion from must see every engine site.
-func TestFailpointSites(t *testing.T) {
-	sites, err := FailpointSites(repoRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		"campaign.detect_batch",
-		"campaign.sim_batch",
-		"mcengine.lane",
-		"resilient.checkpoint.save",
-	}
-	have := map[string]bool{}
-	for _, s := range sites {
-		have[s] = true
-	}
-	for _, w := range want {
-		if !have[w] {
-			t.Errorf("FailpointSites missing %q (got %v)", w, sites)
-		}
-	}
-	for i := 1; i < len(sites); i++ {
-		if sites[i-1] >= sites[i] {
-			t.Fatalf("FailpointSites not sorted/deduped: %v", sites)
-		}
-	}
-}
-
 // TestVetRealPackagesClean runs the full catalog over two real,
 // foundational packages as a partial load; the whole-repo self-clean
 // run is gated by scripts/check.sh.
@@ -163,8 +134,8 @@ func TestVetRealPackagesClean(t *testing.T) {
 // per-Vet state never leaks between runs.
 func TestCatalogFresh(t *testing.T) {
 	a, b := Catalog(), Catalog()
-	if len(a) != 5 || len(b) != 5 {
-		t.Fatalf("catalog size = %d, %d; want 5", len(a), len(b))
+	if len(a) != 4 || len(b) != 4 {
+		t.Fatalf("catalog size = %d, %d; want 4", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] == b[i] {
@@ -185,7 +156,7 @@ func TestStdlibSharedAcrossLoads(t *testing.T) {
 	root := repoRoot(t)
 	fixRoot := fixtureDir(t, "src", "nakedgo")
 	dirs := fixturePackages(t, fixRoot)
-	cfg := Config{Root: root, FixtureRoot: fixRoot, Dirs: dirs, WholeProgram: true}
+	cfg := Config{Root: root, FixtureRoot: fixRoot, Dirs: dirs}
 	var first, second *Program
 	var firstErr, secondErr error
 	var wg sync.WaitGroup

@@ -12,10 +12,10 @@ import (
 // The fixture harness: every analyzer owns a fixture tree under
 // testdata/src/<name>/ whose files carry `// want `+"`regexp`"+`
 // markers on the lines the analyzer must flag. The harness runs the
-// analyzer (alone) over all fixture packages with whole-program checks
-// on, then requires a one-to-one match between markers and surviving
-// diagnostics — an unexpected finding fails as loudly as a missing
-// one, and a suppressed finding must not appear at all.
+// analyzer (alone) over all fixture packages, then requires a
+// one-to-one match between markers and surviving diagnostics — an
+// unexpected finding fails as loudly as a missing one, and a
+// suppressed finding must not appear at all.
 
 // wantRe matches `// want `regexp“ markers in fixture sources.
 var wantRe = regexp.MustCompile("// want `([^`]+)`")
@@ -35,10 +35,9 @@ func TestAnalyzerFixtures(t *testing.T) {
 			fixRoot := filepath.Join(root, "internal", "analysis", "testdata", "src", name)
 			dirs := fixturePackages(t, fixRoot)
 			diags, err := Vet(Config{
-				Root:         root,
-				FixtureRoot:  fixRoot,
-				Dirs:         dirs,
-				WholeProgram: true,
+				Root:        root,
+				FixtureRoot: fixRoot,
+				Dirs:        dirs,
 			}, []*Analyzer{catalogByName(t, name)})
 			if err != nil {
 				t.Fatalf("Vet: %v", err)

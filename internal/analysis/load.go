@@ -52,10 +52,6 @@ type Program struct {
 	// FixtureRoot, when set, resolves bare import paths (and target
 	// dirs) under a testdata tree instead of the module.
 	FixtureRoot string
-	// WholeProgram marks a load that covers every package of the tree,
-	// enabling cross-package completeness checks (e.g. "site registered
-	// but never fired") that would false-positive on a partial load.
-	WholeProgram bool
 	// Targets are the packages the analyzers visit, in path order.
 	Targets []*Package
 
@@ -73,24 +69,31 @@ type Program struct {
 var (
 	stdMu   sync.Mutex
 	stdFset = token.NewFileSet()
-	stdImp  = importer.ForCompiler(stdFset, "source", nil)
+	stdImp  = newStdImporter(stdFset)
 )
 
-// LookupByName returns every loaded package whose package name matches
-// (e.g. "obs" finds both the real obs package and a fixture stub).
-func (p *Program) LookupByName(name string) []*Package {
-	var out []*Package
-	paths := make([]string, 0, len(p.pkgs))
-	for path := range p.pkgs {
-		paths = append(paths, path)
+// stdImporter memoizes the source importer by import path. The source
+// importer finds a cached package only after resolving the path with
+// go/build, which lists and reads the package's directory again on
+// every call; the path alone keys the result (see above).
+type stdImporter struct {
+	src  types.Importer
+	pkgs map[string]*types.Package
+}
+
+func newStdImporter(fset *token.FileSet) *stdImporter {
+	return &stdImporter{src: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*types.Package{}}
+}
+
+func (s *stdImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := s.pkgs[path]; ok {
+		return pkg, nil
 	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if pkg := p.pkgs[path]; pkg.Types != nil && pkg.Types.Name() == name {
-			out = append(out, pkg)
-		}
+	pkg, err := s.src.Import(path)
+	if err == nil {
+		s.pkgs[path] = pkg
 	}
-	return out
+	return pkg, err
 }
 
 // Config tells Load what to bring in.
@@ -103,8 +106,6 @@ type Config struct {
 	// Dirs are the target package directories, relative to Root (or to
 	// FixtureRoot when set) or absolute.
 	Dirs []string
-	// WholeProgram enables cross-package completeness checks.
-	WholeProgram bool
 	// Workers bounds the Vet worker pool for Parallel analyzers;
 	// 0 means GOMAXPROCS-many. Findings are identical for any value.
 	Workers int
@@ -128,14 +129,13 @@ func Load(cfg Config) (*Program, error) {
 	fset, std := stdFset, stdImp
 	stdMu.Unlock()
 	prog := &Program{
-		Fset:         fset,
-		Root:         root,
-		Module:       module,
-		FixtureRoot:  cfg.FixtureRoot,
-		WholeProgram: cfg.WholeProgram,
-		pkgs:         map[string]*Package{},
-		loading:      map[string]bool{},
-		std:          std,
+		Fset:        fset,
+		Root:        root,
+		Module:      module,
+		FixtureRoot: cfg.FixtureRoot,
+		pkgs:        map[string]*Package{},
+		loading:     map[string]bool{},
+		std:         std,
 	}
 	if prog.FixtureRoot != "" {
 		if prog.FixtureRoot, err = filepath.Abs(prog.FixtureRoot); err != nil {

@@ -5,25 +5,18 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// newObsnil builds the obsnil analyzer. The observability layer's core
-// contract (DESIGN.md §8) is that disabled observability is free: a
-// nil registry and nil handles flow through every instrumented call
-// site as no-ops. Two rules protect it:
-//
-//  1. A method invoked on a possibly-nil obs value — the direct result
-//     of obs.Default(), or a variable assigned from it — must itself
-//     be nil-safe (receiver-guarded, or delegating to a nil-safe
-//     sibling), unless the call sits inside an `if x != nil` branch.
-//     Otherwise the first -metrics-less run panics in production.
-//
-//  2. Metric name literals are a global namespace: one name must map
-//     to one metric kind (counter xor gauge xor histogram), one
-//     histogram geometry, and one owning package — otherwise merges,
-//     dashboards and the Prometheus exposition silently alias
-//     different series.
+// newObsnil builds the obsnil analyzer. Metric name literals are a
+// global namespace: one name must map to one metric kind (counter xor
+// gauge xor histogram), one histogram geometry, and one owning package
+// — otherwise merges, dashboards and the Prometheus exposition
+// silently alias different series. (That disabled observability is
+// free — every exported obs method a no-op on a nil receiver — is
+// TestNilReceiversAreNoOps in internal/obs, which calls each method on
+// nil whatever the call site.)
 func newObsnil() *Analyzer {
 	type site struct {
 		pkg  string
@@ -34,53 +27,29 @@ func newObsnil() *Analyzer {
 	metricSites := map[string][]site{}
 	a := &Analyzer{
 		Name: "obsnil",
-		Doc:  "possibly-nil obs registries must stay on the nil-safe path; metric names must be globally consistent",
+		Doc:  "metric names must be globally consistent: one kind, one histogram geometry, one owning package",
 	}
-	var safe map[*types.Func]bool
 	a.Run = func(prog *Program, pkg *Package, report Reporter) {
-		if pkg.Types != nil && pkg.Types.Name() == "obs" {
-			return // the registry's own internals manage nil explicitly
-		}
-		if safe == nil {
-			safe = nilSafeMethods(prog)
-		}
 		info := pkg.Info
 		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				maybeNil := possiblyNilObs(info, fd)
-				inspectWithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					fn, ok := info.Uses[sel.Sel].(*types.Func)
-					if !ok || !declaredIn(fn, "obs") {
-						return true
-					}
-					sig, _ := fn.Type().(*types.Signature)
-					if sig == nil || sig.Recv() == nil {
-						return true
-					}
-					recordMetricSite(call, fn, func(name string, kind string, geom string, pos token.Pos) {
-						metricSites[name] = append(metricSites[name], site{pkg: pkg.Path, kind: kind, geom: geom, pos: pos})
-					})
-					if safe[fn] {
-						return true
-					}
-					if nilState(info, sel.X, maybeNil, stack) {
-						report(call.Pos(), "method %s.%s is not nil-safe but the receiver may be nil (it comes from obs.Default()); guard with `if x != nil` or make the method nil-safe", recvTypeName(sig), fn.Name())
-					}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
-				})
-			}
+				}
+				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := info.Uses[sel.Sel].(*types.Func)
+				if !ok || !declaredIn(fn, "obs") {
+					return true
+				}
+				if name, geom, ok := metricRegistration(call, fn); ok {
+					metricSites[name] = append(metricSites[name], site{pkg: pkg.Path, kind: fn.Name(), geom: geom, pos: call.Pos()})
+				}
+				return true
+			})
 		}
 	}
 	a.Finish = func(prog *Program, report Reporter) {
@@ -120,23 +89,22 @@ func newObsnil() *Analyzer {
 	return a
 }
 
-// recordMetricSite records Counter/Gauge/Histogram registrations with
-// literal names for the Finish-phase namespace checks.
-func recordMetricSite(call *ast.CallExpr, fn *types.Func, add func(name, kind, geom string, pos token.Pos)) {
+// metricRegistration matches a Counter/Gauge/Histogram registration
+// on an obs registry with a literal name, for the Finish-phase
+// namespace checks; geom is a histogram's geometry arguments.
+func metricRegistration(call *ast.CallExpr, fn *types.Func) (name, geom string, ok bool) {
 	switch fn.Name() {
 	case "Counter", "Gauge", "Histogram":
 	default:
-		return
+		return "", "", false
 	}
 	// Only registry-level registrations, not handle methods.
 	if !strings.HasSuffix(recvTypeNameOf(fn), "Registry") {
-		return
+		return "", "", false
 	}
-	name, ok := stringLit(call)
-	if !ok {
-		return
+	if name, ok = stringLit(call); !ok {
+		return "", "", false
 	}
-	geom := ""
 	if fn.Name() == "Histogram" && len(call.Args) > 1 {
 		parts := make([]string, 0, len(call.Args)-1)
 		for _, arg := range call.Args[1:] {
@@ -144,171 +112,16 @@ func recordMetricSite(call *ast.CallExpr, fn *types.Func, add func(name, kind, g
 		}
 		geom = strings.Join(parts, ",")
 	}
-	add(name, fn.Name(), geom, call.Pos())
+	return name, geom, true
 }
 
-// possiblyNilObs collects the objects in fd assigned from
-// obs.Default() — the values that are nil whenever observability is
-// disabled.
-func possiblyNilObs(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	ast.Inspect(fd, func(n ast.Node) bool {
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		if len(asg.Lhs) != len(asg.Rhs) {
-			return true
-		}
-		for i, rhs := range asg.Rhs {
-			if !isDefaultCall(info, rhs) {
-				continue
-			}
-			if id, ok := ast.Unparen(asg.Lhs[i]).(*ast.Ident); ok {
-				if obj := info.ObjectOf(id); obj != nil {
-					out[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// isDefaultCall matches obs.Default().
-func isDefaultCall(info *types.Info, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
+// recvTypeNameOf names the receiver's type of method fn, through a
+// pointer ("Registry" for (*Registry).Counter), or "" for a function.
+func recvTypeNameOf(fn *types.Func) string {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return ""
 	}
-	fn := calleeFunc(info, call)
-	return fn != nil && fn.Name() == "Default" && declaredIn(fn, "obs")
-}
-
-// nilState reports whether the receiver expression may be nil at this
-// call: it is obs.Default() itself, or an ident tracked as
-// possibly-nil that is not inside an `if x != nil` then-branch.
-func nilState(info *types.Info, recv ast.Expr, maybeNil map[types.Object]bool, stack []ast.Node) bool {
-	if isDefaultCall(info, recv) {
-		return true
-	}
-	id, ok := ast.Unparen(recv).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := info.ObjectOf(id)
-	if obj == nil || !maybeNil[obj] {
-		return false
-	}
-	for i := len(stack) - 1; i > 0; i-- {
-		ifs, ok := stack[i-1].(*ast.IfStmt)
-		if !ok || stack[i] != ifs.Body {
-			continue
-		}
-		if condMentionsNil(info, ifs.Cond, obj, token.NEQ) {
-			return false
-		}
-	}
-	return true
-}
-
-// nilSafeMethods computes, for every package named obs in the program,
-// which pointer-receiver methods are nil-safe: value receivers are
-// trivially safe; a method whose first statement guards the receiver
-// against nil is safe; and a method whose whole body delegates to
-// nil-safe sibling methods on the same receiver is safe (fixed point,
-// so Counter.Inc -> Counter.Add chains resolve).
-func nilSafeMethods(prog *Program) map[*types.Func]bool {
-	safe := map[*types.Func]bool{}
-	type decl struct {
-		fn   *types.Func
-		fd   *ast.FuncDecl
-		recv types.Object
-		info *types.Info
-	}
-	var decls []decl
-	for _, pkg := range prog.LookupByName("obs") {
-		if pkg.Info == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				sig := fn.Type().(*types.Signature)
-				if _, isPtr := sig.Recv().Type().(*types.Pointer); !isPtr {
-					safe[fn] = true // value receiver: nil cannot reach it
-					continue
-				}
-				var recvObj types.Object
-				if names := fd.Recv.List[0].Names; len(names) == 1 {
-					recvObj = pkg.Info.Defs[names[0]]
-				}
-				if recvObj != nil && fd.Body != nil && len(fd.Body.List) > 0 {
-					if ifs, ok := fd.Body.List[0].(*ast.IfStmt); ok &&
-						condMentionsNil(pkg.Info, ifs.Cond, recvObj, token.EQL) {
-						safe[fn] = true
-						continue
-					}
-				}
-				decls = append(decls, decl{fn: fn, fd: fd, recv: recvObj, info: pkg.Info})
-			}
-		}
-	}
-	// Fixed point over pure delegation bodies.
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			if safe[d.fn] || d.fd.Body == nil || d.recv == nil || len(d.fd.Body.List) == 0 {
-				continue
-			}
-			all := true
-			for _, stmt := range d.fd.Body.List {
-				var call *ast.CallExpr
-				switch s := stmt.(type) {
-				case *ast.ExprStmt:
-					call, _ = ast.Unparen(s.X).(*ast.CallExpr)
-				case *ast.ReturnStmt:
-					if len(s.Results) == 1 {
-						call, _ = ast.Unparen(s.Results[0]).(*ast.CallExpr)
-					}
-				}
-				if call == nil {
-					all = false
-					break
-				}
-				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok {
-					all = false
-					break
-				}
-				recvID, ok := ast.Unparen(sel.X).(*ast.Ident)
-				if !ok || d.info.ObjectOf(recvID) != d.recv {
-					all = false
-					break
-				}
-				callee, ok := d.info.Uses[sel.Sel].(*types.Func)
-				if !ok || !safe[callee] {
-					all = false
-					break
-				}
-			}
-			if all {
-				safe[d.fn] = true
-				changed = true
-			}
-		}
-	}
-	return safe
-}
-
-func recvTypeName(sig *types.Signature) string {
 	t := sig.Recv().Type()
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
@@ -319,12 +132,20 @@ func recvTypeName(sig *types.Signature) string {
 	return t.String()
 }
 
-func recvTypeNameOf(fn *types.Func) string {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return ""
+// stringLit extracts a first-argument string literal from a call.
+func stringLit(call *ast.CallExpr) (string, bool) {
+	if len(call.Args) < 1 {
+		return "", false
 	}
-	return recvTypeName(sig)
+	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	if err != nil {
+		return "", false
+	}
+	return s, true
 }
 
 func joinKeys(m map[string]bool) string {

@@ -1,34 +1,13 @@
-// Package a is one half of the obsnil fixture: nil-safety at call
-// sites, plus its share of the metric-namespace collisions package b
-// completes.
+// Package a is one half of the obsnil namespace fixture: package b
+// completes each collision.
 package a
 
 import "obs"
 
-// Use exercises safe handles, guarded calls, and the unsafe path.
-func Use() {
-	reg := obs.Default()
-	reg.Counter("a_events_total").Inc()
-	reg.Ping()
-	reg.Nudge()
-	reg.MustFlush() // want `method Registry.MustFlush is not nil-safe`
-	reg.FlushAll()  // want `method Registry.FlushAll is not nil-safe`
-	if reg != nil {
-		reg.MustFlush() // guarded: allowed
-	}
-	if reg2 := obs.Default(); reg2 != nil {
-		reg2.MustFlush() // if-init guard: allowed
-	}
-}
-
-// Chain calls an unsafe method directly on obs.Default().
-func Chain() {
-	obs.Default().MustFlush() // want `method Registry.MustFlush is not nil-safe`
-}
-
 // Metrics registers this package's share of the collision names.
 func Metrics() {
 	reg := obs.Default()
+	reg.Counter("a_events_total")
 	reg.Counter("fx_mixed_total")                 // want `more than one kind`
 	reg.Histogram("fx_geom_seconds", 0, 1, 64)    // want `conflicting geometries`
 	reg.Counter("fx_owner_total")                 // want `registered from multiple packages`

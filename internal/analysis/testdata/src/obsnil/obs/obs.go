@@ -1,98 +1,27 @@
-// Package obs is a stand-in mirroring the nil-safety shapes of
-// mstx/internal/obs: guarded methods, delegating methods, and one
-// deliberately unsafe method, so the obsnil fixture can exercise the
-// classifier.
+// Package obs is a stand-in for mstx/internal/obs: the three
+// registration methods whose name literals the obsnil fixture checks.
 package obs
 
-// Registry is the metrics sink; nil means observability is disabled.
-type Registry struct {
-	counters map[string]*Counter
-}
+// Registry is the metrics sink.
+type Registry struct{}
 
-// Default returns the installed registry, nil when disabled.
+// Default returns the installed registry.
 func Default() *Registry { return nil }
 
-// Counter returns a named counter handle (nil-safe).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return &Counter{}
-}
+// Counter returns a named counter handle.
+func (r *Registry) Counter(name string) *Counter { return nil }
 
-// Gauge returns a named gauge handle (nil-safe).
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return &Gauge{}
-}
+// Gauge returns a named gauge handle.
+func (r *Registry) Gauge(name string) *Gauge { return nil }
 
-// Histogram returns a named histogram with the given geometry
-// (nil-safe).
-func (r *Registry) Histogram(name string, lo, hi float64, buckets int) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return &Histogram{}
-}
-
-// Sync is nil-safe by guard.
-func (r *Registry) Sync() {
-	if r == nil {
-		return
-	}
-}
-
-// Ping is nil-safe by delegation to Sync.
-func (r *Registry) Ping() { r.Sync() }
-
-// Nudge needs two fixed-point rounds: it delegates to Ping, which
-// delegates to Sync.
-func (r *Registry) Nudge() { r.Ping() }
-
-// MustFlush is deliberately not nil-safe.
-func (r *Registry) MustFlush() {
-	for _, c := range r.counters {
-		c.Add(0)
-	}
-}
-
-// FlushAll delegates to MustFlush and is therefore unsafe too.
-func (r *Registry) FlushAll() { r.MustFlush() }
+// Histogram returns a named histogram with the given geometry.
+func (r *Registry) Histogram(name string, lo, hi float64, buckets int) *Histogram { return nil }
 
 // Counter is a monotone counter handle.
-type Counter struct{ v int64 }
-
-// Add is nil-safe by guard.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
-// Inc is nil-safe by delegation to Add.
-func (c *Counter) Inc() { c.Add(1) }
+type Counter struct{}
 
 // Gauge is a set-point handle.
-type Gauge struct{ v float64 }
-
-// Set is nil-safe by guard.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
+type Gauge struct{}
 
 // Histogram is a bucketed distribution handle.
 type Histogram struct{}
-
-// Observe is nil-safe by guard.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	_ = v
-}

@@ -38,10 +38,10 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// Goertzel evaluates the DFT of real input x at a single bin k using
-// the Goertzel recurrence: DFT bin k, up to rounding. Useful when only
-// a handful of tone bins are needed.
-func Goertzel(x []float64, k int) complex128 {
+// goertzel evaluates the DFT of real input x at a single bin k using
+// the Goertzel recurrence: DFT bin k, up to rounding. PhaseAt reads
+// its one bin this way.
+func goertzel(x []float64, k int) complex128 {
 	n := len(x)
 	if n == 0 {
 		return 0
@@ -60,17 +60,4 @@ func Goertzel(x []float64, k int) complex128 {
 	re := s1*math.Cos(w) - s2
 	im := s1 * math.Sin(w)
 	return complex(re, im)
-}
-
-// GoertzelPower returns |X[k]|² / N² — the normalized power of bin k of
-// real input x, matching PowerSpectrum's scaling for a one-sided view
-// before the factor-of-two single-sided correction.
-func GoertzelPower(x []float64, k int) float64 {
-	n := float64(len(x))
-	if n == 0 {
-		return 0
-	}
-	c := Goertzel(x, k)
-	re, im := real(c), imag(c)
-	return (re*re + im*im) / (n * n)
 }

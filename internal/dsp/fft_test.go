@@ -202,9 +202,9 @@ func TestGoertzelMatchesDFT(t *testing.T) {
 		}
 		want := dft(cx)
 		for k := 0; k < n; k += 1 + n/8 {
-			got := Goertzel(x, k)
+			got := goertzel(x, k)
 			if cmplx.Abs(got-want[k]) > 1e-7*float64(n) {
-				t.Fatalf("Goertzel(n=%d, k=%d) = %v, want %v", n, k, got, want[k])
+				t.Fatalf("goertzel(n=%d, k=%d) = %v, want %v", n, k, got, want[k])
 			}
 		}
 	}
@@ -213,18 +213,15 @@ func TestGoertzelMatchesDFT(t *testing.T) {
 func TestGoertzelPhase(t *testing.T) {
 	// sin at exactly bin 1 of N=4 must give X[1] = -2j.
 	x := []float64{0, 1, 0, -1}
-	got := Goertzel(x, 1)
+	got := goertzel(x, 1)
 	if cmplx.Abs(got-complex(0, -2)) > 1e-12 {
-		t.Fatalf("Goertzel sine bin = %v, want (0,-2i)", got)
+		t.Fatalf("goertzel sine bin = %v, want (0,-2i)", got)
 	}
 }
 
 func TestGoertzelEmpty(t *testing.T) {
-	if Goertzel(nil, 0) != 0 {
-		t.Fatal("Goertzel(nil) != 0")
-	}
-	if GoertzelPower(nil, 0) != 0 {
-		t.Fatal("GoertzelPower(nil) != 0")
+	if goertzel(nil, 0) != 0 {
+		t.Fatal("goertzel(nil) != 0")
 	}
 }
 
@@ -235,23 +232,11 @@ func TestGoertzelPowerOnBinTone(t *testing.T) {
 		x[i] = 0.5 * math.Cos(2*math.Pi*10*float64(i)/float64(n))
 	}
 	// |X[k]|²/N² for amplitude A on-bin tone is (A/2)².
-	got := GoertzelPower(x, 10)
-	want := 0.25 * 0.25 * 0.25 // (A/2)² with A=0.5 -> 0.0625... (0.25)^2
-	want = (0.5 / 2) * (0.5 / 2)
+	c := goertzel(x, 10)
+	got := (real(c)*real(c) + imag(c)*imag(c)) / float64(n*n)
+	want := (0.5 / 2) * (0.5 / 2)
 	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("GoertzelPower = %g, want %g", got, want)
-	}
-}
-
-func BenchmarkGoertzelSingleBin1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	x := make([]float64, 1024)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Goertzel(x, 100)
+		t.Fatalf("|goertzel|²/N² = %g, want %g", got, want)
 	}
 }
 

@@ -307,17 +307,6 @@ func Mean(x []float64) float64 {
 	return sum / float64(len(x))
 }
 
-// PeakAbs returns the largest absolute sample value in x.
-func PeakAbs(x []float64) float64 {
-	var peak float64
-	for _, v := range x {
-		if a := math.Abs(v); a > peak {
-			peak = a
-		}
-	}
-	return peak
-}
-
 // CoherentBin returns a stimulus frequency that places exactly `cycles`
 // periods in a record of n samples at sampleRate — the coherent-sampling
 // condition that makes tones land on FFT bins. Choosing cycles odd (and
@@ -330,6 +319,6 @@ func CoherentBin(sampleRate float64, n, cycles int) float64 {
 // at bin k, computed via Goertzel. Useful for group-delay and offset
 // tests that need phase as well as magnitude.
 func PhaseAt(x []float64, k int) float64 {
-	c := Goertzel(x, k)
+	c := goertzel(x, k)
 	return math.Atan2(imag(c), real(c))
 }

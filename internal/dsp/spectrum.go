@@ -128,30 +128,6 @@ func AliasFrequency(f, fs float64) float64 {
 	return f
 }
 
-// TotalPower returns the sum of all bin powers — by Parseval's theorem
-// the mean-square value of the (windowed, gain-corrected) signal.
-func (s *Spectrum) TotalPower() float64 {
-	var sum float64
-	for _, p := range s.Power {
-		sum += p
-	}
-	return sum
-}
-
-// BandPower sums bin powers for frequencies in [fLo, fHi] inclusive.
-func (s *Spectrum) BandPower(fLo, fHi float64) float64 {
-	if fLo > fHi {
-		fLo, fHi = fHi, fLo
-	}
-	kLo := s.Bin(fLo)
-	kHi := s.Bin(fHi)
-	var sum float64
-	for k := kLo; k <= kHi && k < len(s.Power); k++ {
-		sum += s.Power[k]
-	}
-	return sum
-}
-
 // TonePower measures the power of a tone near frequency f by summing
 // a small neighborhood of ±spread bins around the nearest bin,
 // capturing leakage skirts for windowed, slightly off-bin tones.

@@ -82,9 +82,6 @@ func (h *Histogram) Observe(x float64) {
 	s.mu.Unlock()
 }
 
-// ObserveDuration folds a duration in seconds. Nil-safe.
-func (h *Histogram) ObserveDuration(seconds float64) { h.Observe(seconds) }
-
 // Snapshot merges the stripes into one exact, mergeable snapshot.
 // Nil-safe (returns the zero snapshot).
 func (h *Histogram) Snapshot() HistSnapshot {

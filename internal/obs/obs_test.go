@@ -7,6 +7,9 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -40,6 +43,41 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 	if r.Spans() != nil {
 		t.Error("nil registry has no spans")
+	}
+}
+
+// TestNilReceiversAreNoOps: disabled observability is free only if a
+// nil registry, and the nil handles it hands out, flow through every
+// instrumented call site. Every exported method of each handle type is
+// called on a nil receiver with zero-valued arguments and must return
+// without panicking, however the call site got its handle; a method
+// added later is covered with no edit here.
+func TestNilReceiversAreNoOps(t *testing.T) {
+	for _, recv := range []any{(*Registry)(nil), (*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil), (*SpanHandle)(nil)} {
+		v := reflect.ValueOf(recv)
+		typ := v.Type()
+		if typ.NumMethod() == 0 {
+			t.Fatalf("%s has no exported methods", typ)
+		}
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			args := []reflect.Value{v}
+			for j := 1; j < m.Type.NumIn(); j++ {
+				args = append(args, reflect.Zero(m.Type.In(j)))
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("(%s).%s on a nil receiver panicked: %v", typ, m.Name, p)
+					}
+				}()
+				if m.Type.IsVariadic() {
+					m.Func.CallSlice(args)
+				} else {
+					m.Func.Call(args)
+				}
+			}()
+		}
 	}
 }
 
@@ -390,6 +428,51 @@ func TestWriteTextExposition(t *testing.T) {
 	}
 	if !strings.Contains(tb.String(), "phase") {
 		t.Errorf("trace lacks the span:\n%s", tb.String())
+	}
+}
+
+// TestWriteReport: the report carries the sections asked for, in
+// metrics-then-trace order, on the writer or else in the file named by
+// path (the writer then stays empty), and a file that cannot be
+// created is an error.
+func TestWriteReport(t *testing.T) {
+	r := New()
+	r.Counter("runs_total").Inc()
+	_, sp := r.Span(context.Background(), "phase")
+	sp.End()
+	var full strings.Builder
+	if err := r.WriteReport(&full, true, true, ""); err != nil {
+		t.Fatal(err)
+	}
+	m, tr := strings.Index(full.String(), "runs_total 1"), strings.Index(full.String(), "TRACE")
+	if m < 0 || tr < m || !strings.Contains(full.String(), "phase") {
+		t.Fatalf("report on the writer lacks metrics then trace:\n%s", full.String())
+	}
+	for _, tc := range []struct {
+		metrics, trace bool
+		want           string
+	}{
+		{true, false, "# TYPE runs_total counter\nruns_total 1\n"},
+		{false, true, full.String()[tr:]},
+		{true, true, full.String()},
+		{false, false, ""},
+	} {
+		path := filepath.Join(t.TempDir(), "report.txt")
+		var w strings.Builder
+		if err := r.WriteReport(&w, tc.metrics, tc.trace, path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want || w.Len() != 0 {
+			t.Errorf("metrics=%v trace=%v: file %q, writer %q; want file %q", tc.metrics, tc.trace, got, w.String(), tc.want)
+		}
+	}
+	missing := filepath.Join(t.TempDir(), "no", "such", "dir", "report.txt")
+	if err := r.WriteReport(io.Discard, true, true, missing); err == nil {
+		t.Error("WriteReport into a missing directory returned nil")
 	}
 }
 

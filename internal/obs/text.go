@@ -4,8 +4,38 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 )
+
+// WriteReport writes a command's run report: the metrics text when
+// metrics is set, then the trace when trace is set. The report goes to
+// w, or to a file created at path when path is not empty; the file's
+// Close error is returned when nothing failed before it. Nil-safe: a
+// nil registry writes nothing (the file is still created).
+func (r *Registry) WriteReport(w io.Writer, metrics, trace bool, path string) (err error) {
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		w = f
+	}
+	if metrics {
+		if err := r.WriteText(w); err != nil {
+			return err
+		}
+	}
+	if trace {
+		return r.WriteTrace(w)
+	}
+	return nil
+}
 
 // WriteText renders the registry in the Prometheus text exposition
 // format (counters and gauges as plain samples, histograms as

@@ -12,12 +12,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
-	"strings"
 	"testing"
 	"time"
 
-	"mstx/internal/analysis"
 	"mstx/internal/campaign"
 	"mstx/internal/digital"
 	"mstx/internal/dsp"
@@ -27,40 +24,6 @@ import (
 	"mstx/internal/soc"
 	"mstx/internal/spectest"
 )
-
-// TestChaosSiteRegistryComplete pins the engine failpoint surface
-// against the statically extracted site list (the failpointreg
-// analyzer's extraction, exported as analysis.FailpointSites): the
-// runtime registry linked into this test binary must register exactly
-// the sites the source tree declares. Registering a site in a package
-// this suite does not import — i.e. does not give chaos coverage —
-// fails here, as does renaming one side without the other.
-func TestChaosSiteRegistryComplete(t *testing.T) {
-	want, err := analysis.FailpointSites("../..")
-	if err != nil {
-		t.Fatalf("static site extraction: %v", err)
-	}
-	if len(want) == 0 {
-		t.Fatal("static site extraction found no failpoint sites")
-	}
-	// Unit tests in this package register their own scratch sites
-	// (prefix "test."); the engine surface is everything else.
-	var got []string
-	for _, s := range resilient.Sites() {
-		if !strings.HasPrefix(s, "test.") {
-			got = append(got, s)
-		}
-	}
-	sort.Strings(want)
-	if len(got) != len(want) {
-		t.Fatalf("registered sites %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("registered sites %v, want %v", got, want)
-		}
-	}
-}
 
 // chaosExact builds the exact-compare campaign engine over a small
 // uncollapsed gate-level FIR (several batches).

@@ -1,6 +1,7 @@
 package resilient
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,17 +16,27 @@ var (
 	sites   = map[string]struct{}{}
 )
 
-// Site registers a failpoint site name and returns it. Engines declare
-// their sites as package-level variables:
+// Failpoint is a registered failpoint site. Only Site makes one, so
+// every Fire names a site the registry, and with it the chaos soak,
+// knows about. Failpoints.Set, Hits and Applied take the site's name.
+type Failpoint struct{ name string }
+
+// Site registers a failpoint site name and returns its Failpoint.
+// Engines declare their sites as package-level variables:
 //
 //	var fpLane = resilient.Site("mcengine.lane")
 //
-// so the set of sites is complete after package initialization.
-func Site(name string) string {
+// so the set of sites is complete after package initialization. A
+// name registers once: a second Site call with the same name panics,
+// so a binary that links two registrations of one name fails at init.
+func Site(name string) Failpoint {
 	sitesMu.Lock()
 	defer sitesMu.Unlock()
+	if _, dup := sites[name]; dup {
+		panic(fmt.Sprintf("resilient: failpoint site %q registered twice", name))
+	}
 	sites[name] = struct{}{}
-	return name
+	return Failpoint{name}
 }
 
 // Sites returns every registered failpoint site name, sorted.
@@ -122,16 +133,21 @@ var active atomic.Pointer[Failpoints]
 // everything again. Tests must Install(nil) when done (defer it).
 func Install(f *Failpoints) { active.Store(f) }
 
-// Fire evaluates the failpoint at site: with no set installed it
-// returns nil immediately; otherwise it counts the hit and applies the
-// armed action, if any — sleeping Delay, then panicking with
-// PanicValue or returning Err.
-func Fire(site string) error {
+// Fire evaluates the failpoint fp: with no set installed it returns
+// nil immediately; otherwise it counts the hit and applies the armed
+// action, if any — sleeping Delay, then panicking with PanicValue or
+// returning Err. The zero Failpoint, which Site never returns, panics
+// once a set is installed, so chaos tests cannot miss an unregistered
+// site.
+func Fire(fp Failpoint) error {
 	f := active.Load()
 	if f == nil {
 		return nil
 	}
-	return f.fire(site)
+	if fp.name == "" {
+		panic("resilient: Fire on a Failpoint that Site did not return")
+	}
+	return f.fire(fp.name)
 }
 
 func (f *Failpoints) fire(site string) error {

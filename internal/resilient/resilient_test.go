@@ -3,7 +3,6 @@ package resilient
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -116,9 +115,19 @@ func TestGoDeliversPanicsAndErrors(t *testing.T) {
 	}
 }
 
+// The unit tests' failpoint sites. They register at package init like
+// the engines' sites; no other test binary links them.
+var (
+	fpTestA     = Site("test.a")
+	fpTestErr   = Site("test.err")
+	fpTestOnce  = Site("test.once")
+	fpTestPanic = Site("test.panic")
+	fpTestDelay = Site("test.delay")
+)
+
 func TestFailpointDisabledIsInert(t *testing.T) {
 	Install(nil)
-	if err := Fire("any.site"); err != nil {
+	if err := Fire(fpTestA); err != nil {
 		t.Fatalf("disabled Fire returned %v", err)
 	}
 }
@@ -129,49 +138,49 @@ func TestFailpointActions(t *testing.T) {
 	defer Install(nil)
 
 	// Unarmed sites count hits and do nothing.
-	if err := Fire("site.a"); err != nil {
+	if err := Fire(fpTestA); err != nil {
 		t.Fatalf("unarmed site fired: %v", err)
 	}
-	if fp.Hits("site.a") != 1 {
-		t.Errorf("hits = %d, want 1", fp.Hits("site.a"))
+	if fp.Hits("test.a") != 1 {
+		t.Errorf("hits = %d, want 1", fp.Hits("test.a"))
 	}
 
 	// Error action with After: skips the first N firings.
 	boom := errors.New("injected")
-	fp.Set("site.err", Action{Err: boom, After: 2})
+	fp.Set("test.err", Action{Err: boom, After: 2})
 	for i := 0; i < 2; i++ {
-		if err := Fire("site.err"); err != nil {
+		if err := Fire(fpTestErr); err != nil {
 			t.Fatalf("fired before After: %v", err)
 		}
 	}
-	if err := Fire("site.err"); !errors.Is(err, boom) {
+	if err := Fire(fpTestErr); !errors.Is(err, boom) {
 		t.Fatalf("armed error not returned: %v", err)
 	}
-	if fp.Applied("site.err") != 1 {
-		t.Errorf("applied = %d, want 1", fp.Applied("site.err"))
+	if fp.Applied("test.err") != 1 {
+		t.Errorf("applied = %d, want 1", fp.Applied("test.err"))
 	}
 
 	// Times bounds repeated application.
-	fp.Set("site.once", Action{Err: boom, Times: 1})
-	if err := Fire("site.once"); !errors.Is(err, boom) {
+	fp.Set("test.once", Action{Err: boom, Times: 1})
+	if err := Fire(fpTestOnce); !errors.Is(err, boom) {
 		t.Fatal("Times=1 action did not apply")
 	}
-	if err := Fire("site.once"); err != nil {
+	if err := Fire(fpTestOnce); err != nil {
 		t.Fatalf("Times=1 action applied twice: %v", err)
 	}
 
 	// Panic action.
-	fp.Set("site.panic", Action{PanicValue: "kaboom"})
-	err := Call("site.panic", func() error { return Fire("site.panic") })
+	fp.Set("test.panic", Action{PanicValue: "kaboom"})
+	err := Call("test.panic", func() error { return Fire(fpTestPanic) })
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Value != "kaboom" {
 		t.Fatalf("panic action not raised: %v", err)
 	}
 
 	// Delay action (pure delay returns nil).
-	fp.Set("site.delay", Action{Delay: 10 * time.Millisecond})
+	fp.Set("test.delay", Action{Delay: 10 * time.Millisecond})
 	t0 := time.Now()
-	if err := Fire("site.delay"); err != nil {
+	if err := Fire(fpTestDelay); err != nil {
 		t.Fatalf("delay returned %v", err)
 	}
 	if time.Since(t0) < 10*time.Millisecond {
@@ -179,26 +188,39 @@ func TestFailpointActions(t *testing.T) {
 	}
 
 	// Clear disarms but keeps counting.
-	fp.Clear("site.err")
-	if err := Fire("site.err"); err != nil {
+	fp.Clear("test.err")
+	if err := Fire(fpTestErr); err != nil {
 		t.Fatalf("cleared site still armed: %v", err)
+	}
+
+	// The zero Failpoint names no registered site.
+	err = Call("test.zero", func() error { return Fire(Failpoint{}) })
+	if !errors.As(err, &pe) {
+		t.Fatalf("Fire(Failpoint{}) with a set installed returned %v, want a panic", err)
 	}
 }
 
+// TestSiteRegistry: a registered site is listed by Sites, and a second
+// registration of a name panics.
 func TestSiteRegistry(t *testing.T) {
-	name := Site("test.registry.site")
-	if name != "test.registry.site" {
-		t.Fatalf("Site returned %q", name)
+	if fpTestA.name != "test.a" {
+		t.Fatalf("Site returned %q", fpTestA.name)
 	}
 	found := false
 	for _, s := range Sites() {
-		if s == "test.registry.site" {
+		if s == "test.a" {
 			found = true
 		}
 	}
 	if !found {
 		t.Errorf("registered site missing from Sites(): %v", Sites())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("second Site(\"test.a\") did not panic")
+		}
+	}()
+	Site("test.a")
 }
 
 type ckptState struct {
@@ -343,10 +365,9 @@ func TestCheckpointSaveOverwritesAtomically(t *testing.T) {
 
 func BenchmarkFireDisabled(b *testing.B) {
 	Install(nil)
-	site := fmt.Sprint("bench.site") // defeat constant folding of the arg
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := Fire(site); err != nil {
+		if err := Fire(fpTestA); err != nil {
 			b.Fatal(err)
 		}
 	}

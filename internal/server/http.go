@@ -83,13 +83,19 @@ type submitRequest struct {
 }
 
 // decodeSubmit decodes a POST /v1/jobs body strictly: a field the
-// request does not define is an error.
+// request does not define is an error, and so is anything but JSON
+// whitespace after the spec object.
 func decodeSubmit(body []byte) (submitRequest, error) {
 	var req submitRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	return req, err
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if off := dec.InputOffset(); len(bytes.TrimLeft(body[off:], " \t\r\n")) != 0 {
+		return req, fmt.Errorf("trailing data after the job spec at offset %d", off)
+	}
+	return req, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

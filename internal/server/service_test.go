@@ -248,6 +248,41 @@ func TestServiceRoundTrip(t *testing.T) {
 	settle(t, baseline)
 }
 
+// TestSubmitRejectsTrailingData: a body is one spec object, so
+// anything after it but JSON whitespace — a second object, stray
+// text, a closing brace — is a 400 bad_request, not a job for the
+// first object.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	for _, body := range []string{
+		`{"kind":"mc"}{"kind":"soc"} garbage`,
+		`{"kind":"mc"} x`,
+		`{"kind":"mc"}}`,
+		`{"kind":"mc"} []`,
+	} {
+		if _, err := decodeSubmit([]byte(body)); err == nil {
+			t.Errorf("decodeSubmit(%s) accepted trailing data", body)
+		}
+	}
+	req, err := decodeSubmit([]byte("{\"kind\":\"mc\"} \t\r\n"))
+	if err != nil || req.Kind != "mc" {
+		t.Fatalf("spec with trailing whitespace: %+v, %v", req, err)
+	}
+
+	_, ts := newTestService(t, Config{Workers: 1})
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"kind":"mc"}{"kind":"soc"} garbage`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		resp.Body.Close()
+		t.Fatalf("status %s, want 400", resp.Status)
+	}
+	if eb := errorBody(t, resp); eb.Type != ErrTypeBadRequest || !strings.Contains(eb.Message, "trailing data") {
+		t.Fatalf("error body %+v, want bad_request naming the trailing data", eb)
+	}
+}
+
 // TestServiceFailpoints re-runs the round trip with PR 4 failpoints
 // firing inside the engines: an injected lane error fails the job with
 // a typed "engine" body, an injected panic surfaces as "panic", and a

@@ -7,13 +7,11 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"testing"
 	"time"
 
-	"mstx/internal/analysis"
 	"mstx/internal/resilient"
 )
 
@@ -53,7 +51,7 @@ func soakSeed(t *testing.T) int64 {
 }
 
 // soakActions is the chaos action table. It must cover every site
-// FailpointSites enumerates — TestChaosSoak fails on any gap, so a new
+// resilient.Sites lists — TestChaosSoak fails on any gap, so a new
 // engine site cannot land without extending the soak.
 func soakActions(rng *rand.Rand) map[string]resilient.Action {
 	simBatch := resilient.Action{Err: errors.New("soak: sim batch fault"), After: rng.Intn(2), Times: 1}
@@ -84,12 +82,10 @@ func TestChaosSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	t.Logf("chaos soak seed %d (replay with MSTX_SOAK_SEED=%d)", seed, seed)
 
-	// Coverage wall: the action table and the statically enumerated
-	// site registry must agree in both directions.
-	sites, err := analysis.FailpointSites(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Coverage wall: the action table and the runtime site registry
+	// must agree in both directions. This test binary links every
+	// engine, so the registry holds every site an engine can fire.
+	sites := resilient.Sites()
 	actions := soakActions(rng)
 	siteSet := map[string]bool{}
 	for _, s := range sites {

@@ -28,10 +28,12 @@ go vet ./...
 
 echo "== mstxvet (project invariants) =="
 # The internal/analysis catalog: panic quarantine, context threading,
-# determinism, failpoint registry coverage and obs nil-safety. Job
-# state and error class are compiler-checked types in internal/server;
-# retry checkpointing and the shutdown goroutine join are server tests;
-# deadlocks are left to -race, the chaos suites and the soak.
+# determinism and one metric namespace. Job state and error class are
+# compiler-checked types in internal/server, as failpoint sites are
+# resilient.Failpoint; retry checkpointing and the shutdown goroutine
+# join are server tests, obs nil-safety an obs test, failpoint
+# coverage the soak; deadlocks are left to -race, the chaos suites and
+# the soak.
 # Must be self-clean over the whole repo; ./... skips the nested
 # mstxbench module, as go list does (suppressions need an audited
 # //mstxvet:ignore <analyzer> <reason>).
@@ -93,7 +95,7 @@ go test -race -count=2 ./cmd/mstxd
 
 echo "== chaos soak (multi-tenant, every failpoint site, race) =="
 # The self-healing wall: four tenants drive all four job kinds while
-# failpoints fire at every site analysis.FailpointSites enumerates,
+# failpoints fire at every site resilient.Sites lists,
 # then a directed breaker open/recover pass. Asserted: no hung jobs,
 # correct terminal classification, retried jobs bit-identical to clean
 # runs (the E6/E9 goldens for the mc/soc specs), per-kind /readyz
