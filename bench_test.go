@@ -137,9 +137,10 @@ func BenchmarkTable2(b *testing.B) {
 
 // BenchmarkTable2Service runs Table 2 at the service's mc default
 // (15 devices, 2048-sample captures, 200k-draw loss cross-check): the
-// study one cold mc job runs, including the per-study carrier-table
-// fills that BenchmarkTable2's smaller shape shares among fewer
-// devices.
+// study one cold mc job runs. After the first op the process-wide
+// carrier tables of this shape are warm, as they are in the service
+// after its first mc job, so the bench times the device captures on
+// one sweep per worker, not table fills.
 func BenchmarkTable2Service(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Table2(experiments.Table2Options{Devices: 15, N: 2048}); err != nil {

@@ -100,7 +100,7 @@ func (l *LowPass) Process(x []float64, fs float64, rng *rand.Rand) []float64 {
 // ProcessInto is Process writing into dst (len(x) samples; dst may be
 // x itself) and returning it. The clock feed-through cosines depend
 // only on Spec.ClockHz, fs and len(x); clk keeps them across calls (a
-// nil clk fills a new table), reading clk.Set on a miss.
+// nil clk starts a new table), reading the process-wide set on a miss.
 func (l *LowPass) ProcessInto(dst, x []float64, fs float64, rng *rand.Rand, clk *msignal.CosTable) []float64 {
 	b0, b1, b2, a1, a2 := l.biquad(fs)
 	g := l.Gain()

@@ -65,15 +65,15 @@ func (o *Oscillator) phasesInto(th []float64, fs float64, rng *rand.Rand) []floa
 // noiseless LO) θ[i] = w·i, the cosines depend only on FreqHz, fs and
 // n, and tab keeps them across calls as a msignal.ClockExpr table
 // (the same bits: adding a zero jitter changes no phase); a jittered
-// carrier is filled fresh into tab's buffer every call. The table is
-// never shared, since FreqHz is drawn per device. A nil tab fills a
-// new buffer.
+// carrier is filled fresh into tab's buffer every call. The table
+// stays out of the process-wide set, since FreqHz is drawn per device.
+// A nil tab fills a new buffer.
 func (o *Oscillator) carrier(tab *msignal.CosTable, n int, fs float64, rng *rand.Rand) []float64 {
 	if tab == nil {
 		tab = new(msignal.CosTable)
 	}
 	if rng == nil || o.Spec.PhaseNoiseRadPerSample <= 0 {
-		return tab.Cosines(msignal.ClockExpr, o.FreqHz, 0, fs, n)
+		return tab.PrivateCosines(msignal.ClockExpr, o.FreqHz, 0, fs, n)
 	}
 	c := o.phasesInto(tab.Reset(n), fs, rng)
 	for i, th := range c {

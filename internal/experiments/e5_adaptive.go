@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"mstx/internal/mcengine"
-	"mstx/internal/msignal"
 	"mstx/internal/obs"
 	"mstx/internal/params"
 	"mstx/internal/resilient"
@@ -75,17 +74,17 @@ func Fig4(opts Fig4Options) (*Fig4Result, error) {
 	// and the study fans out across workers without losing
 	// reproducibility. Measurements run noiseless (nil rng), so each
 	// lane's [methods]error vector depends only on its device. As in
-	// Table 2, the run shares one carrier-table set and each device's
-	// measurements share one sweep.
-	tabs := new(msignal.TableSet)
-	kernel := func(_, count int, rng *rand.Rand) ([][3]float64, error) {
+	// Table 2, each worker measures its devices on one sweep.
+	workers := mcengine.WorkerCount(opts.Workers)
+	sweeps := make([]params.Sweep, workers)
+	kernel := func(w, _, count int, rng *rand.Rand) ([][3]float64, error) {
+		sw := &sweeps[w]
 		out := make([][3]float64, 0, count)
 		for i := 0; i < count; i++ {
 			device, err := spec.Sample(rng)
 			if err != nil {
 				return nil, err
 			}
-			sw := params.NewSweep(tabs)
 			var e [3]float64
 			for j, m := range methods {
 				res, err := sw.MixerIIP3(device, m, st, cfg, nil)
@@ -108,7 +107,7 @@ func Fig4(opts Fig4Options) (*Fig4Result, error) {
 	_, devSp := obs.Span(ctx, "e5.devices")
 	all, _, err := mcengine.Run(ctx, opts.Devices, opts.Seed+400,
 		mcengine.Options{
-			Workers: opts.Workers, BatchSize: 1,
+			Workers: workers, BatchSize: 1,
 			Checkpoint: opts.Checkpoint, CheckpointName: "e5_devices",
 		}, nil, kernel, merge, nil)
 	devSp.End()

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"mstx/internal/mcengine"
-	"mstx/internal/msignal"
 	"mstx/internal/obs"
 	"mstx/internal/params"
 	"mstx/internal/path"
@@ -81,22 +80,24 @@ type Table2Options struct {
 //
 // Every device's stimulus tones and SC clock are the same (the tester
 // derives the tones from the nominal LO and snaps them to coherent
-// bins), so the study shares one msignal.TableSet across its device
-// lanes, and each lane measures its device's three parameters on one
+// bins), so their tables come from the process-wide msignal set, and
+// each engine worker measures every device it draws on one
 // params.Sweep.
 func Table2(opts Table2Options) (*Table2Result, error) {
-	tabs := new(msignal.TableSet)
-	return table2(opts, func(studies []e6Study, d *path.Path) (v [3]float64, err error) {
-		sw := params.NewSweep(tabs)
-		for j, s := range studies {
-			r, err := s.measure(sw, d)
-			if err != nil {
-				return v, fmt.Errorf("experiments: %s on device: %w", s.name, err)
-			}
-			v[j] = r.Delta()
+	return table2(opts, measureDevice)
+}
+
+// measureDevice returns the studies' measurement errors on device d,
+// measured on sw.
+func measureDevice(sw *params.Sweep, studies []e6Study, d *path.Path) (v [3]float64, err error) {
+	for j, s := range studies {
+		r, err := s.measure(sw, d)
+		if err != nil {
+			return v, fmt.Errorf("experiments: %s on device: %w", s.name, err)
 		}
-		return v, nil
-	})
+		v[j] = r.Delta()
+	}
+	return v, nil
 }
 
 // e6Study is one Table 2 parameter: its measurement procedure, run on
@@ -112,8 +113,10 @@ type e6Study struct {
 }
 
 // table2 is Table2 with the per-device measurement supplied: device
-// returns the three studies' measurement errors on one device.
-func table2(opts Table2Options, device func(studies []e6Study, d *path.Path) ([3]float64, error)) (*Table2Result, error) {
+// returns the three studies' measurement errors on one device,
+// measured on the calling worker's sweep.
+func table2(opts Table2Options, device func(sw *params.Sweep, studies []e6Study, d *path.Path) ([3]float64, error)) (*Table2Result, error) {
+	opts.Workers = mcengine.WorkerCount(opts.Workers)
 	if opts.Devices == 0 {
 		opts.Devices = 15
 	}
@@ -173,15 +176,17 @@ func table2(opts Table2Options, device func(studies []e6Study, d *path.Path) ([3
 	_, devSp := obs.Span(e6Ctx, "e6.devices")
 	// One engine lane per device: the device draw and every study's
 	// measurement of it happen in the lane, so the fan-out across
-	// workers never reorders a device's RNG consumption.
-	kernel := func(_, count int, rng *rand.Rand) ([][3]float64, error) {
+	// workers never reorders a device's RNG consumption. Each worker
+	// measures its lanes on its own sweep.
+	sweeps := make([]params.Sweep, opts.Workers)
+	kernel := func(w, _, count int, rng *rand.Rand) ([][3]float64, error) {
 		out := make([][3]float64, 0, count)
 		for i := 0; i < count; i++ {
 			d, err := spec.Sample(rng)
 			if err != nil {
 				return nil, err
 			}
-			v, err := device(studies, d)
+			v, err := device(&sweeps[w], studies, d)
 			if err != nil {
 				return nil, err
 			}

@@ -83,13 +83,21 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
+	o.Workers = WorkerCount(o.Workers)
 	if o.BatchSize <= 0 {
 		o.BatchSize = DefaultBatchSize
 	}
 	return o
+}
+
+// WorkerCount is the pool size of a Run with Options.Workers n: n, or
+// GOMAXPROCS when n ≤ 0. Every Kernel worker index is below it, so a
+// caller sizes its per-worker scratch by it.
+func WorkerCount(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
 }
 
 // SubstreamSeed derives the RNG seed of one lane from the run seed by
@@ -112,10 +120,13 @@ func Lanes(n, batchSize int) int {
 }
 
 // Kernel computes one lane's partial result: count samples drawn from
-// the lane's private substream rng. It must not touch shared mutable
-// state; everything it needs beyond the rng should be captured
-// read-only in the closure.
-type Kernel[P any] func(lane, count int, rng *rand.Rand) (P, error)
+// the lane's private substream rng. worker (0 ≤ worker < Workers)
+// identifies the calling goroutine, so a kernel can index per-worker
+// scratch without locking; the result must not depend on it. Beyond
+// such scratch, a kernel must not touch shared mutable state, and it
+// must not keep rng past its return: the worker reseeds it for its
+// next lane.
+type Kernel[P any] func(worker, lane, count int, rng *rand.Rand) (P, error)
 
 // Merge folds one lane's partial into the running total. The engine
 // guarantees calls in strictly ascending lane order, so even
@@ -170,15 +181,25 @@ func Run[T, P any](ctx context.Context, n int, seed int64, opts Options, total T
 		mergeHist = reg.Histogram("mc_merge_seconds", 0, 1, 64)
 		start = time.Now()
 	}
+	// One generator per worker, reseeded for each lane: Seed restarts
+	// the source exactly as a new one, without allocating it.
+	rngs := make([]*rand.Rand, min(o.Workers, Lanes(n, o.BatchSize)))
 	p := Plan[T, P]{
 		Span: "mcengine.run", N: n, BatchSize: o.BatchSize, Workers: o.Workers,
 		CheckEvery: o.CheckEvery, Checkpoint: o.Checkpoint, CheckpointName: name,
 		Ident: ident,
-		Kernel: func(_, lane, count int) (P, error) {
+		Kernel: func(w, lane, count int) (P, error) {
 			var part P
 			err := resilient.Fire(fpLane)
 			if err == nil {
-				part, err = kernel(lane, count, rand.New(rand.NewSource(SubstreamSeed(seed, lane))))
+				rng := rngs[w]
+				if rng == nil {
+					rng = rand.New(rand.NewSource(SubstreamSeed(seed, lane)))
+					rngs[w] = rng
+				} else {
+					rng.Seed(SubstreamSeed(seed, lane))
+				}
+				part, err = kernel(w, lane, count, rng)
 			}
 			if err != nil {
 				return part, fmt.Errorf("mcengine: lane %d: %w", lane, err)

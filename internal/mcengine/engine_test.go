@@ -35,7 +35,7 @@ func serialReference[T, P any](n int, seed int64, opts Options, total T, kernel 
 				cnt = n - l*o.BatchSize
 			}
 			rng := rand.New(rand.NewSource(SubstreamSeed(seed, l)))
-			p, err := kernel(l, cnt, rng)
+			p, err := kernel(0, l, cnt, rng)
 			if err != nil {
 				panic(err)
 			}
@@ -52,7 +52,7 @@ func serialReference[T, P any](n int, seed int64, opts Options, total T, kernel 
 // sumKernel accumulates a MeanVar over N(3, 2) draws — a kernel whose
 // merged result is floating-point and therefore order-sensitive, so it
 // detects any deviation from lane-order merging.
-func sumKernel(_, count int, rng *rand.Rand) (MeanVar, error) {
+func sumKernel(_, _, count int, rng *rand.Rand) (MeanVar, error) {
 	var mv MeanVar
 	for i := 0; i < count; i++ {
 		mv.Observe(3 + 2*rng.NormFloat64())
@@ -117,7 +117,7 @@ func TestRunPartialLastLane(t *testing.T) {
 	// remainder and the totals must still match the serial reference.
 	const n = 10*512 + 137
 	counts := map[int]int{}
-	kernel := func(lane, count int, rng *rand.Rand) (int, error) { return count, nil }
+	kernel := func(_, lane, count int, rng *rand.Rand) (int, error) { return count, nil }
 	merge := func(total, lane, part int) int {
 		counts[lane] = part
 		return total + part
@@ -136,7 +136,7 @@ func TestRunPartialLastLane(t *testing.T) {
 
 func TestRunKernelErrorSurfaces(t *testing.T) {
 	sentinel := errors.New("boom")
-	kernel := func(lane, count int, rng *rand.Rand) (int, error) {
+	kernel := func(_, lane, count int, rng *rand.Rand) (int, error) {
 		if lane == 5 {
 			return 0, sentinel
 		}
@@ -151,7 +151,7 @@ func TestRunKernelErrorSurfaces(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	merge := func(total, lane, part int) int { return total }
-	if _, _, err := Run(context.Background(), 0, 1, Options{}, 0, func(_, _ int, _ *rand.Rand) (int, error) { return 0, nil }, merge, nil); err == nil {
+	if _, _, err := Run(context.Background(), 0, 1, Options{}, 0, func(_, _, _ int, _ *rand.Rand) (int, error) { return 0, nil }, merge, nil); err == nil {
 		t.Error("n=0 accepted")
 	}
 	if _, _, err := Run[int, int](context.Background(), 10, 1, Options{}, 0, nil, merge, nil); err == nil {
@@ -198,7 +198,7 @@ func TestRunMergeRace(t *testing.T) {
 func ExampleRun() {
 	// Estimate E[X²] of a standard normal with 4 workers; the result
 	// is bit-identical at any worker count.
-	kernel := func(_, count int, rng *rand.Rand) (MeanVar, error) {
+	kernel := func(_, _, count int, rng *rand.Rand) (MeanVar, error) {
 		var mv MeanVar
 		for i := 0; i < count; i++ {
 			x := rng.NormFloat64()
@@ -224,11 +224,11 @@ func TestRunCancelMidRoundPartialConsistency(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var fired int32
-		kernel := func(lane, count int, rng *rand.Rand) (MeanVar, error) {
+		kernel := func(w, lane, count int, rng *rand.Rand) (MeanVar, error) {
 			if lane == 5 && atomic.CompareAndSwapInt32(&fired, 0, 1) {
 				cancel()
 			}
-			return sumKernel(lane, count, rng)
+			return sumKernel(w, lane, count, rng)
 		}
 		got, done, err := Run(ctx, n, 7,
 			Options{BatchSize: batch, CheckEvery: 4, Workers: workers},
@@ -276,7 +276,7 @@ func TestRunCancelMidRoundPartialConsistency(t *testing.T) {
 func TestRunQuarantineAccounting(t *testing.T) {
 	const batch = 512
 	const n = 10 * batch
-	kernel := func(lane, count int, rng *rand.Rand) (int, error) {
+	kernel := func(_, lane, count int, rng *rand.Rand) (int, error) {
 		if lane == 3 {
 			panic("lane 3 corrupted")
 		}
@@ -346,9 +346,9 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 	}
 
 	var lanesRun int64
-	counting := func(lane, count int, rng *rand.Rand) (MeanVar, error) {
+	counting := func(w, lane, count int, rng *rand.Rand) (MeanVar, error) {
 		atomic.AddInt64(&lanesRun, 1)
-		return sumKernel(lane, count, rng)
+		return sumKernel(w, lane, count, rng)
 	}
 	got, done, err := Run(context.Background(), n, 13, o, MeanVar{}, counting, mergeMV, stop)
 	if err != nil {
@@ -374,5 +374,58 @@ func TestRunCheckpointResumeBitIdentical(t *testing.T) {
 	// Resuming under different run parameters must fail loudly.
 	if _, _, err := Run(context.Background(), n, 14, o, MeanVar{}, sumKernel, mergeMV, stop); err == nil {
 		t.Error("checkpoint from a different seed accepted")
+	}
+}
+
+// TestRunReseedsOneGeneratorPerWorker pins Run's generator reuse: at
+// Workers 1–3, with more lanes than workers, every lane's normal,
+// uniform, exponential and integer draws equal those of a fresh
+// generator seeded with SubstreamSeed(seed, lane), while all the lanes
+// of one worker draw from one *rand.Rand.
+func TestRunReseedsOneGeneratorPerWorker(t *testing.T) {
+	const (
+		lanes = 12
+		batch = 40
+		seed  = 41
+	)
+	type laneDraws struct {
+		lane, worker int
+		gen          *rand.Rand
+		v            []float64
+	}
+	draw := func(rng *rand.Rand, count int) []float64 {
+		var v []float64
+		for i := 0; i < count; i++ {
+			v = append(v, rng.NormFloat64(), rng.Float64(), rng.ExpFloat64(),
+				float64(rng.Intn(1000)), float64(rng.Int63()))
+		}
+		return v
+	}
+	for _, workers := range []int{1, 2, 3} {
+		kernel := func(w, lane, count int, rng *rand.Rand) (laneDraws, error) {
+			return laneDraws{lane: lane, worker: w, gen: rng, v: draw(rng, count)}, nil
+		}
+		merge := func(all []laneDraws, _ int, d laneDraws) []laneDraws { return append(all, d) }
+		all, _, err := Run(context.Background(), lanes*batch, seed,
+			Options{Workers: workers, BatchSize: batch}, nil, kernel, merge, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens := map[int]*rand.Rand{}
+		for _, d := range all {
+			want := draw(rand.New(rand.NewSource(SubstreamSeed(seed, d.lane))), batch)
+			for i := range want {
+				if math.Float64bits(d.v[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("workers %d, lane %d: draw %d = %v, a fresh generator gives %v", workers, d.lane, i, d.v[i], want[i])
+				}
+			}
+			if d.worker < 0 || d.worker >= workers {
+				t.Fatalf("workers %d: lane %d ran on worker %d", workers, d.lane, d.worker)
+			}
+			if g, ok := gens[d.worker]; ok && g != d.gen {
+				t.Fatalf("workers %d: worker %d drew lane %d from a second generator", workers, d.worker, d.lane)
+			}
+			gens[d.worker] = d.gen
+		}
 	}
 }

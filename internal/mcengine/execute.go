@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"mstx/internal/obs"
@@ -164,11 +163,7 @@ func Execute[T, P any](ctx context.Context, p Plan[T, P], total T) (T, int, erro
 		defer sp.End()
 	}
 
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, x.lanes-x.next)
+	workers := min(WorkerCount(p.Workers), x.lanes-x.next)
 	x.claimed = x.next - 1
 	x.ahead = aheadPerWorker * workers
 	x.pending = make([]laneResult[P], x.ahead)

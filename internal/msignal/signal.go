@@ -286,14 +286,11 @@ func (s Signal) Render(n int, fs float64, rng *rand.Rand) []float64 {
 // RenderInto is Render writing len(dst) samples into dst. Component j
 // of the signal (the tones in order, then the spurs) takes its cosines
 // from table j of c, so a capture sweep that re-renders the same tones
-// evaluates each cosine once (and reads c.Set on a miss); a nil c
-// uses fresh tables. Each sample is accumulated in Render's order —
-// DC, tones, spurs, noise — so the result is bit-identical to Render,
-// and rng is drawn the same way.
+// evaluates each cosine once (and reads the process-wide set on a
+// miss); a nil c uses fresh private tables. Each sample is accumulated
+// in Render's order — DC, tones, spurs, noise — so the result is
+// bit-identical to Render, and rng is drawn the same way.
 func (s Signal) RenderInto(dst []float64, fs float64, rng *rand.Rand, c *Carriers) {
-	if c == nil {
-		c = new(Carriers)
-	}
 	for i := range dst {
 		dst[i] = s.DC
 	}
@@ -359,14 +356,11 @@ type tableKey struct {
 
 // CosTable caches one carrier's per-sample cosines under the exact
 // inputs that produced them. The current table is either the
-// CosTable's own buffer or a table borrowed from Set; a borrowed
-// table is never written, so a later miss fills the own buffer
-// instead. The zero value is an empty table with no set.
+// CosTable's own buffer or a table borrowed from the process-wide
+// set; a borrowed table is never written, so a later private fill or
+// Reset writes the own buffer instead. The zero value is an empty
+// table.
 type CosTable struct {
-	// Set, when non-nil, is the shared set a key miss reads (and
-	// publishes to) before filling privately.
-	Set *TableSet
-
 	key  tableKey
 	ok   bool
 	vals []float64 // the current table: own[:n] or a borrowed one
@@ -374,33 +368,53 @@ type CosTable struct {
 }
 
 // Cosines returns the length-n table of expression e at (a, b, fs),
-// filling it only on a key miss. On a miss with a non-nil Set, the
-// table is borrowed from the set when the set holds it; otherwise it
-// is filled into a new buffer and published to the set, which keeps
-// the first table published under a key. A set at its byte cap takes
-// no more tables, and the table is filled into the own buffer as
-// without a set. Every path yields the same bits.
+// looking further only on a key miss. On a miss the table is borrowed
+// from the process-wide set when the set holds it; otherwise it is
+// filled into a new buffer and published to the set, which keeps the
+// first table published under a key. A table longer than the set's
+// byte cap is filled into the own buffer instead. Every path yields
+// the same bits.
 func (t *CosTable) Cosines(e Expr, a, b, fs float64, n int) []float64 {
 	k := tableKey{expr: e, a: math.Float64bits(a), b: math.Float64bits(b), fs: math.Float64bits(fs), n: n}
-	if t.ok && t.key == k {
+	if t.current(k) {
 		return t.vals
 	}
-	t.key, t.ok = k, true
-	if set := t.Set; set != nil {
-		tab, room := set.lookup(k)
-		if tab == nil && room {
-			tab = make([]float64, n)
-			e.fill(tab, a, b, fs)
-			var published bool
-			if tab, published = set.publish(k, tab); !published {
-				t.own = tab
-			}
-		}
-		if tab != nil {
-			t.vals = tab
-			return tab
-		}
+	if 8*n > TableSetBytes {
+		return t.fillOwn(e, a, b, fs, n)
 	}
+	set := processTables
+	if tab := set.lookup(k); tab != nil {
+		t.vals = tab
+		return tab
+	}
+	tab := make([]float64, n)
+	e.fill(tab, a, b, fs)
+	t.vals = set.publish(k, tab)
+	return t.vals
+}
+
+// PrivateCosines is Cosines without the process-wide set: a key miss
+// fills the own buffer. It is for a carrier whose inputs are drawn per
+// device (the LO), which no other capture would read from the set.
+func (t *CosTable) PrivateCosines(e Expr, a, b, fs float64, n int) []float64 {
+	k := tableKey{expr: e, a: math.Float64bits(a), b: math.Float64bits(b), fs: math.Float64bits(fs), n: n}
+	if t.current(k) {
+		return t.vals
+	}
+	return t.fillOwn(e, a, b, fs, n)
+}
+
+// current reports whether the current table is k's; if not, k becomes
+// the key the caller fills next.
+func (t *CosTable) current(k tableKey) bool {
+	if t.ok && t.key == k {
+		return true
+	}
+	t.key, t.ok = k, true
+	return false
+}
+
+func (t *CosTable) fillOwn(e Expr, a, b, fs float64, n int) []float64 {
 	t.vals = t.resize(n)
 	e.fill(t.vals, a, b, fs)
 	return t.vals
@@ -424,76 +438,130 @@ func (t *CosTable) resize(n int) []float64 {
 }
 
 // Carriers is RenderInto's tone-table cache: one CosTable per signal
-// component position. It is not safe for concurrent use — keep one per
-// goroutine. The zero value is ready to use and keeps every table
-// private.
+// component position, each reading the process-wide set on a key
+// miss. It is not safe for concurrent use — keep one per goroutine.
+// The zero value is ready to use; a nil *Carriers fills fresh private
+// tables.
 type Carriers struct {
-	// Set, when non-nil, is the shared set every component's table
-	// reads on a key miss (see CosTable.Set).
-	Set *TableSet
-
 	tabs []CosTable
 }
 
 // table returns the cosines of component j.
 func (c *Carriers) table(j int, tone Tone, fs float64, n int) []float64 {
+	if c == nil {
+		return new(CosTable).PrivateCosines(ToneExpr, tone.Freq, tone.Phase, fs, n)
+	}
 	for len(c.tabs) <= j {
 		c.tabs = append(c.tabs, CosTable{})
 	}
-	tab := &c.tabs[j]
-	tab.Set = c.Set
-	return tab.Cosines(ToneExpr, tone.Freq, tone.Phase, fs, n)
+	return c.tabs[j].Cosines(ToneExpr, tone.Freq, tone.Phase, fs, n)
 }
 
-// TableSetBytes caps the cosines one TableSet holds, in bytes. A study
-// at the service default (2048-sample captures) publishes 51 tables of
-// 147 KiB; a 65536-sample capture needs 4.2 MB per table, so the
-// cap is what bounds a long-capture study.
+// TableSetBytes caps the cosines the process-wide TableSet holds, in
+// bytes. A study at the service default (2048-sample captures) reads
+// 51 stimulus and clock tables of 147 KiB; a 65536-sample capture
+// needs 4.2 MB per table. At the cap the set evicts its least recently
+// used tables to make room, so the cap bounds the set's memory for the
+// life of the process.
 const TableSetBytes = 16 << 20
 
-// TableSet is a set of read-only carrier tables shared by the
-// goroutines of one study: the carriers that do not depend on the
-// device under test (stimulus tones, the SC clock). Each table is
-// filled outside the lock and published once; the first table
-// published under a key wins, and a published table is never written
-// again, so CosTables may alias it. Once the set holds TableSetBytes
-// it takes no more tables, and misses fall back to private fills. The
-// zero value is an empty set ready to use.
+// TableSet is a set of read-only carrier tables shared by every
+// goroutine of the process: the carriers that do not depend on the
+// device under test (stimulus tones, the SC clock), which every study
+// at one capture shape reads alike. Each table is filled outside the
+// lock and published once; the first table published under a key
+// wins, and a published table is never written again, so CosTables
+// may alias it. When a publish would take the set past TableSetBytes,
+// the least recently used tables are dropped first; a CosTable that
+// still borrows a dropped table keeps valid bits, since the set only
+// forgets it. The zero value is an empty set ready to use.
 type TableSet struct {
 	mu    sync.Mutex
-	tabs  map[tableKey][]float64
+	tabs  map[tableKey]*setEntry
 	bytes int
+	tick  uint64 // advanced on every hit and publish; orders recency
+
+	published, evicted int
 }
 
-// lookup returns the table published under k, or nil and whether the
-// set still has room for a table of k's length.
-func (s *TableSet) lookup(k tableKey) (tab []float64, room bool) {
+type setEntry struct {
+	tab  []float64
+	used uint64 // the tick of the last hit or publish
+}
+
+// processTables is the set every CosTable.Cosines reads.
+var processTables = new(TableSet)
+
+// lookup returns the table published under k, or nil, and marks a hit
+// as used.
+func (s *TableSet) lookup(k tableKey) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if tab := s.tabs[k]; tab != nil {
-		return tab, true
+	e := s.tabs[k]
+	if e == nil {
+		return nil
 	}
-	return nil, s.bytes+8*k.n <= TableSetBytes
+	s.tick++
+	e.used = s.tick
+	return e.tab
 }
 
 // publish stores tab under k unless a table is already there, and
-// returns the table the set holds under k. It reports false, returning
-// tab itself, when the set has no room for tab.
-func (s *TableSet) publish(k tableKey, tab []float64) ([]float64, bool) {
+// returns the table the set holds under k. To make room it evicts the
+// least recently used tables; tab must fit in TableSetBytes alone.
+func (s *TableSet) publish(k tableKey, tab []float64) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev := s.tabs[k]; prev != nil {
-		return prev, true
+	s.tick++
+	if e := s.tabs[k]; e != nil {
+		e.used = s.tick
+		return e.tab
 	}
-	if s.bytes+8*len(tab) > TableSetBytes {
-		return tab, false
+	for s.bytes+8*len(tab) > TableSetBytes {
+		s.evictOldest()
 	}
 	if s.tabs == nil {
-		s.tabs = make(map[tableKey][]float64)
+		s.tabs = make(map[tableKey]*setEntry)
 	}
-	s.tabs[k] = tab
+	s.tabs[k] = &setEntry{tab: tab, used: s.tick}
 	s.bytes += 8 * len(tab)
-	return tab, true
+	s.published++
+	return tab
+}
+
+// evictOldest drops the least recently used table. The scan is linear,
+// but the set holds about a hundred tables and evicts only on a
+// publish that would pass the cap.
+func (s *TableSet) evictOldest() {
+	var (
+		oldest tableKey
+		used   uint64 = math.MaxUint64
+	)
+	for k, e := range s.tabs {
+		if e.used < used {
+			oldest, used = k, e.used
+		}
+	}
+	s.bytes -= 8 * len(s.tabs[oldest].tab)
+	delete(s.tabs, oldest)
+	s.evicted++
+}
+
+// TableStats describes the process-wide carrier-table set.
+type TableStats struct {
+	// Tables and Bytes are what the set holds now.
+	Tables, Bytes int
+	// Published and Evicted count the tables the set has taken and
+	// dropped since the process started.
+	Published, Evicted int
+}
+
+// SharedTables returns the process-wide set's size and counts.
+func SharedTables() TableStats {
+	s := processTables
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return TableStats{Tables: len(s.tabs), Bytes: s.bytes, Published: s.published, Evicted: s.evicted}
 }
 
 // Frequencies returns the deliberate tone frequencies in ascending

@@ -18,7 +18,16 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestTableSetConcurrent drives one set from several goroutines, each
+// freshTables points the process-wide set at an empty one for the
+// rest of the test, so its counts see only the test's tables.
+func freshTables(t *testing.T) *TableSet {
+	prev := processTables
+	processTables = new(TableSet)
+	t.Cleanup(func() { processTables = prev })
+	return processTables
+}
+
+// TestTableSetConcurrent drives the set from several goroutines, each
 // with its own CosTables, over a small key space that mixes the two
 // expressions at the same (a, b, fs, n): every lookup must return the
 // bits a private fill gives, each key must be published once, and the
@@ -43,20 +52,20 @@ func TestTableSetConcurrent(t *testing.T) {
 	}
 	want := make([][]float64, len(keys))
 	for i, k := range keys {
-		want[i] = new(CosTable).Cosines(k.e, k.a, k.b, fs, k.n)
+		want[i] = new(CosTable).PrivateCosines(k.e, k.a, k.b, fs, k.n)
 	}
 	// The two expressions round differently: a key without the
 	// expression would hand a clock table to a tone.
 	if sameBits(want[0], want[1]) {
 		t.Fatal("tone and clock expressions agree bit for bit; the expression test is vacuous")
 	}
-	set := new(TableSet)
+	set := freshTables(t)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tabs := [2]CosTable{{Set: set}, {Set: set}}
+			var tabs [2]CosTable
 			for r := 0; r < rounds; r++ {
 				i := (w*7 + r*3) % len(keys)
 				k := keys[i]
@@ -69,14 +78,14 @@ func TestTableSetConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if len(set.tabs) != len(keys) {
-		t.Fatalf("set holds %d tables, want one per key (%d)", len(set.tabs), len(keys))
+	if st := SharedTables(); st.Tables != len(keys) || st.Published != len(keys) || st.Evicted != 0 {
+		t.Fatalf("set holds %d tables (%d published, %d evicted), want one per key (%d)", st.Tables, st.Published, st.Evicted, len(keys))
 	}
 	bytes := 0
-	for k, tab := range set.tabs {
-		bytes += 8 * len(tab)
-		if k.n != len(tab) {
-			t.Fatalf("table of length %d stored under n %d", len(tab), k.n)
+	for k, e := range set.tabs {
+		bytes += 8 * len(e.tab)
+		if k.n != len(e.tab) {
+			t.Fatalf("table of length %d stored under n %d", len(e.tab), k.n)
 		}
 	}
 	if set.bytes != bytes {
@@ -85,23 +94,23 @@ func TestTableSetConcurrent(t *testing.T) {
 }
 
 // TestCosTableNeverWritesBorrowed: after a CosTable has aliased a
-// shared table, a miss fills its own buffer and leaves the shared one
-// intact, and a jitter Reset never hands out the shared buffer.
+// shared table, a private fill and a jitter Reset write its own
+// buffer and leave the shared one intact.
 func TestCosTableNeverWritesBorrowed(t *testing.T) {
 	const fs, n = 64e6, 1024
-	set := new(TableSet)
-	tab := CosTable{Set: set}
+	freshTables(t)
+	var tab CosTable
 	shared := tab.Cosines(ToneExpr, 1e6, 0, fs, n)
 	keep := append([]float64(nil), shared...)
 	if got := tab.Cosines(ToneExpr, 1e6, 0, fs, n); &got[0] != &shared[0] {
 		t.Fatal("a key hit did not return the current table")
 	}
-	// A miss the set cannot serve: force the private path by filling
-	// the set to its cap.
-	set.bytes = TableSetBytes
-	priv := tab.Cosines(ToneExpr, 2e6, 0, fs, n)
+	priv := tab.PrivateCosines(ToneExpr, 2e6, 0, fs, n)
 	if &priv[0] == &shared[0] {
 		t.Fatal("a private fill reused the borrowed table")
+	}
+	if st := SharedTables(); st.Tables != 1 {
+		t.Fatalf("a private fill reached the set: %d tables", st.Tables)
 	}
 	buf := tab.Reset(n)
 	for i := range buf {
@@ -115,37 +124,68 @@ func TestCosTableNeverWritesBorrowed(t *testing.T) {
 	}
 }
 
-// TestTableSetCapFallback fills a set to its byte cap with real
-// publishes, then renders signals whose tables no longer fit: each
-// render must be bit-identical to Render (no set), and the set must
-// neither grow past the cap nor take the new tables.
-func TestTableSetCapFallback(t *testing.T) {
+// TestTableSetEvictsLeastRecentlyUsed fills the set to its byte cap
+// with long tables and borrows one of them, then renders signals of
+// the service's default capture shape: each render must be
+// bit-identical to Render, the new tables must be published (the cap
+// evicts the least recently used long table instead of refusing
+// them), the borrowed table must keep its bits after its eviction,
+// and a table longer than the cap must render privately without
+// touching the set.
+func TestTableSetEvictsLeastRecentlyUsed(t *testing.T) {
 	const fs = 64e6
-	set := new(TableSet)
-	big := TableSetBytes / 8 / 4 // four tables fill the set exactly
-	for i := 0; i < 4; i++ {
-		NewTone(1e6*float64(i+1), 1).RenderInto(make([]float64, big), fs, nil, &Carriers{Set: set})
+	set := freshTables(t)
+	long := TableSetBytes / 8 / 4 // four tables fill the set exactly
+	freq := func(i int) float64 { return 1e6 * float64(i+1) }
+	held := make([]CosTable, 4)
+	for i := range held {
+		held[i].Cosines(ToneExpr, freq(i), 0, fs, long)
 	}
-	if set.bytes != TableSetBytes || len(set.tabs) != 4 {
-		t.Fatalf("set holds %d tables, %d bytes; want 4 tables, %d bytes", len(set.tabs), set.bytes, TableSetBytes)
+	if st := SharedTables(); st.Bytes != TableSetBytes || st.Tables != 4 {
+		t.Fatalf("set holds %d tables, %d bytes; want 4 tables, %d bytes", st.Tables, st.Bytes, TableSetBytes)
 	}
-	c := Carriers{Set: set}
-	for _, r := range []struct {
-		s Signal
-		n int
-	}{
-		{NewTwoTone(9.7e6, 9.8e6, 0.05).AddSpur(15.5e6, 0.001), 256},
-		{NewTwoTone(9.7e6, 9.8e6, 0.05).AddSpur(15.5e6, 0.001), 18432},
-		{NewTone(9.8e6, 0.004), 18432},
-		{NewTone(1e6, 0.3), big}, // a table the full set still serves
+	borrowed := held[1].vals
+	keep := append([]float64(nil), borrowed...)
+	// A hit on table 0 makes table 1 the least recently used.
+	if got := new(CosTable).Cosines(ToneExpr, freq(0), 0, fs, long); &got[0] != &held[0].vals[0] {
+		t.Fatal("a hit on a published table did not alias it")
+	}
+	var c Carriers
+	for _, r := range []Signal{
+		NewTwoTone(9.7e6, 9.8e6, 0.05).AddSpur(15.5e6, 0.001),
+		NewTone(9.8e6, 0.004),
 	} {
-		got := make([]float64, r.n)
-		r.s.RenderInto(got, fs, nil, &c)
-		if !sameBits(got, r.s.Render(r.n, fs, nil)) {
-			t.Fatalf("%v at n=%d: render on a full set differs from Render", r.s, r.n)
+		const n = 18432
+		got := make([]float64, n)
+		r.RenderInto(got, fs, nil, &c)
+		if !sameBits(got, r.Render(n, fs, nil)) {
+			t.Fatalf("%v: render on a full set differs from Render", r)
 		}
 	}
-	if set.bytes != TableSetBytes || len(set.tabs) != 4 {
-		t.Fatalf("full set changed: %d tables, %d bytes", len(set.tabs), set.bytes)
+	st := SharedTables()
+	if st.Published != 4+3 || st.Evicted != 1 || st.Tables != 3+3 {
+		t.Fatalf("after the default-shape renders: %+v, want 7 published, 1 evicted, 6 held", st)
+	}
+	if st.Bytes > TableSetBytes {
+		t.Fatalf("set holds %d bytes, over its cap %d", st.Bytes, TableSetBytes)
+	}
+	for i := range held {
+		k := tableKey{expr: ToneExpr, a: math.Float64bits(freq(i)), fs: math.Float64bits(fs), n: long}
+		if _, in := set.tabs[k]; in != (i != 1) {
+			t.Fatalf("long table %d held = %v after one eviction; want only table 1 evicted", i, in)
+		}
+	}
+	if !sameBits(borrowed, keep) || !sameBits(held[1].Cosines(ToneExpr, freq(1), 0, fs, long), keep) {
+		t.Fatal("an evicted table that a CosTable still borrows lost its bits")
+	}
+	over := TableSetBytes/8 + 1
+	s := NewTone(3e6, 0.5)
+	got := make([]float64, over)
+	s.RenderInto(got, fs, nil, &c)
+	if !sameBits(got, s.Render(over, fs, nil)) {
+		t.Fatal("a table longer than the cap renders differently from Render")
+	}
+	if after := SharedTables(); after != st {
+		t.Fatalf("a table longer than the cap changed the set: %+v, was %+v", after, st)
 	}
 }

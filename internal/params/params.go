@@ -131,20 +131,13 @@ func (c Config) validate() error {
 // (carrier tables and stage buffers) and the spectrum scratch. The
 // package-level Measure* functions each run on a new Sweep; the Sweep
 // methods run on the caller's, so a device's whole set of procedures
-// fills its buffers once. A Sweep is not safe for concurrent use —
-// keep one per goroutine; a Path stays safe for concurrent
-// measurement. The zero value is ready to use and keeps every carrier
-// table private.
+// fills its buffers once, and a worker that measures many devices
+// keeps one Sweep for all of them. A Sweep is not safe for concurrent
+// use — keep one per goroutine; a Path stays safe for concurrent
+// measurement. The zero value is ready to use.
 type Sweep struct {
 	path path.Scratch
 	spec *dsp.SpectrumScratch
-}
-
-// NewSweep returns a Sweep whose device-independent carriers (stimulus
-// tones, the SC clock) come from the shared set tabs, so the sweeps of
-// one study fill each of them once. A nil tabs is the zero Sweep.
-func NewSweep(tabs *msignal.TableSet) *Sweep {
-	return &Sweep{path: path.Scratch{Tables: tabs}}
 }
 
 // capture runs the path and returns the spectrum of the settled

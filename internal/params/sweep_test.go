@@ -69,11 +69,11 @@ func measureE6(sw *Sweep, p *path.Path, cfg Config) ([3]Result, error) {
 
 // TestSweepSecondDeviceAllocs pins that a sweep warmed on one device
 // measures a second device's three Table 2 parameters without
-// allocating a stage buffer or a carrier table when the shared set is
-// warm too: the second device's LO table is refilled in place, and
-// every stimulus and clock table it needs is already in the set (here
-// published by another lane's sweep; the cut-off bisection visits
-// device-dependent tones). The budget is below the smallest stage
+// allocating a stage buffer or a carrier table when the process-wide
+// set is warm too: the second device's LO table is refilled in place,
+// and every stimulus and clock table it needs is already in the set
+// (here published by another worker's sweep; the cut-off bisection
+// visits device-dependent tones). The budget is below the smallest stage
 // buffer (one ADC-rate record).
 func TestSweepSecondDeviceAllocs(t *testing.T) {
 	cfg := Config{N: 2048, Settle: 256}
@@ -81,12 +81,11 @@ func TestSweepSecondDeviceAllocs(t *testing.T) {
 	if a.LO.FreqHz == b.LO.FreqHz {
 		t.Fatal("devices share an LO frequency; the LO refill is untested")
 	}
-	set := new(msignal.TableSet)
-	sw := NewSweep(set)
+	sw := new(Sweep)
 	for _, warm := range []struct {
 		sw *Sweep
 		p  *path.Path
-	}{{NewSweep(set), b}, {sw, a}} {
+	}{{new(Sweep), b}, {sw, a}} {
 		if _, err := measureE6(warm.sw, warm.p, cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -184,17 +184,13 @@ func (p *Path) Run(stim msignal.Signal, n int, rng *rand.Rand) (*Capture, error)
 // draws, the SC clock spur), each keyed on the exact inputs that
 // produced it, and the stage buffers. A capture sweep on one device
 // keeps one Scratch so each cosine is evaluated once, not once per
-// capture. A Scratch is not safe for concurrent use — keep one per
-// goroutine; the Path itself stays shareable. The zero value is ready
-// to use.
+// capture. The device-independent carriers (stimulus tones, the SC
+// clock) come from the process-wide msignal set on a miss, so every
+// scratch in the process fills each of them once; the LO carrier
+// stays private, since its frequency is drawn per device. A Scratch is
+// not safe for concurrent use — keep one per goroutine; the Path
+// itself stays shareable. The zero value is ready to use.
 type Scratch struct {
-	// Tables, when non-nil, is the study's shared set of
-	// device-independent carriers: on a miss in the scratch's own
-	// tables, the stimulus tones and the SC clock are read from it
-	// (and published to it) instead of being filled privately. The
-	// LO carrier stays private: its frequency is drawn per device.
-	Tables *msignal.TableSet
-
 	tones   msignal.Carriers
 	lo, clk msignal.CosTable
 	sim     []float64 // SimRate record, processed stage by stage in place
@@ -222,7 +218,6 @@ func (p *Path) RunScratch(stim msignal.Signal, n int, rng *rand.Rand, sc *Scratc
 	fs := p.Spec.SimRate
 	sc.sim = grow(sc.sim, n*decim)
 	f := sc.sim
-	sc.tones.Set, sc.clk.Set = sc.Tables, sc.Tables
 	stim.RenderInto(f, fs, rng, &sc.tones)
 	p.Amp.ProcessInto(f, f, fs, rng)
 	p.Mixer.ProcessInto(f, f, fs, rng, &sc.lo)

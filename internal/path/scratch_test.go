@@ -193,96 +193,98 @@ func randomStimulus(rng *rand.Rand, lo float64, kind int) msignal.Signal {
 	}
 }
 
-// fullTableSet returns a table set filled to its byte cap, so every
-// table a capture asks it for falls back to a private fill.
-func fullTableSet() *msignal.TableSet {
-	set := new(msignal.TableSet)
-	n := msignal.TableSetBytes / 8 / 4
-	for i := 0; i < 4; i++ {
-		msignal.NewTone(float64(i+1), 1).RenderInto(make([]float64, n), 1e3, nil, &msignal.Carriers{Set: set})
+// fillTables fills the process-wide carrier set up to its byte cap
+// with filler tables of length n, so that a later publish evicts.
+func fillTables(n int) {
+	for f := 1.0; ; f++ {
+		room := (msignal.TableSetBytes - msignal.SharedTables().Bytes) / 8
+		if room == 0 {
+			return
+		}
+		new(msignal.CosTable).Cosines(msignal.ToneExpr, f, 0, 1e3, min(n, room))
 	}
-	return set
 }
 
 // TestRunScratchMatchesReference is the differential test of the
 // table-driven, buffer-reusing simulation against the allocating
 // reference chain: random sampled devices and stimuli, with and
 // without noise draws, LO phase noise and the sigma-delta converter,
-// one scratch reused across every capture of a device, scratches whose
-// stimulus and clock tables come from one table set shared by every
-// device or from a set at its byte cap, and the one-shot Run — all
-// compared bit for bit.
+// one scratch reused across every capture of a device, and the
+// one-shot Run — all compared bit for bit. Every scratch reads the
+// process-wide table set; the test runs twice, first on the set as
+// other captures left it (tables published by earlier devices are
+// shared), then on the set filled to its byte cap, where every
+// publish evicts.
 func TestRunScratchMatchesReference(t *testing.T) {
 	const n = 192
-	gen := rand.New(rand.NewSource(2024))
-	shared, full := new(msignal.TableSet), fullTableSet()
-	for dev := 0; dev < 8; dev++ {
-		spec := testSpec(t)
-		if dev%2 == 1 {
-			spec.LO.PhaseNoiseRadPerSample = 0
+	for pass, atCap := range []bool{false, true} {
+		before := msignal.SharedTables()
+		if atCap {
+			fillTables(n * 8)
+			before = msignal.SharedTables()
 		}
-		if dev%4 >= 2 {
-			spec.UseSigmaDelta = true
-			spec.SigmaDeltaLeak = 1e-3
-		}
-		p, err := spec.Sample(rand.New(rand.NewSource(int64(100 + dev))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sc Scratch
-		onShared, onFull := Scratch{Tables: shared}, Scratch{Tables: full}
-		var stim msignal.Signal
-		for k := 0; k < 6; k++ {
-			if k%3 == 2 {
-				// A sweep step: same tones at a new level, so the
-				// cached tone tables are hit.
-				stim = stim.Scale(1.3)
-			} else {
-				stim = randomStimulus(gen, spec.LO.FreqHz.Nominal, dev+k)
+		gen := rand.New(rand.NewSource(int64(2024 + pass)))
+		for dev := 0; dev < 8; dev++ {
+			spec := testSpec(t)
+			if dev%2 == 1 {
+				spec.LO.PhaseNoiseRadPerSample = 0
 			}
-			seeded := k%2 == 1
-			name := fmt.Sprintf("dev%d/capture%d/pn=%g/sd=%v/seeded=%v",
-				dev, k, spec.LO.PhaseNoiseRadPerSample, spec.UseSigmaDelta, seeded)
-			rngs := func() (*rand.Rand, *rand.Rand) {
-				if !seeded {
-					return nil, nil
+			if dev%4 >= 2 {
+				spec.UseSigmaDelta = true
+				spec.SigmaDeltaLeak = 1e-3
+			}
+			p, err := spec.Sample(rand.New(rand.NewSource(int64(100 + dev))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc Scratch
+			var stim msignal.Signal
+			for k := 0; k < 6; k++ {
+				if k%3 == 2 {
+					// A sweep step: same tones at a new level, so the
+					// cached tone tables are hit.
+					stim = stim.Scale(1.3)
+				} else {
+					stim = randomStimulus(gen, spec.LO.FreqHz.Nominal, dev+k)
 				}
-				seed := int64(dev*100 + k)
-				return rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			}
-			rRef, rGot := rngs()
-			want, err := refRun(p, stim, n, rRef)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.RunScratch(stim, n, rGot, &sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameCapture(got, want); err != nil {
-				t.Fatalf("%s: RunScratch: %v", name, err)
-			}
-			for _, set := range []struct {
-				name string
-				sc   *Scratch
-			}{{"shared", &onShared}, {"full", &onFull}} {
-				_, rGot = rngs()
-				got, err := p.RunScratch(stim, n, rGot, set.sc)
+				seeded := k%2 == 1
+				name := fmt.Sprintf("atCap=%v/dev%d/capture%d/pn=%g/sd=%v/seeded=%v",
+					atCap, dev, k, spec.LO.PhaseNoiseRadPerSample, spec.UseSigmaDelta, seeded)
+				rngs := func() (*rand.Rand, *rand.Rand) {
+					if !seeded {
+						return nil, nil
+					}
+					seed := int64(dev*100 + k)
+					return rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				}
+				rRef, rGot := rngs()
+				want, err := refRun(p, stim, n, rRef)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := p.RunScratch(stim, n, rGot, &sc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := sameCapture(got, want); err != nil {
-					t.Fatalf("%s: RunScratch on the %s table set: %v", name, set.name, err)
+					t.Fatalf("%s: RunScratch: %v", name, err)
+				}
+				_, rGot = rngs()
+				fresh, err := p.Run(stim, n, rGot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameCapture(fresh, want); err != nil {
+					t.Fatalf("%s: Run: %v", name, err)
 				}
 			}
-			_, rGot = rngs()
-			fresh, err := p.Run(stim, n, rGot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameCapture(fresh, want); err != nil {
-				t.Fatalf("%s: Run: %v", name, err)
-			}
+		}
+		after := msignal.SharedTables()
+		if after.Published == before.Published {
+			t.Fatalf("atCap=%v: no capture published a table", atCap)
+		}
+		if atCap && after.Evicted == before.Evicted {
+			t.Fatal("no capture evicted a table from the set at its cap")
 		}
 	}
 }
@@ -291,7 +293,8 @@ func TestRunScratchMatchesReference(t *testing.T) {
 // on one scratch — the LO frequency, the SC clock, the capture length,
 // and a switch between jittered and jitter-free LO carriers — so a
 // table served under a stale key would show as a bit difference. A
-// second scratch runs the same steps on a shared table set.
+// second scratch runs the same steps, reading the tables the first
+// published to the process-wide set.
 func TestRunScratchCatchesStaleTables(t *testing.T) {
 	spec := testSpec(t)
 	p, err := spec.Sample(rand.New(rand.NewSource(7)))
@@ -299,7 +302,7 @@ func TestRunScratchCatchesStaleTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	stim := msignal.NewTone(spec.LO.FreqHz.Nominal+900e3, 0.01)
-	scs := []*Scratch{new(Scratch), {Tables: new(msignal.TableSet)}}
+	scs := []*Scratch{new(Scratch), new(Scratch)}
 	steps := []struct {
 		name   string
 		mutate func()

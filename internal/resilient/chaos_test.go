@@ -91,7 +91,7 @@ func chaosSpectral(t testing.TB, opts campaign.Options) (*campaign.Engine, []int
 // mcRun drives the MC engine with a counting kernel; the returned
 // total is the number of samples the merge actually folded.
 func mcRun(ctx context.Context, n int, opts mcengine.Options) (int, int, error) {
-	kernel := func(lane, count int, rng *rand.Rand) (int, error) { return count, nil }
+	kernel := func(_, _, count int, _ *rand.Rand) (int, error) { return count, nil }
 	merge := func(total, _, part int) int { return total + part }
 	return mcengine.Run(ctx, n, 5, opts, 0, kernel, merge, nil)
 }
@@ -146,7 +146,7 @@ func TestChaosMCEngineLane(t *testing.T) {
 	total, done, err := mcengine.Run(context.Background(), n, 5,
 		mcengine.Options{BatchSize: 4, OnQuarantine: func(lane, samples int, err error) { qSamples += samples }},
 		0,
-		func(lane, count int, rng *rand.Rand) (int, error) { return count, nil },
+		func(_, _, count int, _ *rand.Rand) (int, error) { return count, nil },
 		func(total, _, part int) int { return total + part }, nil)
 	if err != nil {
 		t.Fatalf("quarantined run failed: %v", err)

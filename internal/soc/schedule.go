@@ -685,7 +685,7 @@ func PlanSweep(ctx context.Context, s *SOC, widths []int, opts Options) ([]*Sche
 	if ckName == "" {
 		ckName = "soc_lanes"
 	}
-	kernel := func(lane, count int, rng *rand.Rand) (laneSched, error) {
+	kernel := func(_, lane, count int, rng *rand.Rand) (laneSched, error) {
 		if err := resilient.Fire(fpSchedule); err != nil {
 			return laneSched{}, err
 		}

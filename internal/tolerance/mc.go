@@ -74,8 +74,8 @@ func (t lossTally) add(o lossTally) lossTally {
 // from pDist, the measured value adds an errDist draw, classification
 // per spec and testLimit. The draw order (p first, then error) is the
 // substream contract shared by the serial and parallel paths.
-func lossKernel(pDist, errDist Normal, spec, testLimit SpecLimit) func(lane, count int, rng *rand.Rand) (lossTally, error) {
-	return func(_, count int, rng *rand.Rand) (lossTally, error) {
+func lossKernel(pDist, errDist Normal, spec, testLimit SpecLimit) mcengine.Kernel[lossTally] {
+	return func(_, _, count int, rng *rand.Rand) (lossTally, error) {
 		var t lossTally
 		for i := 0; i < count; i++ {
 			p := pDist.Mean + rng.NormFloat64()*pDist.Sigma
@@ -184,7 +184,7 @@ func SerialMonteCarloLosses(pDist, errDist Normal, spec, testLimit SpecLimit, n 
 				cnt = n - l*o.BatchSize
 			}
 			rng := rand.New(rand.NewSource(mcengine.SubstreamSeed(seed, l)))
-			part, err := kernel(l, cnt, rng)
+			part, err := kernel(0, l, cnt, rng)
 			if err != nil {
 				return LossEstimate{}, err
 			}

@@ -241,7 +241,7 @@ func EstimateReferralError(ctx context.Context, sp path.Spec, param params.Kind,
 	if histHi <= 0 {
 		return ErrEstimate{}, fmt.Errorf("translate: zero analytic budget for %s/%s", param, method)
 	}
-	kernel := func(_, count int, rng *rand.Rand) (refPartial, error) {
+	kernel := func(_, _, count int, rng *rand.Rand) (refPartial, error) {
 		h, err := mcengine.NewHistogram(0, histHi, 512)
 		if err != nil {
 			return refPartial{}, err

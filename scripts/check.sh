@@ -56,13 +56,14 @@ go test -race ./...
 
 echo "== concurrency suites (race, unshared cache) =="
 # The campaign pool, the MC engine merge path, the obs registry's
-# striped histograms / span ring, the E6 lanes' shared carrier-table
-# set and the process-wide FFT plan and split-twiddle caches behind
-# the spectral worker detectors are the places a scheduling-dependent
-# bug could hide; run them race-enabled with -count=2 so a cached ./...
-# result never masks them.
+# striped histograms / span ring, the process-wide carrier-table set
+# (with two E6 studies racing on it) and the process-wide FFT plan and
+# split-twiddle caches behind the spectral worker detectors are the
+# places a scheduling-dependent bug could hide; run them race-enabled
+# with -count=2 so a cached ./... result never masks them.
 go test -race -count=2 ./internal/campaign ./internal/mcengine ./internal/obs ./internal/msignal \
     ./internal/dsp ./internal/spectest
+go test -race -count=2 -run 'TestTable2ConcurrentStudies' ./internal/experiments
 
 echo "== chaos suite (failpoints, race) =="
 # Deterministic fault injection at the registered engine sites
@@ -240,8 +241,9 @@ go run ./cmd/benchrecord -out BENCH_soc.json -sha "$sha" -date "$now" \
 echo "== bench record + regression gate (E6 device-lane simulation) =="
 # The E6 study's hot path, recorded to BENCH_e6.json: BenchmarkTable2
 # (the whole study at bench size), BenchmarkTable2Service (the study at
-# the service's mc default: 15 devices, 2048-sample captures, so the
-# per-study carrier-table fills weigh as in a cold mc job),
+# the service's mc default: 15 devices, 2048-sample captures; after
+# warm-up it reads warm process-wide carrier tables, as the service
+# does after its first mc job),
 # BenchmarkPathCapture (one warmed P1dB sweep capture on reused carrier
 # tables and buffers — zero allocs) and BenchmarkReferralMC1M (one cold translate job's 1M-draw
 # referral Monte Carlo, allocation-free per draw). The engine runs on
