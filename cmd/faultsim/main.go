@@ -69,6 +69,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *patterns < 1 {
+		fmt.Fprintf(stderr, "faultsim: -patterns %d must be at least 1\n", *patterns)
+		fs.Usage()
+		return 2
+	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc

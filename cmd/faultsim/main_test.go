@@ -46,6 +46,22 @@ func TestRunBadToneCount(t *testing.T) {
 	}
 }
 
+func TestRunBadPatternCount(t *testing.T) {
+	for _, n := range []string{"-4", "0"} {
+		var out, errw bytes.Buffer
+		if code := run([]string{"-taps", "4", "-patterns", n}, &out, &errw); code != 2 {
+			t.Fatalf("-patterns %s exited %d, want 2", n, code)
+		}
+		if !strings.Contains(errw.String(), "must be at least 1") ||
+			!strings.Contains(errw.String(), "Usage") {
+			t.Errorf("-patterns %s: missing diagnostic or usage on stderr:\n%s", n, errw.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-patterns %s built the filter:\n%s", n, out.String())
+		}
+	}
+}
+
 func TestRunExactCampaign(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code := run(small(), &out, &errw); code != 0 {

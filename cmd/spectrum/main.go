@@ -12,8 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
+	"os"
 
 	"mstx/internal/dsp"
 	"mstx/internal/experiments"
@@ -21,25 +22,45 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("spectrum: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with the process edges (args, stdout, stderr, exit
+// code) injected, so the CLI surface is testable in-process. It
+// returns 0 on success, 1 on a runtime failure and 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spectrum", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fIF  = flag.Float64("if", 0.9e6, "IF tone frequency (Hz); the RF stimulus is LO + IF")
-		fIF2 = flag.Float64("if2", 0, "second IF tone (0 = single tone)")
-		amp  = flag.Float64("amp", 0.004, "per-tone amplitude at the primary input (V)")
-		n    = flag.Int("n", 4096, "capture length (power of two)")
-		seed = flag.Int64("seed", 1, "noise seed (0 = deterministic, noise-free)")
-		node = flag.String("node", "filter", "observation node: filter | adc")
+		fIF  = fs.Float64("if", 0.9e6, "IF tone frequency (Hz); the RF stimulus is LO + IF")
+		fIF2 = fs.Float64("if2", 0, "second IF tone (0 = single tone)")
+		amp  = fs.Float64("amp", 0.004, "per-tone amplitude at the primary input (V)")
+		n    = fs.Int("n", 4096, "capture length (power of two)")
+		seed = fs.Int64("seed", 1, "noise seed (0 = deterministic, noise-free)")
+		node = fs.String("node", "filter", "observation node: filter | adc")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// The tones are snapped to the n-point bin grid, which matches the
+	// analysis FFT only when n is itself a power of two.
+	if *n <= 0 || !dsp.IsPowerOfTwo(*n) {
+		fmt.Fprintf(stderr, "spectrum: -n %d must be a positive power of two\n", *n)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "spectrum:", err)
+		return 1
+	}
 
 	spec, err := experiments.BuildDefaultSpec()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	p, err := spec.Build()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	snap := func(f float64) float64 {
 		bin := int(f * float64(*n) / spec.ADCRate)
@@ -63,7 +84,7 @@ func main() {
 	const settle = 512
 	cap, err := p.Run(stim, *n+settle, rng)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	var rec []float64
 	switch *node {
@@ -75,21 +96,22 @@ func main() {
 			rec[i] = float64(cap.Codes[settle+i])
 		}
 	default:
-		log.Fatalf("unknown node %q", *node)
+		return fail(fmt.Errorf("unknown node %q", *node))
 	}
 	an, err := dsp.Analyze(rec, spec.ADCRate, tones, dsp.Rectangular, dsp.AnalyzeOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("node: %s, %d samples at %.3g Hz\n", *node, *n, spec.ADCRate)
+	fmt.Fprintf(stdout, "node: %s, %d samples at %.3g Hz\n", *node, *n, spec.ADCRate)
 	for i, m := range an.Fundamentals {
-		fmt.Printf("tone %d: %.6g Hz, amplitude %.4g, power %.4g\n",
+		fmt.Fprintf(stdout, "tone %d: %.6g Hz, amplitude %.4g, power %.4g\n",
 			i+1, m.Frequency, m.Amplitude, m.Power)
 	}
-	fmt.Printf("SNR    %7.2f dB\n", an.SNR)
-	fmt.Printf("SINAD  %7.2f dB\n", an.SINAD)
-	fmt.Printf("THD    %7.2f dB\n", an.THD)
-	fmt.Printf("SFDR   %7.2f dB (worst spur at %.4g Hz)\n", an.SFDR, an.WorstSpur.Frequency)
-	fmt.Printf("ENOB   %7.2f bits\n", an.ENOB)
-	fmt.Printf("floor  %7.2f dBc/bin\n", an.NoiseFloorDB)
+	fmt.Fprintf(stdout, "SNR    %7.2f dB\n", an.SNR)
+	fmt.Fprintf(stdout, "SINAD  %7.2f dB\n", an.SINAD)
+	fmt.Fprintf(stdout, "THD    %7.2f dB\n", an.THD)
+	fmt.Fprintf(stdout, "SFDR   %7.2f dB (worst spur at %.4g Hz)\n", an.SFDR, an.WorstSpur.Frequency)
+	fmt.Fprintf(stdout, "ENOB   %7.2f bits\n", an.ENOB)
+	fmt.Fprintf(stdout, "floor  %7.2f dBc/bin\n", an.NoiseFloorDB)
+	return 0
 }

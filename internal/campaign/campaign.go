@@ -408,6 +408,10 @@ func (e *Engine) Run(ctx context.Context, xs []int64) (*fault.Report, *Stats, er
 			reg.Counter("campaign_quarantined_total").Add(int64(total.Quarantined))
 		}
 		reg.Counter("campaign_spectra_total").Add(int64(stats.Spectra))
+		// The utilization gauge is verdict time (the zero-diff screen
+		// and Detect) summed over every lane, divided by pipeline wall
+		// time × workers. Record generation is not counted, so it reads
+		// below the pool's real occupancy.
 		if wall := time.Since(pipeStart).Seconds(); wall > 0 && workers > 0 {
 			busy := float64(busyNanos.Load()) / 1e9
 			reg.Gauge("campaign_fft_worker_utilization").Set(busy / (wall * float64(workers)))

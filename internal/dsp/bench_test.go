@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// The Allocating/Scratch benchmark pairs below are the dsp half of the
-// recorded perf trajectory (BENCH_dsp.json, written by scripts/check.sh
-// via cmd/benchrecord). Each pair runs the same measurement through the
-// package-level function and its scratch-backed variant; the scratch
-// side must report 0 allocs/op, and the regression gate fails the
-// check run if ns/op drifts >15% or any allocs/op grows against the
-// recorded baseline.
+// The benchmarks below, with BenchmarkFFTPlanned4096, are the dsp half
+// of the recorded perf trajectory (BENCH_dsp.json, written by
+// scripts/check.sh via cmd/benchrecord). The PowerSpectrum pair runs
+// the same measurement through the package-level function and its
+// scratch-backed variant; the scratch side must report 0 allocs/op, and
+// the regression gate fails the check run if ns/op drifts beyond its
+// bound or any allocs/op grows against the recorded baseline.
 
 func benchRecord(n int) []float64 {
 	rng := rand.New(rand.NewSource(7))
@@ -21,15 +21,6 @@ func benchRecord(n int) []float64 {
 		x[i] = rng.NormFloat64()
 	}
 	return x
-}
-
-func benchScratch(b *testing.B, n int, w WindowType) *SpectrumScratch {
-	b.Helper()
-	sc, err := NewSpectrumScratch(n, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sc
 }
 
 func BenchmarkPowerSpectrumAllocating1024(b *testing.B) {
@@ -45,7 +36,10 @@ func BenchmarkPowerSpectrumAllocating1024(b *testing.B) {
 
 func BenchmarkPowerSpectrumScratch1024(b *testing.B) {
 	x := benchRecord(1024)
-	sc := benchScratch(b, 1024, BlackmanHarris)
+	sc, err := NewSpectrumScratch(1024, BlackmanHarris)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -81,31 +75,6 @@ func BenchmarkRecordScratchSpectrum1024(b *testing.B) {
 	}
 }
 
-func BenchmarkWelchAllocating(b *testing.B) {
-	x := benchRecord(8192)
-	opts := WelchOptions{SegmentLength: 1024, Overlap: 0.5, Window: Hann}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Welch(x, 1e6, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWelchScratch(b *testing.B) {
-	x := benchRecord(8192)
-	opts := WelchOptions{SegmentLength: 1024, Overlap: 0.5, Window: Hann}
-	sc := benchScratch(b, 1024, Hann)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.Welch(x, 1e6, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAnalyzeAllocating4096(b *testing.B) {
 	n := 4096
 	fs := 1e6
@@ -117,75 +86,6 @@ func BenchmarkAnalyzeAllocating4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Analyze(x, fs, tones, Hann, AnalyzeOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAnalyzeScratch4096(b *testing.B) {
-	n := 4096
-	fs := 1e6
-	f1 := CoherentBin(fs, n, 401)
-	f2 := CoherentBin(fs, n, 431)
-	x := makeTwoTone(n, fs, f1, f2, 1, 1, 0.001, 3)
-	tones := []float64{f1, f2}
-	sc := benchScratch(b, n, Hann)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.Analyze(x, fs, tones, AnalyzeOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNoiseFloorAllocating(b *testing.B) {
-	x := benchRecord(4096)
-	s, err := PowerSpectrum(x, 1e6, Hann)
-	if err != nil {
-		b.Fatal(err)
-	}
-	exclude := map[int]bool{0: true, 401: true, 431: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.NoiseFloor(exclude)
-	}
-}
-
-func BenchmarkNoiseFloorScratch(b *testing.B) {
-	x := benchRecord(4096)
-	s, err := PowerSpectrum(x, 1e6, Hann)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := benchScratch(b, 4096, Hann)
-	exclude := map[int]bool{0: true, 401: true, 431: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.NoiseFloor(s, exclude)
-	}
-}
-
-func BenchmarkCoherentAverageAllocating(b *testing.B) {
-	x := benchRecord(64 * 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CoherentAverage(x, 256); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCoherentAverageScratch(b *testing.B) {
-	x := benchRecord(64 * 256)
-	sc := benchScratch(b, 256, Rectangular)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.CoherentAverage(x); err != nil {
 			b.Fatal(err)
 		}
 	}

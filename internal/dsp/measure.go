@@ -83,7 +83,7 @@ type SpectralAnalysis struct {
 	SFDR float64
 	// ENOB is the effective number of bits implied by SINAD.
 	ENOB float64
-	// NoiseFloorDB is the median per-bin noise power relative to the
+	// NoiseFloorDB is the mean per-bin noise power relative to the
 	// signal power, dB. A fault effect below this level hides in noise.
 	NoiseFloorDB float64
 	// WorstSpur is the measurement of the largest non-signal bin.
@@ -145,43 +145,6 @@ func Analyze(x []float64, sampleRate float64, toneFreqs []float64, w WindowType,
 
 // AnalyzeSpectrum is Analyze for a precomputed spectrum.
 func AnalyzeSpectrum(s *Spectrum, toneFreqs []float64, opts AnalyzeOptions) (*SpectralAnalysis, error) {
-	var st analyzeState
-	return st.analyze(s, toneFreqs, opts)
-}
-
-// analyzeState holds the working buffers of one spectral analysis: the
-// result struct with its measurement slices and the per-bin exclusion
-// masks. The package-level AnalyzeSpectrum runs on a fresh state;
-// SpectrumScratch keeps one and reuses it, so both paths execute the
-// same arithmetic in the same order and are bit-identical by
-// construction.
-type analyzeState struct {
-	res  SpectralAnalysis
-	excl []bool
-	fund []bool
-}
-
-// reset sizes the masks for bins bins and clears all reused state.
-func (st *analyzeState) reset(bins int) {
-	if cap(st.excl) < bins {
-		st.excl = make([]bool, bins)
-		st.fund = make([]bool, bins)
-	}
-	st.excl = st.excl[:bins]
-	st.fund = st.fund[:bins]
-	for i := range st.excl {
-		st.excl[i] = false
-		st.fund[i] = false
-	}
-	st.res = SpectralAnalysis{
-		Fundamentals: st.res.Fundamentals[:0],
-		Harmonics:    st.res.Harmonics[:0],
-	}
-}
-
-// analyze computes the figures of merit into the state's buffers. The
-// returned pointer aliases the state and is valid until its next use.
-func (st *analyzeState) analyze(s *Spectrum, toneFreqs []float64, opts AnalyzeOptions) (*SpectralAnalysis, error) {
 	if len(toneFreqs) == 0 {
 		return nil, fmt.Errorf("dsp: AnalyzeSpectrum requires at least one stimulus tone")
 	}
@@ -191,12 +154,13 @@ func (st *analyzeState) analyze(s *Spectrum, toneFreqs []float64, opts AnalyzeOp
 	}
 	spread := opts.resolveSpread(s.Window)
 
-	st.reset(len(s.Power))
-	res := &st.res
+	res := &SpectralAnalysis{}
+	excl := make([]bool, len(s.Power))
+	fund := make([]bool, len(s.Power))
 	markBins := func(k int) {
 		for i := k - spread; i <= k+spread; i++ {
 			if i >= 0 && i < len(s.Power) {
-				st.excl[i] = true
+				excl[i] = true
 			}
 		}
 	}
@@ -216,7 +180,7 @@ func (st *analyzeState) analyze(s *Spectrum, toneFreqs []float64, opts AnalyzeOp
 	for h := 2; h <= nHarm; h++ {
 		fh := AliasFrequency(float64(h)*f1, s.SampleRate)
 		k := s.Bin(fh)
-		if k < len(st.excl) && st.excl[k] {
+		if k < len(excl) && excl[k] {
 			continue
 		}
 		m := measureToneSpread(s, fh, spread)
@@ -231,16 +195,16 @@ func (st *analyzeState) analyze(s *Spectrum, toneFreqs []float64, opts AnalyzeOp
 	worstSpurBin := -1
 	for _, m := range res.Fundamentals {
 		for i := m.Bin - spread; i <= m.Bin+spread; i++ {
-			if i >= 0 && i < len(st.fund) {
-				st.fund[i] = true
+			if i >= 0 && i < len(fund) {
+				fund[i] = true
 			}
 		}
 	}
 	for k, p := range s.Power {
-		if !st.excl[k] {
+		if !excl[k] {
 			res.NoisePower += p
 		}
-		if !st.fund[k] && k != 0 && p > worstSpurPower {
+		if !fund[k] && k != 0 && p > worstSpurPower {
 			worstSpurPower = p
 			worstSpurBin = k
 		}
@@ -260,7 +224,7 @@ func (st *analyzeState) analyze(s *Spectrum, toneFreqs []float64, opts AnalyzeOp
 	res.SFDR = DB(safeRatio(res.SignalPower, worstSpurPower))
 	res.ENOB = (res.SINAD - 1.76) / 6.02
 	nBins := 0
-	for _, e := range st.excl {
+	for _, e := range excl {
 		if !e {
 			nBins++
 		}

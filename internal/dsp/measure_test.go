@@ -274,6 +274,53 @@ func TestResolveSpread(t *testing.T) {
 	}
 }
 
+// sameFloat demands bitwise equality including the sign of zero.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// compareAnalyses checks every figure of merit of two analyses bitwise.
+func compareAnalyses(t *testing.T, label string, got, want *SpectralAnalysis) {
+	t.Helper()
+	compareTones := func(part string, g, w []ToneMeasurement) {
+		t.Helper()
+		if len(g) != len(w) {
+			t.Fatalf("%s: %d %s, want %d", label, len(g), part, len(w))
+		}
+		for i := range w {
+			if g[i].Bin != w[i].Bin || !sameFloat(g[i].Frequency, w[i].Frequency) ||
+				!sameFloat(g[i].Power, w[i].Power) || !sameFloat(g[i].Amplitude, w[i].Amplitude) {
+				t.Fatalf("%s %s[%d]: %+v != %+v (must be bit-identical)", label, part, i, g[i], w[i])
+			}
+		}
+	}
+	compareTones("fundamentals", got.Fundamentals, want.Fundamentals)
+	compareTones("harmonics", got.Harmonics, want.Harmonics)
+	scalars := []struct {
+		name string
+		g, w float64
+	}{
+		{"SignalPower", got.SignalPower, want.SignalPower},
+		{"NoisePower", got.NoisePower, want.NoisePower},
+		{"DistortionPower", got.DistortionPower, want.DistortionPower},
+		{"SNR", got.SNR, want.SNR},
+		{"THD", got.THD, want.THD},
+		{"SINAD", got.SINAD, want.SINAD},
+		{"SFDR", got.SFDR, want.SFDR},
+		{"ENOB", got.ENOB, want.ENOB},
+		{"NoiseFloorDB", got.NoiseFloorDB, want.NoiseFloorDB},
+		{"WorstSpur.Power", got.WorstSpur.Power, want.WorstSpur.Power},
+	}
+	for _, sc := range scalars {
+		if !sameFloat(sc.g, sc.w) {
+			t.Fatalf("%s %s: %g != %g (must be bit-identical)", label, sc.name, sc.g, sc.w)
+		}
+	}
+	if got.WorstSpur.Bin != want.WorstSpur.Bin {
+		t.Fatalf("%s WorstSpur.Bin: %d != %d", label, got.WorstSpur.Bin, want.WorstSpur.Bin)
+	}
+}
+
 // TestToneSpreadSentinelCompat pins that introducing ToneSpreadNone
 // changed no existing caller's results: the zero value still means
 // "window default", so opts{} is bit-identical to an explicit

@@ -1,8 +1,6 @@
 package dsp
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -84,310 +82,5 @@ func TestSpectrumScratchAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("scratch PowerSpectrum allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
-// sameFloat demands bitwise equality including the sign of zero, the
-// contract every scratch variant carries against its allocating
-// counterpart.
-func sameFloat(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b)
-}
-
-func compareSpectra(t *testing.T, label string, got, want *Spectrum) {
-	t.Helper()
-	if got.NFFT != want.NFFT || got.SampleRate != want.SampleRate ||
-		got.Window != want.Window ||
-		got.ProcessingGain != want.ProcessingGain || got.ENBW != want.ENBW {
-		t.Fatalf("%s: header mismatch %+v vs %+v", label, got, want)
-	}
-	if len(got.Power) != len(want.Power) {
-		t.Fatalf("%s: %d bins, want %d", label, len(got.Power), len(want.Power))
-	}
-	for k := range want.Power {
-		if !sameFloat(got.Power[k], want.Power[k]) {
-			t.Fatalf("%s bin %d: %g != %g (must be bit-identical)",
-				label, k, got.Power[k], want.Power[k])
-		}
-	}
-}
-
-func TestScratchWelchMatchesWelch(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := make([]float64, 4096)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for _, w := range []WindowType{Rectangular, Hann, BlackmanHarris} {
-		for _, overlap := range []float64{0, 0.5, 0.6, 0.9} {
-			opts := WelchOptions{SegmentLength: 512, Overlap: overlap, Window: w}
-			want, err := Welch(x, 1e6, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := NewSpectrumScratch(512, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Run twice: the second pass exercises accumulator reuse.
-			for pass := 0; pass < 2; pass++ {
-				got, err := sc.Welch(x, 1e6, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareSpectra(t, fmt.Sprintf("w=%v overlap=%g pass=%d", w, overlap, pass), got, want)
-			}
-		}
-	}
-}
-
-func TestScratchWelchValidation(t *testing.T) {
-	sc, err := NewSpectrumScratch(256, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 1024)
-	if _, err := sc.Welch(x, 1e6, WelchOptions{SegmentLength: 512, Window: Hann}); err == nil {
-		t.Error("segment/scratch length mismatch accepted")
-	}
-	if _, err := sc.Welch(x, 1e6, WelchOptions{SegmentLength: 256, Window: Blackman}); err == nil {
-		t.Error("window mismatch accepted")
-	}
-	if _, err := sc.Welch(x, 1e6, WelchOptions{SegmentLength: 256, Window: Hann, Overlap: 0.95}); err == nil {
-		t.Error("out-of-range overlap accepted")
-	}
-	if _, err := sc.Welch(x[:100], 1e6, WelchOptions{SegmentLength: 256, Window: Hann}); err == nil {
-		t.Error("record shorter than segment accepted")
-	}
-	// A non-power-of-two scratch cannot Welch (the package function
-	// rejects such segment lengths too).
-	odd, err := NewSpectrumScratch(100, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := odd.Welch(x, 1e6, WelchOptions{SegmentLength: 100, Window: Hann}); err == nil {
-		t.Error("non-power-of-two segment accepted")
-	}
-}
-
-func TestScratchCoherentAverageMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := make([]float64, 4*256+33) // trailing partial period is dropped
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want, err := CoherentAverage(x, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewSpectrumScratch(256, Rectangular)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		got, err := sc.CoherentAverage(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("pass %d: length %d, want %d", pass, len(got), len(want))
-		}
-		for i := range want {
-			if !sameFloat(got[i], want[i]) {
-				t.Fatalf("pass %d sample %d: %g != %g (must be bit-identical)",
-					pass, i, got[i], want[i])
-			}
-		}
-	}
-	if _, err := sc.CoherentAverage(x[:100]); err == nil {
-		t.Error("record shorter than one period accepted")
-	}
-}
-
-func TestScratchNoiseFloorMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x := make([]float64, 1024)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	s, err := PowerSpectrum(x, 1e6, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := NewSpectrumScratch(1024, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	excludes := []map[int]bool{
-		nil,
-		{0: true, 50: true, 51: true},
-		allBins(len(s.Power)),
-	}
-	for i, excl := range excludes {
-		want := s.NoiseFloor(excl)
-		for pass := 0; pass < 2; pass++ {
-			if got := sc.NoiseFloor(s, excl); !sameFloat(got, want) {
-				t.Fatalf("exclude set %d pass %d: %g != %g (must be bit-identical)",
-					i, pass, got, want)
-			}
-		}
-	}
-}
-
-func allBins(n int) map[int]bool {
-	m := make(map[int]bool, n)
-	for i := 0; i < n; i++ {
-		m[i] = true
-	}
-	return m
-}
-
-// compareAnalyses checks every figure of merit bitwise; it compares
-// slices elementwise so the scratch's reused backing arrays (extra
-// capacity, non-nil empties) still count as equal.
-func compareAnalyses(t *testing.T, label string, got, want *SpectralAnalysis) {
-	t.Helper()
-	compareTones := func(part string, g, w []ToneMeasurement) {
-		t.Helper()
-		if len(g) != len(w) {
-			t.Fatalf("%s: %d %s, want %d", label, len(g), part, len(w))
-		}
-		for i := range w {
-			if g[i].Bin != w[i].Bin || !sameFloat(g[i].Frequency, w[i].Frequency) ||
-				!sameFloat(g[i].Power, w[i].Power) || !sameFloat(g[i].Amplitude, w[i].Amplitude) {
-				t.Fatalf("%s %s[%d]: %+v != %+v (must be bit-identical)", label, part, i, g[i], w[i])
-			}
-		}
-	}
-	compareTones("fundamentals", got.Fundamentals, want.Fundamentals)
-	compareTones("harmonics", got.Harmonics, want.Harmonics)
-	scalars := []struct {
-		name string
-		g, w float64
-	}{
-		{"SignalPower", got.SignalPower, want.SignalPower},
-		{"NoisePower", got.NoisePower, want.NoisePower},
-		{"DistortionPower", got.DistortionPower, want.DistortionPower},
-		{"SNR", got.SNR, want.SNR},
-		{"THD", got.THD, want.THD},
-		{"SINAD", got.SINAD, want.SINAD},
-		{"SFDR", got.SFDR, want.SFDR},
-		{"ENOB", got.ENOB, want.ENOB},
-		{"NoiseFloorDB", got.NoiseFloorDB, want.NoiseFloorDB},
-		{"WorstSpur.Power", got.WorstSpur.Power, want.WorstSpur.Power},
-	}
-	for _, sc := range scalars {
-		if !sameFloat(sc.g, sc.w) {
-			t.Fatalf("%s %s: %g != %g (must be bit-identical)", label, sc.name, sc.g, sc.w)
-		}
-	}
-	if got.WorstSpur.Bin != want.WorstSpur.Bin {
-		t.Fatalf("%s WorstSpur.Bin: %d != %d", label, got.WorstSpur.Bin, want.WorstSpur.Bin)
-	}
-}
-
-func TestScratchAnalyzeMatchesAnalyze(t *testing.T) {
-	n := 1024
-	fs := 1e6
-	f1 := CoherentBin(fs, n, 33)
-	f2 := CoherentBin(fs, n, 47)
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, n)
-	for i := range x {
-		ti := float64(i) / fs
-		x[i] = math.Sin(2*math.Pi*f1*ti) + 0.5*math.Sin(2*math.Pi*f2*ti) + 0.01*rng.NormFloat64()
-	}
-	optsList := []AnalyzeOptions{
-		{},
-		{Harmonics: 7},
-		{ToneSpread: ToneSpreadNone},
-		{ToneSpread: 2},
-		{SkipDCExclusion: true},
-	}
-	for _, w := range []WindowType{Rectangular, Hann, BlackmanHarris} {
-		sc, err := NewSpectrumScratch(n, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for oi, opts := range optsList {
-			want, err := Analyze(x, fs, []float64{f1, f2}, w, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("w=%v opts=%d", w, oi)
-			// Run twice: the second pass exercises buffer reuse, and an
-			// AnalyzeSpectrum pass covers the precomputed-spectrum entry.
-			for pass := 0; pass < 2; pass++ {
-				got, err := sc.Analyze(x, fs, []float64{f1, f2}, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareAnalyses(t, label, got, want)
-			}
-			sp, err := sc.PowerSpectrum(x, fs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sc.AnalyzeSpectrum(sp, []float64{f1, f2}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareAnalyses(t, label+" (AnalyzeSpectrum)", got, want)
-		}
-	}
-}
-
-func TestScratchAnalyzeValidation(t *testing.T) {
-	sc, err := NewSpectrumScratch(64, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sc.Analyze(make([]float64, 64), 1e6, nil, AnalyzeOptions{}); err == nil {
-		t.Error("empty tone list accepted")
-	}
-	if _, err := sc.Analyze(make([]float64, 32), 1e6, []float64{10}, AnalyzeOptions{}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-// TestStreamingScratchAllocFree pins the tentpole contract: every
-// scratch-backed stage of the record → window → FFT → power spectrum →
-// figures-of-merit path performs zero allocations per call in steady
-// state (the warm-up call inside AllocsPerRun absorbs the lazy buffer
-// growth).
-func TestStreamingScratchAllocFree(t *testing.T) {
-	n := 1024
-	fs := 1e6
-	f1 := CoherentBin(fs, n, 33)
-	tones := []float64{f1}
-	x := make([]float64, 4*n)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * f1 * float64(i) / fs)
-	}
-	sc, err := NewSpectrumScratch(n, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exclude := map[int]bool{0: true, 33: true}
-	welchOpts := WelchOptions{SegmentLength: n, Overlap: 0.5, Window: Hann}
-	steps := []struct {
-		name string
-		fn   func() error
-	}{
-		{"CoherentAverage", func() error { _, err := sc.CoherentAverage(x); return err }},
-		{"PowerSpectrum", func() error { _, err := sc.PowerSpectrum(x[:n], fs); return err }},
-		{"Welch", func() error { _, err := sc.Welch(x, fs, welchOpts); return err }},
-		{"Analyze", func() error { _, err := sc.Analyze(x[:n], fs, tones, AnalyzeOptions{}); return err }},
-		{"NoiseFloor", func() error { sc.NoiseFloor(&sc.spec, exclude); return nil }},
-	}
-	for _, step := range steps {
-		allocs := testing.AllocsPerRun(50, func() {
-			if err := step.fn(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Errorf("scratch %s allocates %.1f objects per call, want 0", step.name, allocs)
-		}
 	}
 }

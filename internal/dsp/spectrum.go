@@ -3,7 +3,6 @@ package dsp
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Spectrum is a single-sided power spectrum of a real signal. Bin k
@@ -166,39 +165,6 @@ func (s *Spectrum) PeakBin(kLo, kHi int) int {
 		}
 	}
 	return best
-}
-
-// NoiseFloor estimates the median bin power over the spectrum with the
-// given bins excluded (stimulus tones, harmonics, DC). The median is
-// robust to the excluded set missing a few spurs. Callers estimating
-// floors per record in a streaming loop use SpectrumScratch.NoiseFloor,
-// which reuses one sort buffer instead of allocating per call.
-func (s *Spectrum) NoiseFloor(exclude map[int]bool) float64 {
-	v, _ := noiseFloorMedian(s.Power, exclude, make([]float64, 0, len(s.Power)))
-	return v
-}
-
-// noiseFloorMedian is the shared implementation of the allocating and
-// scratch-backed noise-floor estimators: it gathers the non-excluded
-// bin powers into buf (resliced to empty, grown if needed), sorts them,
-// and returns the median together with the possibly-grown buffer.
-func noiseFloorMedian(power []float64, exclude map[int]bool, buf []float64) (float64, []float64) {
-	vals := buf[:0]
-	for k, p := range power {
-		if exclude[k] {
-			continue
-		}
-		vals = append(vals, p)
-	}
-	if len(vals) == 0 {
-		return 0, vals
-	}
-	sort.Float64s(vals)
-	mid := len(vals) / 2
-	if len(vals)%2 == 1 {
-		return vals[mid], vals
-	}
-	return 0.5 * (vals[mid-1] + vals[mid]), vals
 }
 
 // DB converts a power ratio to decibels; zero or negative ratios map to

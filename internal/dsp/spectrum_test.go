@@ -170,43 +170,6 @@ func TestPeakBin(t *testing.T) {
 	}
 }
 
-func TestNoiseFloorMedian(t *testing.T) {
-	n := 512
-	fs := 512.0
-	rng := rand.New(rand.NewSource(7))
-	x := make([]float64, n)
-	sigma := 0.01
-	for i := range x {
-		x[i] = rng.NormFloat64() * sigma
-	}
-	tone := makeTone(n, fs, CoherentBin(fs, n, 50), 1, 0, 0)
-	for i := range x {
-		x[i] += tone[i]
-	}
-	s, err := PowerSpectrum(x, fs, Rectangular)
-	if err != nil {
-		t.Fatal(err)
-	}
-	floorWithTone := s.NoiseFloor(nil)
-	floorExcl := s.NoiseFloor(map[int]bool{50: true})
-	if floorExcl > floorWithTone+1e-15 {
-		t.Errorf("excluding the tone raised the floor: %g > %g", floorExcl, floorWithTone)
-	}
-	// The median floor should be near sigma²/N per bin (single-sided
-	// doubling only redistributes; total noise power is sigma²).
-	perBin := sigma * sigma / float64(n/2)
-	if floorExcl <= 0 || floorExcl > perBin*20 || floorExcl < perBin/20 {
-		t.Errorf("noise floor %g implausible vs per-bin %g", floorExcl, perBin)
-	}
-}
-
-func TestNoiseFloorAllExcluded(t *testing.T) {
-	s := &Spectrum{Power: []float64{1, 2}, SampleRate: 10, NFFT: 2}
-	if f := s.NoiseFloor(map[int]bool{0: true, 1: true}); f != 0 {
-		t.Errorf("NoiseFloor all-excluded = %g, want 0", f)
-	}
-}
-
 func TestDBConversions(t *testing.T) {
 	if got := DB(100); math.Abs(got-20) > 1e-12 {
 		t.Errorf("DB(100) = %g", got)

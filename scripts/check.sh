@@ -1,6 +1,6 @@
 #!/bin/sh
 # Pre-merge gate: vet, build, race-enabled tests, bench smokes, and
-# the recorded perf trajectory — the dsp scratch pairs, the
+# the recorded perf trajectory — the dsp spectrum benchmarks, the
 # spectral-campaign pair, the E6 simulation benchmarks and the engine
 # pairs are benchmarked, gated against the last entry of
 # BENCH_dsp.json / BENCH_campaign.json / BENCH_e6.json /
@@ -188,20 +188,20 @@ echo "== bench smoke (obs off/on pairs) =="
 # noise — the nil-registry fast path is a hard contract (DESIGN.md §8).
 go test -run '^$' -bench 'BenchmarkCampaignObs|BenchmarkMCObs' -benchtime 3x .
 
-echo "== bench record + regression gate (dsp scratch pairs) =="
-# Run the allocating/scratch benchmark pairs and append the numbers to
-# the BENCH_*.json perf trajectories. -compare first gates the run
-# against the last entry recorded in the same environment (goos,
-# goarch, cpu, GOMAXPROCS; with none, it refuses): any allocs/op
-# growth fails, and so
-# does ns/op drift beyond -max-ns-regress (25% here — the tool default
-# is 15%, but shared CI machines need the extra noise headroom; the
-# allocs/op gate is exact either way). The commit SHA and timestamp are
-# passed in so the recorder itself reads no clock. Every gated step
-# runs -count 5 and benchrecord gates on the median of the five
-# samples (recording their min/max spread), so one noisy sample on a
-# shared host neither fails nor passes a gate; the bounds are
-# unchanged. On a regression the
+echo "== bench record + regression gate (dsp spectrum benchmarks) =="
+# Run the dsp benchmarks — the allocating/scratch PowerSpectrum pair,
+# AnalyzeAllocating4096, FFTPlanned4096 and RecordScratchSpectrum1024 —
+# and append the numbers to the BENCH_*.json perf trajectories.
+# -compare first gates the run against the last entry recorded in the
+# same environment (goos, goarch, cpu, GOMAXPROCS; with none, it
+# refuses): any allocs/op growth fails, and so does ns/op drift beyond
+# -max-ns-regress (25% here — the tool default is 15%, but shared CI
+# machines need the extra noise headroom; the allocs/op gate is exact
+# either way). The commit SHA and timestamp are passed in so the
+# recorder itself reads no clock. Every gated step runs -count 5 and
+# benchrecord gates on the median of the five samples (recording their
+# min/max spread), so one noisy sample on a shared host neither fails
+# nor passes a gate; the bounds are unchanged. On a regression the
 # gate prints the offending benchmarks and leaves the trajectory
 # untouched; fix the code or deliberately re-baseline by deleting the
 # last entry.
